@@ -12,10 +12,12 @@ budget exhausted, 1 error (bad config or failed contraction planning).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -72,6 +74,18 @@ class RunConfig:
 
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 
+_EMIT_DEFAULTS = {"trajectory": False, "norms": True, "report": True}
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number that fits a float; true/false are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
 
 def load_config(path: str) -> RunConfig:
     try:
@@ -96,8 +110,8 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     if name not in INSTANCE_NAMES:
         fail("instance", f"must be one of {', '.join(INSTANCE_NAMES)}, got {name!r}")
     t_max = raw.get("t_max")
-    if not isinstance(t_max, (int, float)) or not t_max > 0:
-        fail("t_max", f"must be a positive number, got {t_max!r}")
+    if not _is_number(t_max) or not t_max > 0:
+        fail("t_max", f"must be a finite positive number, got {t_max!r}")
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
         fail("output_dir", "must be a non-empty string")
@@ -111,25 +125,25 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
         if not isinstance(n, int) or n < 16:
             fail("params.n", f"must be an integer >= 16, got {n!r}")
         length = params.setdefault("length", 2.0 * math.pi)
-        if not length > 0:
-            fail("params.length", "must be positive")
+        if not _is_number(length) or not length > 0:
+            fail("params.length", f"must be a finite positive number, got {length!r}")
         scheme = params.setdefault("interpolation", "cubic")
         if scheme not in grids.INTERP_SCHEMES:
             fail("params.interpolation", f"must be one of {grids.INTERP_SCHEMES}")
         profile = params.setdefault("profile", "sine")
         if profile not in oracles.PROFILES:
             fail("params.profile", f"unknown profile {profile!r}")
-        params.setdefault("amplitude", 1.0)
-        if not isinstance(params["amplitude"], (int, float)):
-            fail("params.amplitude", "must be a number")
+        amplitude = params.setdefault("amplitude", 1.0)
+        if not _is_number(amplitude):
+            fail("params.amplitude", f"must be a finite number, got {amplitude!r}")
     else:
         x0 = params.setdefault("x0", 1.0)
-        if not isinstance(x0, (int, float)):
-            fail("params.x0", f"must be a number, got {x0!r}")
+        if not _is_number(x0):
+            fail("params.x0", f"must be a finite number, got {x0!r}")
         if name == "ode.decay":
             rate = params.setdefault("rate", 1.0)
-            if not isinstance(rate, (int, float)) or not rate > 0:
-                fail("params.rate", "must be a positive number")
+            if not _is_number(rate) or not rate > 0:
+                fail("params.rate", f"must be a finite positive number, got {rate!r}")
 
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
@@ -145,15 +159,19 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     emit = raw.get("emit", {})
     if not isinstance(emit, dict):
         fail("emit", "must be an object")
+    emit = {key: emit.get(key, default) for key, default in _EMIT_DEFAULTS.items()}
+    for key, value in emit.items():
+        if not isinstance(value, bool):
+            fail(f"emit.{key}", f"must be true or false, got {value!r}")
     return RunConfig(
         instance=name,
         t_max=float(t_max),
         output_dir=output_dir,
         params=params,
         solver=solver,
-        emit_trajectory=bool(emit.get("trajectory", False)),
-        emit_norms=bool(emit.get("norms", True)),
-        emit_report=bool(emit.get("report", True)),
+        emit_trajectory=emit["trajectory"],
+        emit_norms=emit["norms"],
+        emit_report=emit["report"],
     )
 
 
@@ -209,11 +227,28 @@ def resolve_output_dir(config: RunConfig) -> str:
     return out
 
 
+# mkstemp creates files as 0600; artifacts get the mode open() would give
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write text to a fresh temp file next to path, then rename it onto path.
+
+    The temp name is unique, so concurrent runs into one directory never
+    share or clobber a temp file; it is removed if anything fails.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with open(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:

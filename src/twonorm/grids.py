@@ -23,7 +23,9 @@ class GridFunction1D:
     """Samples of a periodic function on [0, length) at x_i = i*length/n.
 
     Values are stored as a read-only float64 array; instances are immutable
-    and safe to share between threads.
+    and safe to share between threads. A float64 input that is read-only
+    along its whole .base chain is kept without a copy (e.g. a row of a
+    frozen trajectory buffer); any other input is copied.
     """
 
     n: int
@@ -35,7 +37,11 @@ class GridFunction1D:
             raise ValueError(f"need at least 2 grid points, got n={self.n}")
         if not (np.isfinite(self.length) and self.length > 0):
             raise ValueError(f"domain length must be positive, got {self.length}")
-        vals = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                and _read_only(vals)):
+            vals = np.array(vals, dtype=np.float64, copy=True)
+        vals = vals.reshape(-1)
         if vals.shape != (self.n,):
             raise ValueError(f"expected {self.n} samples, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
@@ -51,14 +57,29 @@ class GridFunction1D:
         return np.arange(self.n) * (self.length / self.n)
 
 
+def _read_only(arr: np.ndarray) -> bool:
+    """True when neither arr nor any array it views can be written through."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
+def sup_lip_norms(values: np.ndarray, length: float):
+    """Sup and discrete Lipschitz norms of each row (last axis) of values."""
+    dx = length / values.shape[-1]
+    sup = np.max(np.abs(values), axis=-1)
+    slopes = np.abs(np.roll(values, -1, axis=-1) - values) / dx
+    return sup, sup + np.max(slopes, axis=-1)
+
+
 def sup_norm_values(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
 def lip_norm_values(values: np.ndarray, length: float) -> float:
-    dx = length / len(values)
-    slopes = np.abs(np.roll(values, -1) - values) / dx
-    return float(np.max(np.abs(values)) + np.max(slopes))
+    return float(sup_lip_norms(values, length)[1])
 
 
 def sup_norm(u: GridFunction1D) -> float:
@@ -81,40 +102,72 @@ def sup_distance(u: GridFunction1D, v: GridFunction1D) -> float:
     return float(np.max(np.abs(u.values - v.values)))
 
 
-def interp_values(values: np.ndarray, length: float, x, scheme: str = "cubic"):
+def pad_periodic(values: np.ndarray) -> np.ndarray:
+    """Rows (last axis) of values with periodic ghost samples.
+
+    One ghost sample goes before each row and three after, so sample i
+    sits at padded index i + 1 and every stencil of interp_stencil stays
+    inside the padded row.
+    """
+    n = values.shape[-1]
+    if n < 3:
+        return values[..., np.arange(-1, n + 3) % n]
+    return np.concatenate((values[..., -1:], values, values[..., :3]), axis=-1)
+
+
+def interp_stencil(x_wrapped: np.ndarray, length: float, n: int):
+    """Stencil of periodic interpolation at positions already wrapped by np.mod.
+
+    Returns (idx, frac): in a row padded by pad_periodic, idx indexes the
+    first of the four stencil samples, i.e. the left neighbour's left
+    neighbour, and frac in [0, 1) is the offset from the left neighbour in
+    cells. Offsets within _NODE_SNAP of a node are snapped onto it so float
+    jitter never leaks neighbour values into node queries. Positions must
+    be wrapped exactly once: np.mod can return length itself for tiny
+    negative x, and wrapping that again gives 0 and a different stencil.
+    """
+    s = x_wrapped * (n / length)
+    idx = np.floor(s).astype(np.int64)
+    frac = s - idx
+    snap_hi = frac > 1.0 - _NODE_SNAP
+    # finite positions give idx in [0, n] already; NaN ones get a valid
+    # stencil here and still a NaN frac, so their result is NaN
+    idx = np.clip(np.where(snap_hi, idx + 1, idx), 0, n)
+    frac = np.where(snap_hi | (frac < _NODE_SNAP), 0.0, frac)
+    return idx, frac
+
+
+def interp_eval(padded: np.ndarray, idx: np.ndarray, frac: np.ndarray,
+                scheme: str = "cubic") -> np.ndarray:
+    """Evaluate the interpolant of a row padded by pad_periodic on a stencil."""
+    p1 = padded[1:][idx]
+    p2 = padded[2:][idx]
+    if scheme == "linear":
+        return p1 + frac * (p2 - p1)
+    p0 = padded[idx]
+    p3 = padded[3:][idx]
+    return p1 + 0.5 * frac * (
+        p2 - p0
+        + frac * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3 + frac * (3.0 * (p1 - p2) + p3 - p0))
+    )
+
+
+def interp_values(values: np.ndarray, length: float, x, scheme: str = "cubic",
+                  stencil=None):
     """Periodic interpolation of raw samples at positions x (scalar or array).
 
     'linear' is piecewise linear; 'cubic' is the 4-point Catmull-Rom
-    cardinal spline. Both reproduce node values exactly: offsets within
-    _NODE_SNAP of a node are snapped so float jitter in x never leaks
-    neighbour values into node queries.
+    cardinal spline. Both reproduce node values exactly (see
+    interp_stencil). stencil, when given, is interp_stencil's result for
+    x wrapped once by np.mod, built ahead (e.g. for many rows in one
+    batch); it is used instead of rebuilding it from x.
     """
     if scheme not in INTERP_SCHEMES:
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
-    n = len(values)
-    x_arr = np.asarray(x, dtype=np.float64)
-    s = (np.mod(x_arr, length)) * (n / length)
-    idx = np.floor(s).astype(np.int64)
-    frac = s - idx
-    # snap near-node offsets onto the node
-    snap_hi = frac > 1.0 - _NODE_SNAP
-    idx = np.where(snap_hi, idx + 1, idx)
-    frac = np.where(snap_hi | (frac < _NODE_SNAP), 0.0, frac)
-    i1 = np.mod(idx, n)
-    i2 = np.mod(i1 + 1, n)
-    p1 = values[i1]
-    p2 = values[i2]
-    if scheme == "linear":
-        out = p1 + frac * (p2 - p1)
-    else:
-        i0 = np.mod(i1 - 1, n)
-        i3 = np.mod(i1 + 2, n)
-        p0 = values[i0]
-        p3 = values[i3]
-        out = p1 + 0.5 * frac * (
-            p2 - p0
-            + frac * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3 + frac * (3.0 * (p1 - p2) + p3 - p0))
-        )
+    if stencil is None:
+        x_wrapped = np.mod(np.asarray(x, dtype=np.float64), length)
+        stencil = interp_stencil(x_wrapped, length, len(values))
+    out = interp_eval(pad_periodic(np.asarray(values)), *stencil, scheme)
     if np.ndim(x) == 0:
         return float(out)
     return out

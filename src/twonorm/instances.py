@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     AprioriBound,
+    CapExceeded,
     NonFiniteState,
     NormedPairElement,
     StabilityBounds,
@@ -23,8 +24,10 @@ from .core import (
 )
 from .grids import (
     GridFunction1D,
+    interp_stencil,
     interp_values,
     lip_norm_values,
+    sup_lip_norms,
     sup_norm_values,
 )
 
@@ -47,11 +50,15 @@ def make_element(instance: "ProblemInstance", state) -> NormedPairElement:
 class ProblemInstance:
     """A frozen-step operator together with its norm pair.
 
-    step(y_traj, x0, window, substeps, t_start) solves the frozen problem
-    with input trajectory y_traj and must reuse the x0 element as the
-    first state of its output. bounds is None for instances without
-    analytic growth/stability estimates; the engine then adapts windows
-    empirically.
+    step(y_traj, x0, window, substeps, t_start, cap=None) solves the
+    frozen problem with input trajectory y_traj and must reuse the x0
+    element as the first state of its output. When cap is given, step may
+    raise CapExceeded as soon as a state's strong norm exceeds it instead
+    of finishing the window (the bundled steps do, exactly when the
+    finished trajectory's sup_strong() would exceed cap); picard_window
+    checks the finished trajectory as well. bounds is None for
+    instances without analytic growth/stability estimates; the engine
+    then adapts windows empirically.
     """
 
     name: str
@@ -111,50 +118,60 @@ def _same_grid(have: np.ndarray, want: np.ndarray, window: float) -> bool:
     )
 
 
-def _stage_inputs(y_traj: TrajectorySegment, times: np.ndarray):
-    """Frozen-input samples at substep endpoints and midpoints.
+def _frozen_inputs(y_times: np.ndarray, rows: list, times: np.ndarray):
+    """Frozen-input samples, block by block: block(k0, k1) -> (ends, mids).
 
-    Uses the trajectory's own grid when it matches the requested times and
-    falls back to linear interpolation in time otherwise (so reference
-    inputs may be sampled more densely than the solve grid).
+    ends stacks the input at times[k0..k1], mids at the midpoints of
+    substeps k0..k1-1. The input's own rows are used when its grid
+    matches times (midpoints are 0.5 * (a + b)); otherwise the input is
+    interpolated linearly in time, so reference inputs may be sampled
+    more densely than the solve grid.
     """
-    y_times = y_traj.times
-    raw = [s.state for s in y_traj.states]
     if len(y_times) == len(times) and np.allclose(y_times, times, rtol=1e-12, atol=1e-14):
-        ends = raw
-        mids = [0.5 * (a + b) for a, b in zip(raw[:-1], raw[1:])]
-        return ends, mids
+        def block(k0: int, k1: int):
+            ends = np.array(rows[k0:k1 + 1], dtype=np.float64)
+            return ends, 0.5 * (ends[:-1] + ends[1:])
+        return block
 
-    stacked = np.stack([np.atleast_1d(np.asarray(s, dtype=np.float64)) for s in raw])
+    stacked = np.stack([np.atleast_1d(np.asarray(r, dtype=np.float64)) for r in rows])
 
-    def lerp(t: float) -> np.ndarray:
-        t = min(max(t, y_times[0]), y_times[-1])
-        j = int(np.searchsorted(y_times, t, side="right") - 1)
-        j = min(max(j, 0), len(y_times) - 2)
-        w = (t - y_times[j]) / (y_times[j + 1] - y_times[j])
+    def lerp(t: np.ndarray) -> np.ndarray:
+        t = np.clip(t, y_times[0], y_times[-1])
+        j = np.clip(np.searchsorted(y_times, t, side="right") - 1, 0, len(y_times) - 2)
+        w = ((t - y_times[j]) / (y_times[j + 1] - y_times[j]))[:, None]
         return (1.0 - w) * stacked[j] + w * stacked[j + 1]
 
-    ends = [lerp(float(t)) for t in times]
-    mids = [lerp(0.5 * (float(a) + float(b))) for a, b in zip(times[:-1], times[1:])]
-    return ends, mids
+    def block(k0: int, k1: int):
+        t = times[k0:k1 + 1]
+        return lerp(t), lerp(0.5 * (t[:-1] + t[1:]))
+    return block
+
+
+def _check_cap(strong_norm: float, cap: float | None, t: float) -> None:
+    if cap is not None and strong_norm > cap:
+        raise CapExceeded(f"strong norm {strong_norm} exceeds cap {cap} by t={t}")
 
 
 def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0, window: float,
-             substeps: int, t_start: float = 0.0) -> TrajectorySegment:
+             substeps: int, t_start: float = 0.0,
+             cap: float | None = None) -> TrajectorySegment:
     """Classic 4-stage one-step solve of x' = f(t, y(t), x) with frozen y.
 
     y is evaluated by linear interpolation in time between its samples.
-    Raises NonFiniteState as soon as a state component overflows.
+    Raises NonFiniteState as soon as a state component overflows, and
+    CapExceeded at the first state whose max-abs norm exceeds cap.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     if y_traj.t_start > t_start + 1e-12 or y_traj.t_end < t_start + window - 1e-12:
         raise ValueError("frozen input trajectory does not cover the window")
     x0_elem = _element_of(x0, _linf, _linf)
+    _check_cap(x0_elem.strong_norm, cap, t_start)
     times = np.linspace(t_start, t_start + window, substeps + 1)
     if _same_grid(y_traj.times, times, window):
         times = y_traj.times  # reuse the exact grid built by the engine
-    y_ends, y_mids = _stage_inputs(y_traj, times)
+    y_ends, y_mids = _frozen_inputs(y_traj.times, [s.state for s in y_traj.states],
+                                    times)(0, substeps)
 
     x = _as_state(x0_elem.state).copy()
     states = [x0_elem]
@@ -171,7 +188,9 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0, window: float,
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(x)):
                 raise NonFiniteState(f"state overflowed at t={t_k + h}")
-            states.append(NormedPairElement(x, _linf(x), _linf(x)))
+            norm = _linf(x)
+            _check_cap(norm, cap, t_k + h)
+            states.append(NormedPairElement(x, norm, norm))
     return TrajectorySegment(times=times, states=tuple(states))
 
 
@@ -201,8 +220,8 @@ def ode_bounds(spec: OdeSpec) -> InstanceBounds:
 def make_ode_instance(name: str, spec: OdeSpec, with_bounds: bool = True) -> ProblemInstance:
     bounds = ode_bounds(spec) if with_bounds and spec.lipschitz_y is not None else None
 
-    def step(y_traj, x0, window, substeps, t_start=0.0):
-        return ode_step(spec, y_traj, x0, window, substeps, t_start)
+    def step(y_traj, x0, window, substeps, t_start=0.0, cap=None):
+        return ode_step(spec, y_traj, x0, window, substeps, t_start, cap)
 
     return ProblemInstance(
         name=name,
@@ -271,9 +290,14 @@ class TransportSpec:
             raise ValueError("domain length must be positive")
 
 
+# query points traced per batched pass: larger blocks raise memory use
+# without a clear gain in speed
+_BLOCK_POINTS = 4096
+
+
 def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0,
-                   window: float, substeps: int,
-                   t_start: float = 0.0) -> TrajectorySegment:
+                   window: float, substeps: int, t_start: float = 0.0,
+                   cap: float | None = None) -> TrajectorySegment:
     """Semi-Lagrangian solve of du/dt = G(x, v(t,x)) du/dx + g(x, u).
 
     Per substep and per node: trace the characteristic one substep
@@ -281,6 +305,11 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0,
     values at the foot, then advance du/ds = g(X(s), u) along the
     characteristic with a 2-stage step. The frozen field v is interpolated
     linearly in time between its samples and spatially on its grid.
+
+    The feet depend on v only, so they are traced for blocks of substeps
+    at once (G must act pointwise on arrays of any shape); only the
+    update of u runs substep by substep. Raises CapExceeded at the end of
+    the first block whose Lipschitz norm exceeds cap.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -292,74 +321,73 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0,
     grid0: GridFunction1D = u0_elem.state
     if grid0.n != spec.n or grid0.length != spec.length:
         raise ValueError("initial grid does not match the transport spec")
+    _check_cap(u0_elem.strong_norm, cap, t_start)
 
     times = np.linspace(t_start, t_start + window, substeps + 1)
     if _same_grid(v_traj.times, times, window):
         times = v_traj.times
-    v_ends, v_mids = _transport_inputs(v_traj, times)
+    frozen = _frozen_inputs(v_traj.times, [s.state.values for s in v_traj.states], times)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _transport_sweep(spec, times, substeps, grid0.nodes(),
-                                v_ends, v_mids, grid0.values, u0_elem)
-
-
-def _transport_sweep(spec, times, substeps, nodes, v_ends, v_mids, u, u0_elem):
-    length = spec.length
-    scheme = spec.interpolation
+        rows, sup, lip = _transport_sweep(spec, times, grid0.nodes(), frozen,
+                                          grid0.values, cap)
+    rows.flags.writeable = False  # lets each GridFunction1D keep its row uncopied
     states = [u0_elem]
-    for k in range(substeps):
-        h = float(times[k + 1] - times[k])
-        v_end = v_ends[k + 1]
-        v_mid = v_mids[k]
-        # backward trace over [t_k, t_k+1]: dX/ds = -G, 2-stage midpoint
-        g_end = spec.G(nodes, v_end)
-        x_half = nodes + 0.5 * h * g_end
-        v_at_half = interp_values(v_mid, length, x_half, scheme)
-        g_half = spec.G(np.mod(x_half, length), v_at_half)
-        foot = nodes + h * g_half
-        if np.max(np.abs(foot - nodes)) > 0.5 * length:
-            raise CharacteristicBlowup(
-                "characteristic foot moved more than half the domain in one substep")
-        u_foot = interp_values(u, length, foot, scheme)
-        if spec.g is not None:
-            foot_wrapped = np.mod(foot, length)
-            u_star = u_foot + 0.5 * h * spec.g(foot_wrapped, u_foot)
-            u_next = u_foot + h * spec.g(np.mod(x_half, length), u_star)
-        else:
-            u_next = u_foot
-        if not np.all(np.isfinite(u_next)):
-            raise NonFiniteState(f"transport state overflowed at t={times[k + 1]}")
-        u = np.asarray(u_next, dtype=np.float64)
-        gf = GridFunction1D(n=spec.n, length=length, values=u)
-        states.append(NormedPairElement(gf, sup_norm_values(u),
-                                        lip_norm_values(u, length)))
+    for row, s, lp in zip(rows, sup.tolist(), lip.tolist()):
+        states.append(NormedPairElement(GridFunction1D(n=spec.n, length=spec.length,
+                                                       values=row), s, lp))
     return TrajectorySegment(times=times, states=tuple(states))
 
 
-def _transport_inputs(v_traj: TrajectorySegment, times: np.ndarray):
-    """Frozen-field value arrays at substep endpoints and midpoints."""
-    v_times = v_traj.times
-    raw = [s.state.values for s in v_traj.states]
-    if len(v_times) == len(times) and np.allclose(v_times, times, rtol=1e-12, atol=1e-14):
-        ends = raw
-        mids = [0.5 * (a + b) for a, b in zip(raw[:-1], raw[1:])]
-        return ends, mids
-    stacked = np.stack(raw)
-
-    def lerp(t: float) -> np.ndarray:
-        t = min(max(t, v_times[0]), v_times[-1])
-        j = int(np.searchsorted(v_times, t, side="right") - 1)
-        j = min(max(j, 0), len(v_times) - 2)
-        w = (t - v_times[j]) / (v_times[j + 1] - v_times[j])
-        return (1.0 - w) * stacked[j] + w * stacked[j + 1]
-
-    ends = [lerp(float(t)) for t in times]
-    mids = [lerp(0.5 * (float(a) + float(b))) for a, b in zip(times[:-1], times[1:])]
-    return ends, mids
+def _transport_sweep(spec, times, nodes, frozen, u, cap):
+    """All substeps of one step; returns the new rows and their two norms."""
+    n, length, scheme = spec.n, spec.length, spec.interpolation
+    substeps = len(times) - 1
+    block = max(1, _BLOCK_POINTS // n)
+    rows = np.empty((substeps, n))
+    sup = np.empty(substeps)
+    lip = np.empty(substeps)
+    for k0 in range(0, substeps, block):
+        k1 = min(k0 + block, substeps)
+        h = (times[k0 + 1:k1 + 1] - times[k0:k1])[:, None]
+        v_ends, v_mids = frozen(k0, k1)
+        # backward trace over each substep: dX/ds = -G, 2-stage midpoint
+        g_end = spec.G(np.broadcast_to(nodes, v_mids.shape), v_ends[1:])
+        x_half = np.mod(nodes + 0.5 * h * g_end, length)
+        half_idx, half_frac = interp_stencil(x_half, length, n)
+        v_half = np.empty_like(x_half)
+        for i, v_mid in enumerate(v_mids):
+            v_half[i] = interp_values(v_mid, length, x_half[i], scheme,
+                                      stencil=(half_idx[i], half_frac[i]))
+        foot = nodes + h * spec.G(x_half, v_half)
+        blown = np.flatnonzero(np.max(np.abs(foot - nodes), axis=1) > 0.5 * length)
+        stop = k0 + int(blown[0]) if blown.size else k1
+        foot = np.mod(foot, length)
+        foot_idx, foot_frac = interp_stencil(foot, length, n)
+        # the only sequential part: each substep interpolates the one before
+        for k in range(k0, stop):
+            i = k - k0
+            u_foot = interp_values(u, length, foot[i], scheme,
+                                   stencil=(foot_idx[i], foot_frac[i]))
+            if spec.g is None:
+                u_next = u_foot
+            else:
+                u_star = u_foot + 0.5 * h[i, 0] * spec.g(foot[i], u_foot)
+                u_next = u_foot + h[i, 0] * spec.g(x_half[i], u_star)
+            if not np.isfinite(u_next).all():
+                raise NonFiniteState(f"transport state overflowed at t={times[k + 1]}")
+            rows[k] = u_next
+            u = rows[k]
+        if stop < k1:
+            raise CharacteristicBlowup(
+                "characteristic foot moved more than half the domain in one substep")
+        sup[k0:k1], lip[k0:k1] = sup_lip_norms(rows[k0:k1], length)
+        _check_cap(float(np.max(lip[k0:k1])), cap, float(times[k1]))
+    return rows, sup, lip
 
 
 def make_transport_instance(name: str, spec: TransportSpec) -> ProblemInstance:
-    def step(v_traj, u0, window, substeps, t_start=0.0):
-        return transport_step(spec, v_traj, u0, window, substeps, t_start)
+    def step(v_traj, u0, window, substeps, t_start=0.0, cap=None):
+        return transport_step(spec, v_traj, u0, window, substeps, t_start, cap)
 
     return ProblemInstance(
         name=name,

@@ -56,6 +56,33 @@ def test_bad_t_max_rejected(tmp_path):
         parse_config(_decay_config(tmp_path, t_max=-1.0))
 
 
+def test_infinite_t_max_rejected(tmp_path):
+    # JSON's Infinity parses to float("inf"); solving to it would never return
+    raw = json.loads('{"instance": "ode.decay", "t_max": Infinity, "output_dir": "o"}')
+    with pytest.raises(ConfigError, match="t_max"):
+        parse_config(raw)
+
+
+def _burgers_config(tmp_path, **params):
+    return {"instance": "transport.burgers", "t_max": 1.0,
+            "output_dir": str(tmp_path / "o"), "params": params}
+
+
+@pytest.mark.parametrize("make_cfg,field", [
+    (lambda p: _decay_config(p, t_max=True), "t_max"),
+    (lambda p: _burgers_config(p, amplitude=float("nan")), "params.amplitude"),
+    (lambda p: _burgers_config(p, amplitude=float("inf")), "params.amplitude"),
+    (lambda p: _decay_config(p, params={"x0": float("nan")}), "params.x0"),
+    (lambda p: _decay_config(p, params={"x0": float("-inf")}), "params.x0"),
+    (lambda p: _burgers_config(p, length="abc"), "params.length"),
+    (lambda p: _decay_config(p, emit={"report": "no"}), "emit.report"),
+], ids=["t_max-true", "amplitude-nan", "amplitude-inf", "x0-nan", "x0-inf",
+        "length-str", "emit-str"])
+def test_strict_numeric_and_boolean_fields(tmp_path, make_cfg, field):
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        parse_config(make_cfg(tmp_path))
+
+
 def test_unknown_solver_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="solver"):
         parse_config(_decay_config(tmp_path, solver={"bogus": 1}))
@@ -151,6 +178,28 @@ def test_solve_burgers_writes_final_state_grid(tmp_path):
     lines = (tmp_path / "o" / "final_state.csv").read_text().splitlines()
     assert lines[0] == "x,value"
     assert len(lines) == 65
+
+
+def test_stray_tmp_file_is_neither_clobbered_nor_used(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json.tmp").write_text("stray")
+    _, report, _ = run_solve(parse_config(_decay_config(tmp_path)))
+    assert (out / "report.json.tmp").read_text() == "stray"
+    loaded = json.loads((out / "report.json").read_text())
+    assert SolveReport.from_dict(loaded) == report
+    assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == [
+        "report.json.tmp"]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("twonorm.cli.os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        run_solve(parse_config(_decay_config(tmp_path)))
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):

@@ -185,3 +185,10 @@ def test_zero_initial_data_is_global():
     segs, rep = continuation_solve(inst, make_element(inst, u0), 4.0, SolverConfig())
     assert rep.termination is Termination.HORIZON_REACHED
     assert all(np.all(s.state.values == 0.0) for seg in segs for s in seg.states)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_non_finite_t_max_rejected(t_max):
+    inst = make_decay_instance()
+    with pytest.raises(ValueError, match="t_max"):
+        continuation_solve(inst, make_element(inst, np.array([1.0])), t_max, SolverConfig())

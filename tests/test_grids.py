@@ -11,6 +11,7 @@ from twonorm.grids import (
     from_callable,
     from_dict,
     from_json,
+    interp_values,
     interpolate,
     lip_norm,
     read_csv,
@@ -221,3 +222,48 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(v.values, u.values)
     header = path.read_text().splitlines()[0]
     assert header == "x,value"
+
+
+def _interp_four_mods(values, length, x, scheme):
+    """Periodic interpolation with every stencil index wrapped by its own np.mod."""
+    n = len(values)
+    s = np.mod(x, length) * (n / length)
+    idx = np.floor(s).astype(np.int64)
+    frac = s - idx
+    snap_hi = frac > 1.0 - 1e-12
+    idx = np.where(snap_hi, idx + 1, idx)
+    frac = np.where(snap_hi | (frac < 1e-12), 0.0, frac)
+    i1 = np.mod(idx, n)
+    i2 = np.mod(i1 + 1, n)
+    p1, p2 = values[i1], values[i2]
+    if scheme == "linear":
+        return p1 + frac * (p2 - p1)
+    p0, p3 = values[np.mod(i1 - 1, n)], values[np.mod(i1 + 2, n)]
+    return p1 + 0.5 * frac * (
+        p2 - p0
+        + frac * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3 + frac * (3.0 * (p1 - p2) + p3 - p0))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 70), st.sampled_from(["linear", "cubic"]), st.integers(0, 2**31 - 1),
+       st.sampled_from([1.0, 2.7, TWO_PI]))
+def test_ghost_padded_interpolation_is_bitwise_the_wrapped_index_formula(n, scheme, seed, length):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n)
+    nodes = np.arange(n) * (length / n)
+    x = np.concatenate([
+        rng.uniform(-3 * length, 3 * length, size=200),
+        nodes, nodes + 1e-13, nodes - 1e-13, -nodes,
+        [0.0, -0.0, length, -length, -1e-300, -1e-17, 2 * length - 1e-15],
+    ])
+    got = interp_values(values, length, x, scheme)
+    assert got.tobytes() == _interp_four_mods(values, length, x, scheme).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["linear", "cubic"])
+def test_interpolation_at_non_finite_positions_is_nan(scheme):
+    u = grid([0.0, 1.0, 2.0, 1.0, 0.5], length=1.0)
+    with np.errstate(invalid="ignore"):
+        out = interpolate(u, np.array([np.nan, np.inf, -np.inf, 0.3]), scheme)
+    assert np.all(np.isnan(out[:3])) and np.isfinite(out[3])

@@ -1,0 +1,231 @@
+"""Properties of the blocked transport step and of the step operators' cap.
+
+The reference below is the straightforward per-substep sweep: trace one
+substep's feet, interpolate, apply the source, then move on. The blocked
+step must reproduce it bitwise, values and both norms, including the
+exception and the substep at which it is raised.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from twonorm.core import CapExceeded, NormedPairElement, TrajectorySegment, WindowFailure
+from twonorm.grids import GridFunction1D, interp_values
+from twonorm.instances import (
+    CharacteristicBlowup,
+    NonFiniteState,
+    OdeSpec,
+    TransportSpec,
+    ode_step,
+    transport_step,
+)
+
+TWO_PI = 2.0 * math.pi
+
+COEFFICIENTS = {
+    "advect": (lambda x, v: np.ones_like(x), None),
+    "burgers": (lambda x, v: -v, None),
+    "source": (lambda x, v: np.zeros_like(x), lambda x, u: np.ones_like(u)),
+    "burgers+source": (lambda x, v: -v, lambda x, u: np.sin(x) - 0.5 * u),
+    "overflow": (lambda x, v: -v, lambda x, u: 1e150 * u * u),  # NonFiniteState
+    "overflow-G": (lambda x, v: -1e300 * (1e10 * v), None),  # NaN feet
+}
+
+
+def _sup(u):
+    return float(np.max(np.abs(u)))
+
+
+def _lip(u, length):
+    dx = length / len(u)
+    return float(np.max(np.abs(u)) + np.max(np.abs(np.roll(u, -1) - u) / dx))
+
+
+def _reference_inputs(v_traj, times):
+    """Frozen-field rows at substep ends and midpoints, one substep at a time."""
+    v_times = v_traj.times
+    raw = [s.state.values for s in v_traj.states]
+    if len(v_times) == len(times) and np.allclose(v_times, times, rtol=1e-12, atol=1e-14):
+        return raw, [0.5 * (a + b) for a, b in zip(raw[:-1], raw[1:])]
+    stacked = np.stack(raw)
+
+    def lerp(t):
+        t = min(max(t, v_times[0]), v_times[-1])
+        j = int(np.searchsorted(v_times, t, side="right") - 1)
+        j = min(max(j, 0), len(v_times) - 2)
+        w = (t - v_times[j]) / (v_times[j + 1] - v_times[j])
+        return (1.0 - w) * stacked[j] + w * stacked[j + 1]
+
+    ends = [lerp(float(t)) for t in times]
+    mids = [lerp(0.5 * (float(a) + float(b))) for a, b in zip(times[:-1], times[1:])]
+    return ends, mids
+
+
+def _reference_step(spec, v_traj, u0, window, substeps, t_start):
+    """Per-substep semi-Lagrangian sweep, built on grids.interp_values."""
+    length, scheme = spec.length, spec.interpolation
+    times = np.linspace(t_start, t_start + window, substeps + 1)
+    if len(v_traj.times) == len(times) and np.all(
+            np.abs(v_traj.times - times) <= 1e-9 * max(window, 1e-300)):
+        times = v_traj.times
+    v_ends, v_mids = _reference_inputs(v_traj, times)
+    nodes = u0.nodes()
+    u = u0.values
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(substeps):
+            h = float(times[k + 1] - times[k])
+            x_half = nodes + 0.5 * h * spec.G(nodes, v_ends[k + 1])
+            v_at_half = interp_values(v_mids[k], length, x_half, scheme)
+            foot = nodes + h * spec.G(np.mod(x_half, length), v_at_half)
+            if np.max(np.abs(foot - nodes)) > 0.5 * length:
+                raise CharacteristicBlowup(
+                    "characteristic foot moved more than half the domain in one substep")
+            u_foot = interp_values(u, length, foot, scheme)
+            if spec.g is not None:
+                u_star = u_foot + 0.5 * h * spec.g(np.mod(foot, length), u_foot)
+                u_next = u_foot + h * spec.g(np.mod(x_half, length), u_star)
+            else:
+                u_next = u_foot
+            if not np.all(np.isfinite(u_next)):
+                raise NonFiniteState(f"transport state overflowed at t={times[k + 1]}")
+            u = np.asarray(u_next, dtype=np.float64)
+            out.append((times[k + 1], u, _sup(u), _lip(u, length)))
+    return out
+
+
+def _transport_case(n, substeps, window, t_start, scheme, kind, seed, speed, dense=1):
+    rng = np.random.default_rng(seed)
+    G, g = COEFFICIENTS[kind]
+    spec = TransportSpec(n=n, length=TWO_PI, G=G, g=g, interpolation=scheme)
+    nodes = np.arange(n) * (TWO_PI / n)
+    u0 = GridFunction1D(n=n, length=TWO_PI,
+                        values=np.sin(nodes + rng.uniform(0, TWO_PI)) + 0.1 * rng.normal(size=n))
+    x0 = NormedPairElement(u0, _sup(u0.values), _lip(u0.values, TWO_PI))
+    # dense > 1 samples the frozen field more finely than the solve grid
+    times = np.linspace(t_start, t_start + window, dense * substeps + 1)
+    states = [x0]
+    for _ in range(dense * substeps):
+        vals = speed * (u0.values + 0.2 * rng.normal(size=n))
+        states.append(NormedPairElement(GridFunction1D(n=n, length=TWO_PI, values=vals),
+                                        _sup(vals), _lip(vals, TWO_PI)))
+    return spec, TrajectorySegment(times=times, states=tuple(states)), x0
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except WindowFailure as exc:
+        return None, (type(exc), str(exc))
+
+
+transport_cases = st.tuples(
+    st.integers(16, 300),                       # n: blocks of max(1, 4096 // n) rows
+    st.integers(1, 80),                         # substeps
+    st.floats(1e-3, 2.0),                       # window
+    st.floats(0.0, 5.0),                        # t_start
+    st.sampled_from(["linear", "cubic"]),
+    st.sampled_from(sorted(COEFFICIENTS)),
+    st.integers(0, 2**31 - 1),                  # data seed
+    st.sampled_from([0.0, 1.0, 50.0]),          # frozen-field size; large trips the guard
+    st.sampled_from([1, 1, 1, 2, 3]),           # frozen-field samples per substep
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(transport_cases)
+def test_blocked_transport_step_matches_per_substep_sweep(case):
+    n, substeps, window, t_start = case[:4]
+    spec, v_traj, x0 = _transport_case(*case)
+    want, want_err = _outcome(
+        lambda: _reference_step(spec, v_traj, x0.state, window, substeps, t_start))
+    got, got_err = _outcome(lambda: transport_step(spec, v_traj, x0, window, substeps, t_start))
+    assert got_err == want_err
+    if want_err is not None:
+        return
+    assert got.states[0] is x0
+    assert len(got.states) == len(want) + 1
+    for t, state, (t_ref, u, sup, lip) in zip(got.times[1:], got.states[1:], want):
+        assert t == t_ref
+        assert state.state.values.tobytes() == u.tobytes()
+        assert (state.weak_norm, state.strong_norm) == (sup, lip)
+
+
+@pytest.mark.parametrize("n,substeps", [(300, 80), (17, 1), (1024, 9), (4096, 3)])
+def test_blocked_step_uneven_blocks(n, substeps):
+    # 4096 // 300 = 13 rows per block, 80 = 6 * 13 + 2; n = 4096 gives one row per block
+    spec, v_traj, x0 = _transport_case(n, substeps, 0.3, 0.25, "cubic", "burgers+source", 3, 1.0)
+    want = _reference_step(spec, v_traj, x0.state, 0.3, substeps, 0.25)
+    got = transport_step(spec, v_traj, x0, 0.3, substeps, 0.25)
+    for state, (_, u, sup, lip) in zip(got.states[1:], want):
+        assert state.state.values.tobytes() == u.tobytes()
+        assert (state.weak_norm, state.strong_norm) == (sup, lip)
+
+
+def test_transport_rows_are_shared_read_only():
+    spec, v_traj, x0 = _transport_case(64, 12, 0.2, 0.0, "cubic", "burgers", 5, 1.0)
+    seg = transport_step(spec, v_traj, x0, 0.2, 12)
+    for s in seg.states[1:]:
+        assert not s.state.values.flags.writeable
+        base = s.state.values.base
+        assert base is not None and not base.flags.writeable
+
+
+# -- fail-fast cap ----------------------------------------------------------------
+
+def _cap_from(strong, j, factor):
+    return float(strong[j % len(strong)]) * factor
+
+
+@settings(max_examples=60, deadline=None)
+@given(transport_cases, st.integers(0, 10**6), st.sampled_from([0.5, 0.99, 1.0, 1.01]))
+def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, factor):
+    n, substeps, window, t_start = case[:4]
+    spec, v_traj, x0 = _transport_case(*case)
+    free, err = _outcome(lambda: transport_step(spec, v_traj, x0, window, substeps, t_start))
+    assume(err is None)
+    cap = _cap_from(free.strong_history(), j, factor)
+    capped, capped_err = _outcome(
+        lambda: transport_step(spec, v_traj, x0, window, substeps, t_start, cap=cap))
+    if free.sup_strong() > cap:
+        assert capped_err is not None and capped_err[0] is CapExceeded
+    else:
+        assert capped_err is None
+        assert [s.strong_norm for s in capped.states] == [s.strong_norm for s in free.states]
+
+
+ODE_SPECS = {
+    "riccati": OdeSpec(dimension=1, f=lambda t, y, x: y * x),
+    "linear": OdeSpec(dimension=2, f=lambda t, y, x: 0.7 * y - 1.3 * x + np.sin(t)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(ODE_SPECS)), st.integers(1, 80), st.floats(1e-3, 2.0),
+       st.floats(0.0, 5.0), st.integers(0, 2**31 - 1), st.integers(0, 10**6),
+       st.sampled_from([0.5, 0.99, 1.0, 1.01]))
+def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, window, t_start,
+                                                              seed, j, factor):
+    spec = ODE_SPECS[name]
+    rng = np.random.default_rng(seed)
+    times = np.linspace(t_start, t_start + window, substeps + 1)
+    rows = rng.uniform(-2.0, 2.0, size=(substeps + 1, spec.dimension))
+    y = TrajectorySegment(times=times, states=tuple(
+        NormedPairElement(r, _sup(r), _sup(r)) for r in rows))
+    x0 = rows[0]
+    free, err = _outcome(lambda: ode_step(spec, y, x0, window, substeps, t_start))
+    assume(err is None)
+    cap = _cap_from(free.strong_history(), j, factor)
+    capped, capped_err = _outcome(
+        lambda: ode_step(spec, y, x0, window, substeps, t_start, cap=cap))
+    if free.sup_strong() > cap:
+        assert capped_err is not None and capped_err[0] is CapExceeded
+    else:
+        assert capped_err is None
+        for a, b in zip(capped.states[1:], free.states[1:]):
+            assert a.state.tobytes() == b.state.tobytes()
+            assert a.strong_norm == b.strong_norm
