@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .core import (
 )
 from .instances import (
     INSTANCE_NAMES,
-    OdeSpec,
     ProblemInstance,
     make_advect_instance,
     make_burgers_instance,
@@ -151,6 +150,10 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     unknown = set(solver_raw) - _SOLVER_FIELDS
     if unknown:
         fail("solver", f"unknown keys {sorted(unknown)}")
+    for key in ("max_picard_iters", "max_windows", "substeps_per_window"):
+        value = solver_raw.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int):
+            fail(f"solver.{key}", f"must be an integer, got {value!r}")
     try:
         solver = SolverConfig(**solver_raw)
     except (TypeError, ValueError) as exc:
@@ -177,39 +180,40 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
 
 # -- problem assembly ---------------------------------------------------------
 
-def build_instance(config: RunConfig, n_override: int | None = None) -> ProblemInstance:
+def build_instance(config: RunConfig) -> ProblemInstance:
     p = config.params
     if config.instance == "ode.decay":
         return make_decay_instance(rate=float(p["rate"]))
     if config.instance == "ode.riccati":
         return make_riccati_instance()
-    n = int(n_override if n_override is not None else p["n"])
-    if config.instance == "transport.advect":
-        return make_advect_instance(n, length=float(p["length"]),
-                                    interpolation=p["interpolation"])
-    return make_burgers_instance(n, length=float(p["length"]),
-                                 interpolation=p["interpolation"])
-
-
-def build_initial_state(config: RunConfig, instance: ProblemInstance,
-                        amplitude_override: float | None = None,
-                        n_override: int | None = None) -> NormedPairElement:
-    p = config.params
-    if config.instance.startswith("ode."):
-        x0 = amplitude_override if amplitude_override is not None else p["x0"]
-        state = np.array([float(x0)])
-    else:
-        amp = amplitude_override if amplitude_override is not None else p["amplitude"]
-        profile = oracles.PROFILES[p["profile"]](float(p["length"])).scaled(float(amp))
-        n = int(n_override if n_override is not None else p["n"])
-        state = grids.from_callable(profile.value, n, float(p["length"]))
-    return make_element(instance, state)
+    make = make_advect_instance if config.instance == "transport.advect" else make_burgers_instance
+    return make(int(p["n"]), length=float(p["length"]), interpolation=p["interpolation"])
 
 
 def _transport_profile(config: RunConfig, amplitude: float | None = None) -> oracles.SmoothProfile:
     p = config.params
     amp = p["amplitude"] if amplitude is None else amplitude
     return oracles.PROFILES[p["profile"]](float(p["length"])).scaled(float(amp))
+
+
+def build_initial_state(config: RunConfig, instance: ProblemInstance,
+                        amplitude_override: float | None = None) -> NormedPairElement:
+    p = config.params
+    if config.instance.startswith("ode."):
+        x0 = amplitude_override if amplitude_override is not None else p["x0"]
+        state = np.array([float(x0)])
+    else:
+        profile = _transport_profile(config, amplitude_override)
+        state = grids.from_callable(profile.value, instance.spec.n, instance.spec.length)
+    return make_element(instance, state)
+
+
+def _solve(config: RunConfig, amplitude_override: float | None = None):
+    """Build the configured instance and initial state and solve to t_max."""
+    instance = build_instance(config)
+    x0 = build_initial_state(config, instance, amplitude_override=amplitude_override)
+    segments, report = continuation_solve(instance, x0, config.t_max, config.solver)
+    return instance, segments, report
 
 
 # -- artifact writing ---------------------------------------------------------
@@ -291,7 +295,7 @@ def write_trajectory(out_dir: str, config: RunConfig, segments) -> None:
         _write_atomic(os.path.join(out_dir, "trajectory.csv"), _csv_text(header, rows))
     else:
         final = segments[-1].states[-1].state
-        grids.write_csv(final, os.path.join(out_dir, "final_state.csv"))
+        _write_atomic(os.path.join(out_dir, "final_state.csv"), grids.csv_text(final))
 
 
 # -- commands ------------------------------------------------------------------
@@ -301,9 +305,7 @@ def run_solve(config: RunConfig):
 
     Returns (exit_code, report, segments).
     """
-    instance = build_instance(config)
-    x0 = build_initial_state(config, instance)
-    segments, report = continuation_solve(instance, x0, config.t_max, config.solver)
+    _, segments, report = _solve(config)
     out_dir = resolve_output_dir(config)
     if config.emit_report:
         write_report_json(os.path.join(out_dir, "report.json"), report)
@@ -320,10 +322,7 @@ def _oracle_final_error(config: RunConfig, instance, segments) -> float:
     final = segments[-1].states[-1].state
     t_final = segments[-1].t_end
     if config.instance.startswith("ode."):
-        spec_f = (lambda t, y, x: -float(config.params["rate"]) * x) \
-            if config.instance == "ode.decay" else (lambda t, y, x: y * x)
-        ref_spec = OdeSpec(dimension=1, f=spec_f)
-        _, ref = oracles.dense_reference(ref_spec, np.atleast_1d(config.params["x0"]),
+        _, ref = oracles.dense_reference(instance.spec, np.atleast_1d(config.params["x0"]),
                                          t_final, h_fine=1e-4 * t_final)
         return float(np.max(np.abs(np.atleast_1d(final) - ref[-1])))
     profile = _transport_profile(config)
@@ -347,23 +346,17 @@ def run_sweep(config: RunConfig, levels: int):
     errors = []
     for lev in range(levels):
         if config.instance.startswith("ode."):
-            solver = SolverConfig(**{
-                **_solver_as_dict(config.solver),
-                "substeps_per_window": config.solver.substeps_per_window * 2 ** lev,
-            })
-            instance = build_instance(config)
-            x0 = build_initial_state(config, instance)
-            segments, report = continuation_solve(instance, x0, config.t_max, solver)
+            substeps = config.solver.substeps_per_window * 2 ** lev
+            level = replace(config, solver=replace(config.solver, substeps_per_window=substeps))
         else:
             n = int(config.params["n"]) * 2 ** lev
-            instance = build_instance(config, n_override=n)
-            x0 = build_initial_state(config, instance, n_override=n)
-            segments, report = continuation_solve(instance, x0, config.t_max, config.solver)
+            level = replace(config, params={**config.params, "n": n})
+        instance, segments, report = _solve(level)
         if report.termination is not Termination.HORIZON_REACHED:
             raise ConfigError(
                 f"sweep level {lev} did not reach the horizon "
                 f"({report.termination.value}); choose t_max before blow-up")
-        errors.append(_oracle_final_error(config, instance, segments))
+        errors.append(_oracle_final_error(level, instance, segments))
 
     rows = []
     for lev, err in enumerate(errors):
@@ -376,10 +369,6 @@ def run_sweep(config: RunConfig, levels: int):
     _write_atomic(os.path.join(out_dir, "sweep.csv"),
                   _csv_text(["level", "error", "observed_order"], rows))
     return EXIT_OK, errors
-
-
-def _solver_as_dict(cfg: SolverConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(SolverConfig)}
 
 
 def _oracle_t_star(config: RunConfig, amplitude: float) -> float:
@@ -402,15 +391,12 @@ def run_blowup_scan(config: RunConfig, amplitudes):
     rows = []
     results = []
     for amp in amplitudes:
-        solver = config.solver
-        if solver.strong_norm_cap is not None and amp > 0 and base_amp > 0:
-            solver = SolverConfig(**{
-                **_solver_as_dict(solver),
-                "strong_norm_cap": solver.strong_norm_cap * (amp / base_amp),
-            })
-        instance = build_instance(config)
-        x0 = build_initial_state(config, instance, amplitude_override=amp)
-        _, report = continuation_solve(instance, x0, config.t_max, solver)
+        case = config
+        cap = config.solver.strong_norm_cap
+        if cap is not None and amp > 0 and base_amp > 0:
+            case = replace(config, solver=replace(config.solver,
+                                                  strong_norm_cap=cap * (amp / base_amp)))
+        _, _, report = _solve(case, amplitude_override=amp)
         if report.termination is Termination.BLOW_UP_DETECTED:
             t_c = report.t_c_estimate
         else:

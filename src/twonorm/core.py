@@ -109,14 +109,8 @@ class TrajectorySegment:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def weak_history(self) -> np.ndarray:
-        return np.array([s.weak_norm for s in self.states])
-
     def strong_history(self) -> np.ndarray:
         return np.array([s.strong_norm for s in self.states])
-
-    def sup_weak(self) -> float:
-        return float(np.max(self.weak_history()))
 
     def sup_strong(self) -> float:
         return float(np.max(self.strong_history()))
@@ -274,7 +268,8 @@ def select_window(apriori: AprioriBound, r0: float, k_cap: float, t_max: float,
                   tol_t: float = 1e-10) -> float:
     """Largest t <= t_max keeping the a-priori strong-norm bound under k_cap.
 
-    Bisects the monotone map t -> apriori(t, r0, k_cap) - k_cap. Raises
+    Bisects the monotone map t -> apriori(t, r0, k_cap) - k_cap until the
+    bracket is tol_t wide or holds no float strictly inside. Raises
     InvalidCap if k_cap <= r0 and NonMonotone if sampled values decrease.
     """
     if not k_cap > r0:
@@ -291,6 +286,8 @@ def select_window(apriori: AprioriBound, r0: float, k_cap: float, t_max: float,
     lo, hi = 0.0, t_max  # apriori(0) = r0 < k_cap, apriori(t_max) > k_cap
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if apriori.eval(mid, r0, k_cap) <= k_cap:
             lo = mid
         else:

@@ -8,6 +8,7 @@ largest one-sided difference quotient (periodic wrap included).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -202,13 +203,18 @@ def from_json(text: str) -> GridFunction1D:
     return from_dict(json.loads(text))
 
 
+def csv_text(u: GridFunction1D) -> str:
+    """The (x, value) rows of u as CSV text, with csv.writer's CRLF line ends."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["x", "value"])
+    w.writerows([repr(float(xi)), repr(float(vi))] for xi, vi in zip(u.nodes(), u.values))
+    return buf.getvalue()
+
+
 def write_csv(u: GridFunction1D, path) -> None:
-    xs = u.nodes()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for xi, vi in zip(xs, u.values):
-            w.writerow([repr(float(xi)), repr(float(vi))])
+        fh.write(csv_text(u))
 
 
 def read_csv(path, length: float | None = None) -> GridFunction1D:

@@ -58,7 +58,9 @@ class ProblemInstance:
     finished trajectory's sup_strong() would exceed cap); picard_window
     checks the finished trajectory as well. bounds is None for
     instances without analytic growth/stability estimates; the engine
-    then adapts windows empirically.
+    then adapts windows empirically. spec is the OdeSpec or TransportSpec
+    the instance was built from (None for hand-made instances), so
+    oracles and reports reuse its right-hand side and grid.
     """
 
     name: str
@@ -68,6 +70,7 @@ class ProblemInstance:
     weak_dist: Callable[[Any, Any], float]
     bounds: InstanceBounds | None = None
     embed_const: float = 1.0
+    spec: OdeSpec | TransportSpec | None = None
 
 
 # -- ODE instances ------------------------------------------------------------
@@ -217,8 +220,9 @@ def ode_bounds(spec: OdeSpec) -> InstanceBounds:
     )
 
 
-def make_ode_instance(name: str, spec: OdeSpec, with_bounds: bool = True) -> ProblemInstance:
-    bounds = ode_bounds(spec) if with_bounds and spec.lipschitz_y is not None else None
+def make_ode_instance(name: str, spec: OdeSpec) -> ProblemInstance:
+    """The instance of spec, with analytic bounds when it declares Lipschitz data."""
+    bounds = ode_bounds(spec) if spec.lipschitz_y is not None else None
 
     def step(y_traj, x0, window, substeps, t_start=0.0, cap=None):
         return ode_step(spec, y_traj, x0, window, substeps, t_start, cap)
@@ -230,6 +234,7 @@ def make_ode_instance(name: str, spec: OdeSpec, with_bounds: bool = True) -> Pro
         strong_norm=_linf,
         weak_dist=lambda a, b: _linf(np.asarray(a) - np.asarray(b)),
         bounds=bounds,
+        spec=spec,
     )
 
 
@@ -254,7 +259,7 @@ def make_riccati_instance() -> ProblemInstance:
     ship with this instance; the engine adapts windows empirically.
     """
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x)
-    return make_ode_instance("ode.riccati", spec, with_bounds=False)
+    return make_ode_instance("ode.riccati", spec)
 
 
 def make_linear_ode_instance(a: float, b: float, forcing: float = 0.0,
@@ -396,37 +401,30 @@ def make_transport_instance(name: str, spec: TransportSpec) -> ProblemInstance:
         strong_norm=lambda gf: lip_norm_values(gf.values, gf.length),
         weak_dist=lambda a, b: float(np.max(np.abs(a.values - b.values))),
         bounds=None,  # sharp constants depend on the coefficients' derivatives
+        spec=spec,
     )
+
+
+def _bundled_transport(name: str, G, n: int, length: float,
+                       interpolation: str) -> ProblemInstance:
+    if n < 16:
+        raise ValueError("need n >= 16")
+    return make_transport_instance(
+        name, TransportSpec(n=n, length=length, G=G, interpolation=interpolation))
 
 
 def make_advect_instance(n: int, length: float = 2.0 * np.pi,
                          interpolation: str = "cubic") -> ProblemInstance:
     """Constant-speed advection: G = 1, g = 0; solutions shift left to right."""
-    if n < 16:
-        raise ValueError("need n >= 16")
-    spec = TransportSpec(
-        n=n,
-        length=length,
-        G=lambda x, v: np.ones_like(x),
-        g=None,
-        interpolation=interpolation,
-    )
-    return make_transport_instance("transport.advect", spec)
+    return _bundled_transport("transport.advect", lambda x, v: np.ones_like(x),
+                              n, length, interpolation)
 
 
 def make_burgers_instance(n: int, length: float = 2.0 * np.pi,
                           interpolation: str = "cubic") -> ProblemInstance:
     """G(x, v) = -v and g = 0: the fixed point solves du/dt + u du/dx = 0."""
-    if n < 16:
-        raise ValueError("need n >= 16")
-    spec = TransportSpec(
-        n=n,
-        length=length,
-        G=lambda x, v: -v,
-        g=None,
-        interpolation=interpolation,
-    )
-    return make_transport_instance("transport.burgers", spec)
+    return _bundled_transport("transport.burgers", lambda x, v: -v,
+                              n, length, interpolation)
 
 
 INSTANCE_NAMES = ("ode.decay", "ode.riccati", "transport.advect", "transport.burgers")

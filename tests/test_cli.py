@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -76,8 +77,15 @@ def _burgers_config(tmp_path, **params):
     (lambda p: _decay_config(p, params={"x0": float("-inf")}), "params.x0"),
     (lambda p: _burgers_config(p, length="abc"), "params.length"),
     (lambda p: _decay_config(p, emit={"report": "no"}), "emit.report"),
+    (lambda p: _decay_config(p, solver={"max_picard_iters": 2.5}), "solver.max_picard_iters"),
+    (lambda p: _decay_config(p, solver={"max_picard_iters": True}), "solver.max_picard_iters"),
+    (lambda p: _decay_config(p, solver={"substeps_per_window": 8.5}),
+     "solver.substeps_per_window"),
+    (lambda p: _decay_config(p, solver={"max_windows": 1.5}), "solver.max_windows"),
+    (lambda p: _decay_config(p, solver={"max_windows": "64"}), "solver.max_windows"),
 ], ids=["t_max-true", "amplitude-nan", "amplitude-inf", "x0-nan", "x0-inf",
-        "length-str", "emit-str"])
+        "length-str", "emit-str", "picard-iters-float", "picard-iters-true",
+        "substeps-float", "max-windows-float", "max-windows-str"])
 def test_strict_numeric_and_boolean_fields(tmp_path, make_cfg, field):
     with pytest.raises(ConfigError, match=f"field '{field}'"):
         parse_config(make_cfg(tmp_path))
@@ -200,6 +208,29 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         run_solve(parse_config(_decay_config(tmp_path)))
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_failed_final_state_write_leaves_no_file(tmp_path, monkeypatch):
+    real_replace = os.replace
+
+    def refuse_final_state(src, dst):
+        if os.path.basename(dst) == "final_state.csv":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("twonorm.cli.os.replace", refuse_final_state)
+    cfg = {
+        "instance": "transport.burgers",
+        "t_max": 0.2,
+        "output_dir": str(tmp_path / "o"),
+        "params": {"n": 64},
+        "solver": {"substeps_per_window": 16},
+        "emit": {"trajectory": True},
+    }
+    with pytest.raises(OSError, match="disk full"):
+        run_solve(parse_config(cfg))
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "norms.csv", "report.json", "windows.csv"]
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):

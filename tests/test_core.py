@@ -20,6 +20,7 @@ from twonorm.core import (
     select_contraction_window,
     select_window,
 )
+from twonorm.instances import make_decay_instance
 
 
 # -- select_window -------------------------------------------------------------
@@ -41,6 +42,24 @@ def test_select_window_exponential_growth():
 def test_select_window_bound_never_binds():
     a = AprioriBound(eval=lambda t, r, m: r)
     assert select_window(a, 1.0, 2.0, 10.0) == 10.0
+
+
+def test_select_window_stops_when_no_float_is_left_to_bisect():
+    # x' = -1e-9 x with cap 2: the bound crosses near t = 6.9e8, where
+    # adjacent floats lie about 1.2e-7 apart, wider than tol_t
+    inner = make_decay_instance(rate=1e-9).bounds.apriori
+    calls = 0
+
+    def counted(t, r, m):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("bisection did not terminate")
+        return inner(t, r, m)
+
+    t1 = select_window(AprioriBound(eval=counted), 1.0, 2.0, 1e9)
+    assert 0.0 < t1 < 1e9
+    assert inner(t1, 1.0, 2.0) <= 2.0
 
 
 def test_select_window_invalid_cap():

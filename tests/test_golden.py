@@ -14,11 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from twonorm.cli import OUTPUT_ROOT_ENV, parse_config, run_blowup_scan, run_solve
+from twonorm.cli import (
+    OUTPUT_ROOT_ENV,
+    parse_config,
+    run_blowup_scan,
+    run_solve,
+    run_sweep,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SCAN_AMPLITUDES = (0.5, 2.0)
+
+SWEEP_LEVELS = 3
 
 GOLDEN = {
     "decay.json": {
@@ -50,6 +58,13 @@ GOLDEN = {
     },
 }
 
+# sweep.csv of `sweep --levels 3`: the grid doubles per level for
+# transport, the substep count for ODEs
+SWEEP_GOLDEN = {
+    "advect.json": "e7e870ab0830d4db26b0943a7ab8bdd98586ee3103f32bcf3b2f0489282d1b1a",
+    "decay.json": "4cb91d9e335058f658c0c208bfd2ea29ac0953730042cc4151180882b4f17b1c",
+}
+
 
 def _config(name):
     raw = json.loads((CONFIGS / name).read_text())
@@ -71,3 +86,12 @@ def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch):
     else:
         run_solve(config)
     assert _hashes(tmp_path / config.output_dir) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+def test_sweep_matches_golden_hash(name, tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    config = _config(name)
+    run_sweep(config, SWEEP_LEVELS)
+    sweep = tmp_path / config.output_dir / "sweep.csv"
+    assert hashlib.sha256(sweep.read_bytes()).hexdigest() == SWEEP_GOLDEN[name]

@@ -82,11 +82,11 @@ def test_contraction_failure_on_expanding_map():
     # map expands and successive ratios stay above 1
     spec = OdeSpec(dimension=1, f=lambda t, y, x: 2.0 * y,
                    lipschitz_y=2.0, lipschitz_x=0.0, f00=0.0)
-    inst = make_ode_instance("ode.expander", spec, with_bounds=False)
+    inst = make_ode_instance("ode.expander", spec)
     plan = WindowPlan(K=1e9, t1=2.0, t2=2.0, theta=0.5)
     with pytest.raises(ContractionFailureError):
         picard_window(inst, _scalar_element(1.0), plan,
-                      SolverConfig(substeps_per_window=16))
+                      SolverConfig(substeps_per_window=16, empirical_mode=True))
 
 
 def test_iteration_budget_enforced():
