@@ -71,8 +71,6 @@ class RunConfig:
     emit_report: bool = True
 
 
-_SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
-
 _EMIT_DEFAULTS = {"trajectory": False, "norms": True, "report": True}
 
 
@@ -84,6 +82,16 @@ def _is_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+_TYPE_CHECKS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a finite number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+# each solver field's JSON check, from its annotation (an unknown one fails at import)
+_SOLVER_CHECKS = {f.name: _TYPE_CHECKS[f.type] for f in fields(SolverConfig)}
 
 
 def load_config(path: str) -> RunConfig:
@@ -147,13 +155,13 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         fail("solver", "must be an object")
-    unknown = set(solver_raw) - _SOLVER_FIELDS
+    unknown = set(solver_raw) - set(_SOLVER_CHECKS)
     if unknown:
         fail("solver", f"unknown keys {sorted(unknown)}")
-    for key in ("max_picard_iters", "max_windows", "substeps_per_window"):
-        value = solver_raw.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int):
-            fail(f"solver.{key}", f"must be an integer, got {value!r}")
+    for key, value in solver_raw.items():
+        accepts, expected = _SOLVER_CHECKS[key]
+        if not accepts(value):
+            fail(f"solver.{key}", f"must be {expected}, got {value!r}")
     try:
         solver = SolverConfig(**solver_raw)
     except (TypeError, ValueError) as exc:
@@ -285,13 +293,12 @@ def write_windows_csv(path: str, report: SolveReport) -> None:
 def write_trajectory(out_dir: str, config: RunConfig, segments) -> None:
     if config.instance.startswith("ode."):
         rows = []
-        dim = len(np.atleast_1d(segments[0].states[0].state))
+        dim = len(segments[0].states[0].state)
         header = ["t"] + [f"x{i}" for i in range(dim)]
         for si, seg in enumerate(segments):
             start = 1 if si > 0 else 0
             for t, s in list(zip(seg.times, seg.states))[start:]:
-                vec = np.atleast_1d(s.state)
-                rows.append([_fmt(t)] + [_fmt(v) for v in vec])
+                rows.append([_fmt(t)] + [_fmt(v) for v in s.state])
         _write_atomic(os.path.join(out_dir, "trajectory.csv"), _csv_text(header, rows))
     else:
         final = segments[-1].states[-1].state
@@ -324,7 +331,7 @@ def _oracle_final_error(config: RunConfig, instance, segments) -> float:
     if config.instance.startswith("ode."):
         _, ref = oracles.dense_reference(instance.spec, np.atleast_1d(config.params["x0"]),
                                          t_final, h_fine=1e-4 * t_final)
-        return float(np.max(np.abs(np.atleast_1d(final) - ref[-1])))
+        return float(np.max(np.abs(final - ref[-1])))
     profile = _transport_profile(config)
     xs = final.nodes()
     if config.instance == "transport.advect":

@@ -212,13 +212,8 @@ def csv_text(u: GridFunction1D) -> str:
     return buf.getvalue()
 
 
-def write_csv(u: GridFunction1D, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(csv_text(u))
-
-
 def read_csv(path, length: float | None = None) -> GridFunction1D:
-    """Read (x, value) rows written by write_csv.
+    """Read (x, value) rows in the csv_text format.
 
     The domain length is recovered from the node spacing unless given.
     """

@@ -69,7 +69,6 @@ class ProblemInstance:
     strong_norm: Callable[[Any], float]
     weak_dist: Callable[[Any, Any], float]
     bounds: InstanceBounds | None = None
-    embed_const: float = 1.0
     spec: OdeSpec | TransportSpec | None = None
 
 
@@ -80,9 +79,9 @@ class OdeSpec:
     """Right-hand side f(t, y, x) with declared Lipschitz data.
 
     lipschitz_y / lipschitz_x bound the sensitivity of f in the frozen
-    and the solved argument; f00 bounds |f(t, 0, 0)|. They may be None
-    when no global constants exist (the analytic bounds are then
-    unavailable and the engine must run empirically).
+    and the solved argument; f00 bounds |f(t, 0, 0)|. Both are None when no
+    global constants exist (the analytic bounds are then unavailable and
+    the engine must run empirically); declaring only one is an error.
     """
 
     dimension: int
@@ -98,39 +97,41 @@ class OdeSpec:
             v = getattr(self, name)
             if v is not None and not (np.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+        if (self.lipschitz_y is None) != (self.lipschitz_x is None):
+            missing = "lipschitz_y" if self.lipschitz_y is None else "lipschitz_x"
+            raise ValueError(f"{missing} is missing: declare both Lipschitz constants or neither")
 
 
 def _linf(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
-def _as_state(x0) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    return arr
-
-
-def _element_of(x0, norm_weak, norm_strong) -> NormedPairElement:
-    if isinstance(x0, NormedPairElement):
-        return x0
-    return NormedPairElement(x0, norm_weak(x0), norm_strong(x0))
-
-
-def _same_grid(have: np.ndarray, want: np.ndarray, window: float) -> bool:
-    return len(have) == len(want) and bool(
-        np.all(np.abs(have - want) <= 1e-9 * max(window, 1e-300))
-    )
+def _solve_grid(y_traj: TrajectorySegment, x0, window: float, substeps: int,
+                t_start: float) -> np.ndarray:
+    """Check the step operators' shared entry contract; return the solve grid."""
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    if not isinstance(x0, NormedPairElement):
+        raise TypeError(f"x0 must be a NormedPairElement from make_element, not {type(x0)}")
+    if y_traj.t_start > t_start + 1e-12 or y_traj.t_end < t_start + window - 1e-12:
+        raise ValueError("frozen input trajectory does not cover the window")
+    times = np.linspace(t_start, t_start + window, substeps + 1)
+    have = y_traj.times
+    if len(have) == len(times) and np.all(np.abs(have - times) <= 1e-9 * max(window, 1e-300)):
+        return have
+    return times
 
 
 def _frozen_inputs(y_times: np.ndarray, rows: list, times: np.ndarray):
     """Frozen-input samples, block by block: block(k0, k1) -> (ends, mids).
 
     ends stacks the input at times[k0..k1], mids at the midpoints of
-    substeps k0..k1-1. The input's own rows are used when its grid
-    matches times (midpoints are 0.5 * (a + b)); otherwise the input is
+    substeps k0..k1-1. The input's own rows are used when times is its
+    grid (midpoints are 0.5 * (a + b)); otherwise the input is
     interpolated linearly in time, so reference inputs may be sampled
     more densely than the solve grid.
     """
-    if len(y_times) == len(times) and np.allclose(y_times, times, rtol=1e-12, atol=1e-14):
+    if times is y_times:
         def block(k0: int, k1: int):
             ends = np.array(rows[k0:k1 + 1], dtype=np.float64)
             return ends, 0.5 * (ends[:-1] + ends[1:])
@@ -155,29 +156,25 @@ def _check_cap(strong_norm: float, cap: float | None, t: float) -> None:
         raise CapExceeded(f"strong norm {strong_norm} exceeds cap {cap} by t={t}")
 
 
-def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0, window: float,
-             substeps: int, t_start: float = 0.0,
+def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
+             window: float, substeps: int, t_start: float = 0.0,
              cap: float | None = None) -> TrajectorySegment:
     """Classic 4-stage one-step solve of x' = f(t, y(t), x) with frozen y.
 
-    y is evaluated by linear interpolation in time between its samples.
+    x0 is an element with state shape (spec.dimension,); y_traj covers the
+    window and is interpolated linearly in time between its samples.
     Raises NonFiniteState as soon as a state component overflows, and
     CapExceeded at the first state whose max-abs norm exceeds cap.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    if y_traj.t_start > t_start + 1e-12 or y_traj.t_end < t_start + window - 1e-12:
-        raise ValueError("frozen input trajectory does not cover the window")
-    x0_elem = _element_of(x0, _linf, _linf)
-    _check_cap(x0_elem.strong_norm, cap, t_start)
-    times = np.linspace(t_start, t_start + window, substeps + 1)
-    if _same_grid(y_traj.times, times, window):
-        times = y_traj.times  # reuse the exact grid built by the engine
+    times = _solve_grid(y_traj, x0, window, substeps, t_start)
+    if np.shape(x0.state) != (spec.dimension,):
+        raise ValueError(f"x0 has shape {np.shape(x0.state)}, spec dimension is {spec.dimension}")
+    _check_cap(x0.strong_norm, cap, t_start)
     y_ends, y_mids = _frozen_inputs(y_traj.times, [s.state for s in y_traj.states],
                                     times)(0, substeps)
 
-    x = _as_state(x0_elem.state).copy()
-    states = [x0_elem]
+    x = np.array(x0.state, dtype=np.float64)
+    states = [x0]
     f = spec.f
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(substeps):
@@ -300,43 +297,35 @@ class TransportSpec:
 _BLOCK_POINTS = 4096
 
 
-def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0,
+def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPairElement,
                    window: float, substeps: int, t_start: float = 0.0,
                    cap: float | None = None) -> TrajectorySegment:
     """Semi-Lagrangian solve of du/dt = G(x, v(t,x)) du/dx + g(x, u).
 
-    Per substep and per node: trace the characteristic one substep
-    backward (dX/ds = -G, 2-stage midpoint), interpolate the previous
-    values at the foot, then advance du/ds = g(X(s), u) along the
-    characteristic with a 2-stage step. The frozen field v is interpolated
-    linearly in time between its samples and spatially on its grid.
+    u0 is an element on the spec's grid; v_traj covers the window. Per
+    substep and per node: trace the characteristic one substep backward
+    (dX/ds = -G, 2-stage midpoint), interpolate the previous values at the
+    foot, then advance du/ds = g(X(s), u) along the characteristic with a
+    2-stage step. v is interpolated linearly in time between its samples
+    and spatially on its grid.
 
     The feet depend on v only, so they are traced for blocks of substeps
     at once (G must act pointwise on arrays of any shape); only the
     update of u runs substep by substep. Raises CapExceeded at the end of
     the first block whose Lipschitz norm exceeds cap.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    u0_elem = _element_of(
-        u0,
-        lambda gf: sup_norm_values(gf.values),
-        lambda gf: lip_norm_values(gf.values, gf.length),
-    )
-    grid0: GridFunction1D = u0_elem.state
+    times = _solve_grid(v_traj, u0, window, substeps, t_start)
+    grid0: GridFunction1D = u0.state
     if grid0.n != spec.n or grid0.length != spec.length:
         raise ValueError("initial grid does not match the transport spec")
-    _check_cap(u0_elem.strong_norm, cap, t_start)
+    _check_cap(u0.strong_norm, cap, t_start)
 
-    times = np.linspace(t_start, t_start + window, substeps + 1)
-    if _same_grid(v_traj.times, times, window):
-        times = v_traj.times
     frozen = _frozen_inputs(v_traj.times, [s.state.values for s in v_traj.states], times)
     with np.errstate(over="ignore", invalid="ignore"):
         rows, sup, lip = _transport_sweep(spec, times, grid0.nodes(), frozen,
                                           grid0.values, cap)
     rows.flags.writeable = False  # lets each GridFunction1D keep its row uncopied
-    states = [u0_elem]
+    states = [u0]
     for row, s, lp in zip(rows, sup.tolist(), lip.tolist()):
         states.append(NormedPairElement(GridFunction1D(n=spec.n, length=spec.length,
                                                        values=row), s, lp))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from twonorm.cli import (
     run_sweep,
 )
 from twonorm.core import SolveReport
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write(tmp_path, name, payload):
@@ -83,12 +86,27 @@ def _burgers_config(tmp_path, **params):
      "solver.substeps_per_window"),
     (lambda p: _decay_config(p, solver={"max_windows": 1.5}), "solver.max_windows"),
     (lambda p: _decay_config(p, solver={"max_windows": "64"}), "solver.max_windows"),
+    (lambda p: _decay_config(p, solver={"kappa": float("inf")}), "solver.kappa"),
+    (lambda p: _decay_config(p, solver={"swap_roles": "no"}), "solver.swap_roles"),
+    (lambda p: _decay_config(p, solver={"tol": float("inf")}), "solver.tol"),
+    (lambda p: _decay_config(p, solver={"tol": True}), "solver.tol"),
+    (lambda p: _decay_config(p, solver={"empirical_mode": 1}), "solver.empirical_mode"),
+    (lambda p: _decay_config(p, solver={"strong_norm_cap": float("nan")}),
+     "solver.strong_norm_cap"),
+    (lambda p: _decay_config(p, solver={"strong_norm_cap": "100"}), "solver.strong_norm_cap"),
 ], ids=["t_max-true", "amplitude-nan", "amplitude-inf", "x0-nan", "x0-inf",
         "length-str", "emit-str", "picard-iters-float", "picard-iters-true",
-        "substeps-float", "max-windows-float", "max-windows-str"])
+        "substeps-float", "max-windows-float", "max-windows-str", "kappa-inf",
+        "swap-roles-str", "tol-inf", "tol-true", "empirical-mode-int",
+        "cap-nan", "cap-str"])
 def test_strict_numeric_and_boolean_fields(tmp_path, make_cfg, field):
     with pytest.raises(ConfigError, match=f"field '{field}'"):
         parse_config(make_cfg(tmp_path))
+
+
+def test_null_strong_norm_cap_keeps_the_default(tmp_path):
+    config = parse_config(_decay_config(tmp_path, solver={"strong_norm_cap": None}))
+    assert config.solver.strong_norm_cap is None
 
 
 def test_unknown_solver_key_rejected(tmp_path):
@@ -170,6 +188,18 @@ def test_solve_riccati_exit_blowup(tmp_path):
     code, report, _ = run_solve(parse_config(cfg))
     assert code == EXIT_BLOWUP
     assert 0.85 <= report.t_c_estimate <= 1.0
+
+
+@pytest.mark.parametrize("n,t_c", [(256, 0.977539), (1024, 1.006348), (4096, 1.009766)])
+def test_burgers_t_c_falls_on_either_side_of_t_star(tmp_path, n, t_c):
+    # T* = 1; the saturating grid norm makes the detection time depend on n:
+    # early at n = 256, late at n = 1024 and 4096
+    raw = json.loads((CONFIGS / "burgers.json").read_text())
+    raw.update(output_dir=str(tmp_path / "o"), params={**raw["params"], "n": n},
+               solver={"strong_norm_cap": 0.5 * raw["params"]["amplitude"] * n / (2 * math.pi)})
+    code, report, _ = run_solve(parse_config(raw))
+    assert code == EXIT_BLOWUP
+    assert report.t_c_estimate == pytest.approx(t_c, abs=1e-6)
 
 
 def test_solve_burgers_writes_final_state_grid(tmp_path):
@@ -350,6 +380,16 @@ def test_main_solve_and_errors(tmp_path, capsys):
     assert main(["solve", bad]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "instance" in err
+
+
+@pytest.mark.parametrize("solver_json,field", [('{"kappa": Infinity}', "solver.kappa"),
+                                               ('{"swap_roles": "no"}', "solver.swap_roles")])
+def test_main_solve_names_the_bad_solver_field(tmp_path, capsys, solver_json, field):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"instance": "ode.decay", "t_max": 5.0, "output_dir": '
+                    + json.dumps(str(tmp_path / "o")) + ', "solver": ' + solver_json + '}')
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    assert f"field '{field}'" in capsys.readouterr().err
 
 
 def test_main_blowup_parses_amplitudes(tmp_path):

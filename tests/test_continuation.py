@@ -192,3 +192,33 @@ def test_non_finite_t_max_rejected(t_max):
     inst = make_decay_instance()
     with pytest.raises(ValueError, match="t_max"):
         continuation_solve(inst, make_element(inst, np.array([1.0])), t_max, SolverConfig())
+
+
+def test_decay_to_a_late_horizon_ends_on_a_short_last_window():
+    # the last window is 4.3e-6 long at t = 1.7e5; its grid used to fail the
+    # uniform-spacing check with a ValueError
+    inst = make_decay_instance(rate=1e-3)
+    segs, rep = continuation_solve(inst, _scalar(inst, 1.0), 1.7e5,
+                                   SolverConfig(max_windows=500))
+    assert rep.termination is Termination.HORIZON_REACHED
+    assert segs[-1].t_end == 1.7e5
+
+
+def test_zero_length_analytic_window_is_a_planning_failure():
+    # x' = -1 from 0.5: the a-priori bound shrinks the window with the strong
+    # norm, which reaches 0 at t = 0.5; the planned window there is 0 (it used
+    # to raise "t1 must be positive")
+    inst = make_linear_ode_instance(0.0, 0.0, forcing=-1.0)
+    _, rep = continuation_solve(inst, _scalar(inst, 0.5), 1.0, SolverConfig())
+    assert rep.termination is Termination.CONTRACTION_FAILURE
+    assert rep.windows[-1].t_end == 0.5
+
+
+def test_analytic_windows_below_min_window_still_reach_the_horizon():
+    # rate 1e4 plans windows of ln(2)/1e4 = 6.9e-5, below the default
+    # min_window of 1e-4; only the shrink loop treats min_window as a floor
+    inst = make_decay_instance(rate=1e4)
+    segs, rep = continuation_solve(inst, _scalar(inst, 1.0), 1e-3, SolverConfig())
+    assert rep.termination is Termination.HORIZON_REACHED
+    assert segs[-1].t_end == 1e-3
+    assert min(w.t_end - w.t_start for w in rep.windows) < SolverConfig().min_window

@@ -191,6 +191,16 @@ def test_trajectory_segment_validation():
         TrajectorySegment(times=np.array([1.0]), states=(e,))
 
 
+def test_short_window_late_in_time_counts_as_uniform():
+    # the last 4.3e-6 of a horizon at 1.7e5: adjacent floats there are 2.9e-11
+    # apart, so linspace's spacings differ by far more than 1e-6 relative
+    e = NormedPairElement(0.0, 0.0, 0.0)
+    times = np.linspace(169999.99999571446, 170000.0, 65)
+    assert TrajectorySegment(times=times, states=(e,) * 65).t_end == 170000.0
+    with pytest.raises(ValueError, match="uniformly"):
+        TrajectorySegment(times=times[[0, 1, 3]], states=(e,) * 3)
+
+
 def test_window_plan_validation():
     WindowPlan(K=2.0, t1=1.0, t2=0.5, theta=0.5)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from twonorm.core import (
     NormedPairElement,
     TrajectorySegment,
 )
-from twonorm.grids import GridFunction1D, from_callable, sup_norm
+from twonorm.grids import GridFunction1D, from_callable, lip_norm, sup_norm
 from twonorm.instances import (
     CharacteristicBlowup,
     OdeSpec,
@@ -33,6 +33,14 @@ def _const_segment(value, t0, t1, samples):
     return TrajectorySegment(times=times, states=(elem,) * samples)
 
 
+def _elem(state):
+    """Wrap a raw state with the norm pair the bundled instances use."""
+    if isinstance(state, GridFunction1D):
+        return NormedPairElement(state, sup_norm(state), lip_norm(state))
+    m = float(np.max(np.abs(state)))
+    return NormedPairElement(state, m, m)
+
+
 def _segment_from_samples(times, samples_2d, norm=None):
     states = []
     for row in samples_2d:
@@ -48,7 +56,7 @@ def test_ode_step_decay():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: -x,
                    lipschitz_y=0.0, lipschitz_x=1.0)
     y = _const_segment([0.0], 0.0, 1.0, 1001)
-    seg = ode_step(spec, y, np.array([1.0]), 1.0, 1000)
+    seg = ode_step(spec, y, _elem(np.array([1.0])), 1.0, 1000)
     assert seg.states[-1].state[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
@@ -56,7 +64,7 @@ def test_ode_step_integrates_constant_input_exactly():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y,
                    lipschitz_y=1.0, lipschitz_x=0.0)
     y = _const_segment([2.0], 0.0, 1.0, 65)
-    seg = ode_step(spec, y, np.array([0.0]), 1.0, 64)
+    seg = ode_step(spec, y, _elem(np.array([0.0])), 1.0, 64)
     for t, s in zip(seg.times, seg.states):
         assert s.state[0] == pytest.approx(2.0 * t, abs=1e-12)
 
@@ -67,7 +75,7 @@ def test_ode_step_frozen_riccati_input():
     substeps = 500
     times = np.linspace(0.0, 0.5, substeps + 1)
     y = _segment_from_samples(times, 1.0 / (1.0 - times))
-    seg = ode_step(spec, y, np.array([1.0]), 0.5, substeps)
+    seg = ode_step(spec, y, _elem(np.array([1.0])), 0.5, substeps)
     assert seg.states[-1].state[0] == pytest.approx(2.0, rel=1e-6)
 
 
@@ -80,7 +88,7 @@ def test_ode_step_fourth_order_with_stage_exact_input():
     for substeps in (8, 16):
         fine = np.linspace(0.0, 0.5, 2 * substeps + 1)
         y = _segment_from_samples(fine, np.cos(fine))
-        seg = ode_step(spec, y, np.array([1.0]), 0.5, substeps)
+        seg = ode_step(spec, y, _elem(np.array([1.0])), 0.5, substeps)
         errs.append(abs(seg.states[-1].state[0] - exact))
     assert errs[0] / errs[1] >= 12.0
 
@@ -91,7 +99,7 @@ def test_ode_step_riccati_frozen_input_is_moebius_exact():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x)
     dense = np.linspace(0.0, 0.5, 16385)
     y = _segment_from_samples(dense, 1.0 / (1.0 - dense))
-    seg = ode_step(spec, y, np.array([1.0]), 0.5, 8)
+    seg = ode_step(spec, y, _elem(np.array([1.0])), 0.5, 8)
     assert seg.states[-1].state[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -99,14 +107,53 @@ def test_ode_step_raises_on_overflow():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: x * x * 1e3 + 1e3)
     y = _const_segment([0.0], 0.0, 10.0, 11)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-        ode_step(spec, y, np.array([1.0]), 10.0, 10)
+        ode_step(spec, y, _elem(np.array([1.0])), 10.0, 10)
 
 
-def test_ode_step_requires_covering_input():
+def _ode_case(t_end):
     spec = OdeSpec(dimension=1, f=lambda t, y, x: -x)
-    y = _const_segment([0.0], 0.0, 0.25, 9)
-    with pytest.raises(ValueError):
-        ode_step(spec, y, np.array([1.0]), 1.0, 8)
+    return lambda x0: ode_step(spec, _const_segment([0.0], 0.0, t_end, 9), x0, 0.5, 8)
+
+
+def _burgers_case(t_end):
+    # a Burgers input sampled only on [0, t_end], solved over [0, 0.5]
+    spec = TransportSpec(n=64, length=TWO_PI, G=lambda x, v: -v)
+    u0 = from_callable(np.sin, 64, TWO_PI)
+    v = _grid_segment(64, TWO_PI, [u0.values] * 3, np.linspace(0.0, t_end, 3))
+    return lambda x0: transport_step(spec, v, x0, 0.5, 8)
+
+
+STEP_CASES = {"ode": (_ode_case, np.array([1.0])),
+              "transport": (_burgers_case, from_callable(np.sin, 64, TWO_PI))}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_CASES))
+def test_step_requires_covering_input(kind):
+    make_case, state = STEP_CASES[kind]
+    assert len(make_case(0.5)(_elem(state)).states) == 9
+    with pytest.raises(ValueError, match="does not cover the window"):
+        make_case(0.1)(_elem(state))
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_CASES))
+def test_step_rejects_raw_state(kind):
+    make_case, state = STEP_CASES[kind]
+    with pytest.raises(TypeError, match="make_element"):
+        make_case(0.5)(state)
+
+
+def test_ode_step_rejects_state_of_wrong_dimension():
+    spec = OdeSpec(dimension=2, f=lambda t, y, x: -x)
+    y = _const_segment([0.0, 0.0], 0.0, 0.5, 9)
+    with pytest.raises(ValueError, match="spec dimension is 2"):
+        ode_step(spec, y, _elem(np.array([1.0])), 0.5, 8)
+
+
+@pytest.mark.parametrize("declared,missing", [({"lipschitz_y": 1.0}, "lipschitz_x"),
+                                              ({"lipschitz_x": 1.0}, "lipschitz_y")])
+def test_ode_spec_rejects_half_declared_lipschitz_data(declared, missing):
+    with pytest.raises(ValueError, match=f"{missing} is missing"):
+        OdeSpec(dimension=1, f=lambda t, y, x: -x, **declared)
 
 
 # -- ode_bounds -----------------------------------------------------------------
@@ -185,7 +232,7 @@ def test_ode_bounds_dominate_dense_solves():
         y_samples = m * np.sin(3.0 * times[:, None] + phase[None, :])
         y = _segment_from_samples(times, y_samples)
         x0 = rng.uniform(-1, 1, size=d)
-        seg = ode_step(spec, y, x0, t_final, 512)
+        seg = ode_step(spec, y, _elem(x0), t_final, 512)
         r0 = float(np.max(np.abs(x0)))
         for t, s in zip(seg.times, seg.states):
             bound = apriori.eval(float(t), r0, m)
@@ -216,7 +263,7 @@ def test_transport_constant_advection_shifts():
     substeps = 100
     times = np.linspace(0.0, 0.5, substeps + 1)
     v = _grid_segment(n, TWO_PI, [u0.values] * (substeps + 1), times)
-    seg = transport_step(spec, v, u0, 0.5, substeps)
+    seg = transport_step(spec, v, _elem(u0), 0.5, substeps)
     final = seg.states[-1].state
     exact = prof.value(final.nodes() + 0.5)
     assert np.max(np.abs(final.values - exact)) <= 1e-3
@@ -231,7 +278,7 @@ def test_transport_pure_source_exact():
     substeps = 20
     times = np.linspace(0.0, 0.7, substeps + 1)
     v = _grid_segment(n, TWO_PI, [u0.values] * (substeps + 1), times)
-    seg = transport_step(spec, v, u0, 0.7, substeps)
+    seg = transport_step(spec, v, _elem(u0), 0.7, substeps)
     assert np.max(np.abs(seg.states[-1].state.values - (u0.values + 0.7))) < 1e-12
 
 
@@ -247,7 +294,7 @@ def test_transport_frozen_burgers_input_matches_oracle():
     xs = u0.nodes()
     v_arrays = [np.asarray(burgers_profile_at(prof, float(t), xs)) for t in times]
     v = _grid_segment(n, TWO_PI, v_arrays, times)
-    seg = transport_step(spec, v, u0, 0.2, substeps)
+    seg = transport_step(spec, v, _elem(u0), 0.2, substeps)
     oracle = burgers_profile_at(prof, 0.2, xs)
     assert np.max(np.abs(seg.states[-1].state.values - oracle)) <= 5e-3
 
@@ -261,7 +308,7 @@ def test_transport_advection_preserves_sup_norm():
     substeps = 64
     times = np.linspace(0.0, 1.0, substeps + 1)
     v = _grid_segment(n, TWO_PI, [u0.values] * (substeps + 1), times)
-    seg = transport_step(inst_spec, v, u0, 1.0, substeps)
+    seg = transport_step(inst_spec, v, _elem(u0), 1.0, substeps)
     for s in seg.states:
         assert abs(sup_norm(s.state) - sup_norm(u0)) <= 1e-4
 
@@ -273,7 +320,7 @@ def test_transport_characteristic_blowup_guard():
     times = np.linspace(0.0, 1.0, 3)
     v = _grid_segment(n, TWO_PI, [u0.values] * 3, times)
     with pytest.raises(CharacteristicBlowup):
-        transport_step(spec, v, u0, 1.0, 2)
+        transport_step(spec, v, _elem(u0), 1.0, 2)
 
 
 def test_transport_grid_mismatch_rejected():
@@ -282,7 +329,7 @@ def test_transport_grid_mismatch_rejected():
     times = np.linspace(0.0, 0.1, 3)
     v = _grid_segment(32, TWO_PI, [u0.values] * 3, times)
     with pytest.raises(ValueError):
-        transport_step(spec, v, u0, 0.1, 2)
+        transport_step(spec, v, _elem(u0), 0.1, 2)
 
 
 # -- bundled instances ----------------------------------------------------------
@@ -319,19 +366,19 @@ def test_instance_constructors_validate_n():
 
 
 def test_bundled_instances_embed_weak_into_strong():
-    # embed_const = 1: the weak norm never exceeds the strong norm
+    # the weak norm never exceeds the strong norm
     rng = np.random.default_rng(9)
     inst = make_burgers_instance(64)
     for _ in range(20):
         e = make_element(inst, GridFunction1D(n=64, length=TWO_PI,
                                               values=rng.normal(size=64)))
-        assert e.weak_norm <= inst.embed_const * e.strong_norm
+        assert e.weak_norm <= e.strong_norm
     from twonorm.instances import make_decay_instance
 
     ode = make_decay_instance()
     for _ in range(20):
         e = make_element(ode, rng.normal(size=3))
-        assert e.weak_norm <= ode.embed_const * e.strong_norm
+        assert e.weak_norm <= e.strong_norm
 
 
 def test_stability_bounds_nondecreasing_in_time():

@@ -216,7 +216,7 @@ def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, wi
     rows = rng.uniform(-2.0, 2.0, size=(substeps + 1, spec.dimension))
     y = TrajectorySegment(times=times, states=tuple(
         NormedPairElement(r, _sup(r), _sup(r)) for r in rows))
-    x0 = rows[0]
+    x0 = NormedPairElement(rows[0], _sup(rows[0]), _sup(rows[0]))
     free, err = _outcome(lambda: ode_step(spec, y, x0, window, substeps, t_start))
     assume(err is None)
     cap = _cap_from(free.strong_history(), j, factor)
