@@ -19,10 +19,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-THETA_FLOOR = 0.1  # default floor for empirically estimated contraction factors
+THETA_FLOOR = 0.1  # floor for empirically estimated contraction factors
 
 _R0_FLOOR = 64.0 * np.finfo(np.float64).eps  # cap floor for zero initial data
 _CAP_SLACK = 1e-9  # relative slack when comparing strong norms against caps
+_RADIUS_SAMPLES = 32  # radii sampled per bound when planning a contraction window
 
 
 class SolverError(Exception):
@@ -83,7 +84,7 @@ class NormedPairElement:
 
 @dataclass(frozen=True)
 class TrajectorySegment:
-    """A discrete-time path over one window, on a uniform time grid."""
+    """A discrete-time path over one window, on strictly increasing times."""
 
     times: np.ndarray
     states: tuple[NormedPairElement, ...]
@@ -95,12 +96,8 @@ class TrajectorySegment:
             raise ValueError("need at least two time samples")
         if len(self.states) != len(times):
             raise ValueError("times and states length mismatch")
-        dt = np.diff(times)
-        if not np.all(dt > 0):
+        if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        # atol: the times themselves are rounded to the float spacing at their size
-        if not np.allclose(dt, dt[0], rtol=1e-6, atol=4.0 * np.spacing(np.max(np.abs(times)))):
-            raise ValueError("times must be uniformly spaced")
 
     @property
     def t_start(self) -> float:
@@ -145,20 +142,17 @@ class StabilityBounds:
 
 @dataclass(frozen=True)
 class WindowPlan:
-    """Cap and window lengths produced by the planning step."""
+    """One window attempt: the interval [t_start, t_end] under strong-norm cap K."""
 
     K: float
-    t1: float
-    t2: float
-    theta: float
+    t_start: float
+    t_end: float
 
     def __post_init__(self):
         if not self.K > 0:
             raise ValueError("cap K must be positive")
-        if not (0 < self.t2 <= self.t1):
-            raise ValueError(f"need 0 < t2 <= t1, got t2={self.t2}, t1={self.t1}")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError(f"theta must lie in (0,1), got {self.theta}")
+        if not self.t_start < self.t_end:
+            raise ValueError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
 
 
 @dataclass(frozen=True)
@@ -265,6 +259,7 @@ class SolveReport:
 
 # -- window planning --------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def select_window(apriori: AprioriBound, r0: float, k_cap: float, t_max: float,
                   tol_t: float = 1e-10) -> float:
     """Largest t <= t_max keeping the a-priori strong-norm bound under k_cap.
@@ -272,6 +267,8 @@ def select_window(apriori: AprioriBound, r0: float, k_cap: float, t_max: float,
     Bisects the monotone map t -> apriori(t, r0, k_cap) - k_cap until the
     bracket is tol_t wide or holds no float strictly inside. Raises
     InvalidCap if k_cap <= r0 and NonMonotone if sampled values decrease.
+    The bound may overflow to +inf on long horizons, a valid value over
+    the cap, so numpy's overflow and inf - inf warnings are silenced.
     """
     if not k_cap > r0:
         raise InvalidCap(f"cap {k_cap} must exceed initial strong norm {r0}")
@@ -303,9 +300,8 @@ def _sup_ratio(fn, t: float, radii: np.ndarray) -> float:
 def select_contraction_window(bounds: StabilityBounds, k_cap: float, r0: float,
                               t1: float, theta_target: float,
                               swap_roles: bool = False, *,
-                              min_t: float = 0.0,
-                              n_radius_samples: int = 32) -> tuple[float, float]:
-    """Window length t2 <= t1 on which the frozen-solve map contracts.
+                              min_t: float = 0.0) -> float:
+    """Largest window length <= t1 on which the frozen-solve map contracts.
 
     Searches for the largest t such that, over sampled radii,
     b(t,R)/R <= theta1 (R <= 2K) and c(t,R)/(R (1-theta1)) <= theta_target
@@ -314,15 +310,15 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float, r0: float,
     toward 1 once if infeasible. With swap_roles the two bounds trade
     places, mirroring the symmetric variant of the construction.
 
-    Returns (t2, theta). Raises NoContractionWindow when no t >= min_t
-    works, which signals invalid stability bounds.
+    r0 is not read. Raises NoContractionWindow when no t >= min_t works,
+    which signals invalid stability bounds.
     """
     if not t1 > 0:
         raise ValueError("t1 must be positive")
     b_fn, c_fn = (bounds.c, bounds.b) if swap_roles else (bounds.b, bounds.c)
     # geometric radius samples; sup over them stands in for the true sup
-    radii_b = np.geomspace(2.0 * k_cap * 1e-6, 2.0 * k_cap, n_radius_samples)
-    radii_c = np.geomspace(k_cap * 1e-6, k_cap, n_radius_samples)
+    radii_b = np.geomspace(2.0 * k_cap * 1e-6, 2.0 * k_cap, _RADIUS_SAMPLES)
+    radii_c = np.geomspace(k_cap * 1e-6, k_cap, _RADIUS_SAMPLES)
 
     t_tiny = t1 * 1e-9
     probe_ts = np.linspace(t_tiny, t1, 9)
@@ -347,7 +343,7 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float, r0: float,
             return _sup_ratio(c_fn, t, radii_c) <= theta_target * (1.0 - theta1)
 
         if feasible(t1):
-            return t1, theta_target
+            return t1
         floor = max(min_t, t1 * 1e-12)
         if not feasible(floor):
             continue
@@ -358,19 +354,19 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float, r0: float,
                 lo = mid
             else:
                 hi = mid
-        return lo, theta_target
+        return lo
     raise NoContractionWindow(
-        f"no contraction window of length >= {min_t} exists below t1={t1}")
+        f"no contraction window of length >= {min_t} exists below {t1}")
 
 
-def estimate_theta_empirical(ratios, floor: float = THETA_FLOOR) -> float:
-    """Contraction factor estimate: max of the last three ratios, floored."""
+def estimate_theta_empirical(ratios) -> float:
+    """Contraction factor estimate: max of the last three ratios, floored at THETA_FLOOR."""
     if len(ratios) == 0:
         raise ValueError("need at least one observed ratio")
     if any(r < 0 for r in ratios):
         raise ValueError("ratios must be nonnegative")
     tail = list(ratios)[-min(3, len(ratios)):]
-    return max(floor, max(tail))
+    return max(THETA_FLOOR, max(tail))
 
 
 # -- fixed-point iteration over one window ----------------------------------
@@ -380,16 +376,18 @@ def _constant_segment(times: np.ndarray, x0: NormedPairElement) -> TrajectorySeg
 
 
 def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
-                  cfg: SolverConfig, t_start: float = 0.0,
-                  t_end: float | None = None) -> tuple[TrajectorySegment, WindowRecord]:
-    """Iterate the frozen-solve map on [t_start, t_start + plan.t2].
+                  cfg: SolverConfig) -> tuple[TrajectorySegment, WindowRecord]:
+    """Iterate the frozen-solve map on [plan.t_start, plan.t_end].
 
-    Starts from the constant-in-time trajectory at x0, repeatedly solves
-    the frozen problem with the previous iterate as input, and stops once
-    the a-posteriori bound theta/(1-theta) * d_n falls under cfg.tol,
-    where d_n is the sup-over-window weak distance between successive
-    iterates. Every iterate must keep its strong norms under plan.K; the
-    cap goes to the step operator, which may stop a doomed iterate early.
+    Starts from the constant-in-time trajectory at x0 on the uniform grid
+    of cfg.substeps_per_window substeps, which every step call reuses,
+    repeatedly solves the frozen problem with the previous iterate as
+    input, and stops once the a-posteriori bound theta/(1-theta) * d_n
+    falls under cfg.tol, where d_n is the sup-over-window weak distance
+    between successive iterates and theta is cfg.theta_target (or the
+    empirical estimate). Every iterate must keep its strong norms under
+    plan.K; the cap goes to the step operator, which may stop a doomed
+    iterate early.
 
     Raises WindowFailure subclasses when the window has to shrink:
     ContractionFailureError (ratio above 1 twice in a row), CapExceeded,
@@ -400,11 +398,9 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
         raise InvalidCap(
             f"initial strong norm {x0.strong_norm} exceeds plan.K/kappa = "
             f"{plan.K / cfg.kappa}")
-    window = plan.t2
-    if t_end is None:
-        t_end = t_start + window
-    times = np.linspace(t_start, t_end, cfg.substeps_per_window + 1)
-    use_plan_theta = instance.bounds is not None and not cfg.empirical_mode
+    m = cfg.substeps_per_window
+    times = np.linspace(plan.t_start, plan.t_end, m + 1)
+    analytic = instance.bounds is not None and not cfg.empirical_mode
     cap = plan.K * (1.0 + _CAP_SLACK)
 
     prev = _constant_segment(times, x0)
@@ -412,7 +408,7 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
     ratios: list[float] = []
     consecutive_bad = 0
     for iteration in range(1, cfg.max_picard_iters + 1):
-        cur = instance.step(prev, x0, window, cfg.substeps_per_window, t_start, cap=cap)
+        cur = instance.step(prev, x0, plan.t_end - plan.t_start, m, plan.t_start, cap=cap)
         if cur.states[0] is not x0:
             raise SolverError("step operator must reuse the initial state handle")
         if cur.sup_strong() > cap:
@@ -435,8 +431,8 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
         prev, d_prev = cur, d
         if d == 0.0:
             break
-        if use_plan_theta:
-            theta_stop = plan.theta
+        if analytic:
+            theta_stop = cfg.theta_target
         elif ratios:
             theta_stop = estimate_theta_empirical(ratios)
         else:
@@ -517,31 +513,24 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
                 termination = Termination.CONTRACTION_FAILURE
                 break
             try:
-                window, theta = select_contraction_window(
+                window = select_contraction_window(
                     stability, k_cap, r0, t1, cfg.theta_target,
                     cfg.swap_roles, min_t=cfg.min_window)
             except NoContractionWindow:
                 termination = Termination.CONTRACTION_FAILURE
                 break
         else:
-            t1 = remaining
             window = remaining if last_accepted is None else min(remaining, 2.0 * last_accepted)
-            theta = cfg.theta_target
 
         # shrink-and-retry loop; collapse below min_window is blow-up evidence
         seg = None
         while True:
-            attempt = min(window, remaining)
-            # a window within float jitter of the remaining horizon ends on it
-            if attempt >= remaining * (1.0 - 1e-9):
-                attempt = remaining
-                exact_end = t_max
-            else:
-                exact_end = t_cur + attempt
-            plan = WindowPlan(K=k_cap, t1=max(t1, attempt), t2=attempt, theta=theta)
+            if window < remaining * (1.0 - 1e-9):
+                attempt, plan = window, WindowPlan(K=k_cap, t_start=t_cur, t_end=t_cur + window)
+            else:  # a window within float jitter of the remaining horizon ends on it
+                attempt, plan = remaining, WindowPlan(K=k_cap, t_start=t_cur, t_end=t_max)
             try:
-                seg, rec = picard_window(instance, x_cur, plan, cfg,
-                                         t_start=t_cur, t_end=exact_end)
+                seg, rec = picard_window(instance, x_cur, plan, cfg)
                 break
             except WindowFailure:
                 window = attempt * cfg.window_shrink

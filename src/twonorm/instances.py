@@ -8,6 +8,7 @@ du/dt = G(x, v) du/dx + g(x, u) solved by a semi-Lagrangian step operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -108,17 +109,25 @@ def _linf(v: np.ndarray) -> float:
 
 def _solve_grid(y_traj: TrajectorySegment, x0, window: float, substeps: int,
                 t_start: float) -> np.ndarray:
-    """Check the step operators' shared entry contract; return the solve grid."""
+    """Check the step operators' shared entry contract; return the solve grid.
+
+    The solve grid is the input's own times when they lie within
+    1e-9 * window of the uniform grid of the window; otherwise it is that
+    uniform grid, and the input must cover it within the same slack.
+    """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    if not (window > 0 and math.isfinite(window)):
+        raise ValueError(f"window must be a finite positive number, got {window}")
     if not isinstance(x0, NormedPairElement):
         raise TypeError(f"x0 must be a NormedPairElement from make_element, not {type(x0)}")
-    if y_traj.t_start > t_start + 1e-12 or y_traj.t_end < t_start + window - 1e-12:
-        raise ValueError("frozen input trajectory does not cover the window")
+    slack = 1e-9 * window
     times = np.linspace(t_start, t_start + window, substeps + 1)
     have = y_traj.times
-    if len(have) == len(times) and np.all(np.abs(have - times) <= 1e-9 * max(window, 1e-300)):
+    if len(have) == len(times) and np.all(np.abs(have - times) <= slack):
         return have
+    if y_traj.t_start > times[0] + slack or y_traj.t_end < times[-1] - slack:
+        raise ValueError("frozen input trajectory does not cover the window")
     return times
 
 

@@ -204,6 +204,17 @@ def test_decay_to_a_late_horizon_ends_on_a_short_last_window():
     assert segs[-1].t_end == 1.7e5
 
 
+def test_long_forced_horizon_ends_exactly_at_t_max():
+    # t_cur + (t_max - t_cur) rounds 7.3e-12 past t_max, one float spacing at
+    # 6e4: the last window's grid must still count as covering that window
+    inst = make_linear_ode_instance(0.0, 0.0, forcing=1.0)
+    t_max = 60722.396169771724
+    segs, rep = continuation_solve(inst, _scalar(inst, 5.163863287948772), t_max,
+                                   SolverConfig(kappa=3.2459373508722873))
+    assert rep.termination is Termination.HORIZON_REACHED
+    assert segs[-1].t_end == t_max
+
+
 def test_zero_length_analytic_window_is_a_planning_failure():
     # x' = -1 from 0.5: the a-priori bound shrinks the window with the strong
     # norm, which reaches 0 at t = 0.5; the planned window there is 0 (it used

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -80,10 +81,9 @@ def test_select_window_detects_decreasing_bound():
 
 def test_contraction_window_symmetric_bounds():
     bounds = StabilityBounds(b=lambda t, r: t * r, c=lambda t, r: t * r)
-    t2, theta = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
-    assert theta == 0.5
+    t2 = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
     assert t2 == pytest.approx(0.25, abs=1e-9)
-    # the returned pair satisfies both sampled conditions with theta1 = 0.5
+    # the returned window satisfies both sampled conditions with theta1 = 0.5
     radii = np.geomspace(2e-6, 2.0, 32)
     assert max(bounds.b(t2, r) / r for r in radii) <= 0.5 + 1e-9
     radii = np.geomspace(1e-6, 1.0, 32)
@@ -92,21 +92,19 @@ def test_contraction_window_symmetric_bounds():
 
 def test_contraction_window_vanishing_b():
     bounds = StabilityBounds(b=lambda t, r: 0.0, c=lambda t, r: t * r)
-    t2, theta = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.9)
-    assert theta == 0.9
+    t2 = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.9)
     assert t2 == pytest.approx(0.9, abs=1e-9)
 
 
 def test_contraction_window_time_independent_b():
     bounds = StabilityBounds(b=lambda t, r: 0.5 * r, c=lambda t, r: t * r)
-    t2, theta = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
-    assert theta == 0.5
+    t2 = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
     assert t2 == pytest.approx(0.25, abs=1e-9)
 
 
 def test_contraction_window_capped_by_t1():
     bounds = StabilityBounds(b=lambda t, r: 0.0, c=lambda t, r: t * r)
-    t2, _ = select_contraction_window(bounds, 1.0, 1.0, 0.3, 0.9)
+    t2 = select_contraction_window(bounds, 1.0, 1.0, 0.3, 0.9)
     assert t2 == 0.3
 
 
@@ -141,9 +139,8 @@ def test_contraction_window_b_above_one_raises():
 def test_contraction_window_strong_b_level_still_works():
     # b sits at 0.8 R: theta1 must rise above the target to make room
     bounds = StabilityBounds(b=lambda t, r: 0.8 * r, c=lambda t, r: t * r)
-    t2, theta = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
+    t2 = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
     assert 0.0 < t2 <= 10.0
-    assert theta == 0.5
     # conditions hold with theta1 = 0.8
     assert t2 / (1.0 - 0.8) <= 0.5 + 1e-9
 
@@ -151,19 +148,19 @@ def test_contraction_window_strong_b_level_still_works():
 # -- estimate_theta_empirical ----------------------------------------------------
 
 def test_theta_empirical_takes_max_of_last_three():
-    assert estimate_theta_empirical([0.4, 0.3, 0.25], floor=0.1) == 0.4
-    assert estimate_theta_empirical([0.9, 0.2, 0.8, 0.7], floor=0.1) == 0.8
+    assert estimate_theta_empirical([0.4, 0.3, 0.25]) == 0.4
+    assert estimate_theta_empirical([0.9, 0.2, 0.8, 0.7]) == 0.8
 
 
 def test_theta_empirical_floor_binds():
-    assert estimate_theta_empirical([0.05], floor=0.1) == 0.1
+    assert estimate_theta_empirical([0.05]) == 0.1
 
 
 def test_theta_empirical_rejects_empty_and_negative():
     with pytest.raises(ValueError):
-        estimate_theta_empirical([], floor=0.1)
+        estimate_theta_empirical([])
     with pytest.raises(ValueError):
-        estimate_theta_empirical([-0.1], floor=0.1)
+        estimate_theta_empirical([-0.1])
 
 
 # -- domain type validation ------------------------------------------------------
@@ -181,8 +178,7 @@ def test_normed_pair_element_validation():
 def test_trajectory_segment_validation():
     e = NormedPairElement(0.0, 0.0, 0.0)
     TrajectorySegment(times=np.linspace(0, 1, 5), states=(e,) * 5)
-    with pytest.raises(ValueError):
-        TrajectorySegment(times=np.array([0.0, 1.0, 1.5]), states=(e,) * 3)
+    TrajectorySegment(times=np.array([0.0, 1.0, 1.5]), states=(e,) * 3)  # non-uniform
     with pytest.raises(ValueError):
         TrajectorySegment(times=np.array([0.0, 1.0, 0.5]), states=(e,) * 3)
     with pytest.raises(ValueError):
@@ -197,18 +193,17 @@ def test_short_window_late_in_time_counts_as_uniform():
     e = NormedPairElement(0.0, 0.0, 0.0)
     times = np.linspace(169999.99999571446, 170000.0, 65)
     assert TrajectorySegment(times=times, states=(e,) * 65).t_end == 170000.0
-    with pytest.raises(ValueError, match="uniformly"):
-        TrajectorySegment(times=times[[0, 1, 3]], states=(e,) * 3)
 
 
 def test_window_plan_validation():
-    WindowPlan(K=2.0, t1=1.0, t2=0.5, theta=0.5)
+    assert [f.name for f in dataclasses.fields(WindowPlan)] == ["K", "t_start", "t_end"]
+    WindowPlan(K=2.0, t_start=0.0, t_end=0.5)
+    WindowPlan(K=2.0, t_start=np.nextafter(6e4, 0.0), t_end=6e4)  # one float apart
+    for t_start, t_end in ((0.5, 0.5), (1.0, 0.5), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="t_start < t_end"):
+            WindowPlan(K=2.0, t_start=t_start, t_end=t_end)
     with pytest.raises(ValueError):
-        WindowPlan(K=2.0, t1=0.5, t2=1.0, theta=0.5)  # t2 > t1
-    with pytest.raises(ValueError):
-        WindowPlan(K=2.0, t1=1.0, t2=0.5, theta=1.0)
-    with pytest.raises(ValueError):
-        WindowPlan(K=0.0, t1=1.0, t2=0.5, theta=0.5)
+        WindowPlan(K=0.0, t_start=0.0, t_end=0.5)
 
 
 def test_solver_config_validation():

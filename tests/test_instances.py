@@ -16,6 +16,7 @@ from twonorm.instances import (
     make_advect_instance,
     make_burgers_instance,
     make_element,
+    make_linear_ode_instance,
     ode_bounds,
     ode_step,
     transport_step,
@@ -110,17 +111,17 @@ def test_ode_step_raises_on_overflow():
         ode_step(spec, y, _elem(np.array([1.0])), 10.0, 10)
 
 
-def _ode_case(t_end):
+def _ode_case(t_end, window=0.5):
     spec = OdeSpec(dimension=1, f=lambda t, y, x: -x)
-    return lambda x0: ode_step(spec, _const_segment([0.0], 0.0, t_end, 9), x0, 0.5, 8)
+    return lambda x0: ode_step(spec, _const_segment([0.0], 0.0, t_end, 9), x0, window, 8)
 
 
-def _burgers_case(t_end):
-    # a Burgers input sampled only on [0, t_end], solved over [0, 0.5]
+def _burgers_case(t_end, window=0.5):
+    # a Burgers input sampled only on [0, t_end], solved over [0, window]
     spec = TransportSpec(n=64, length=TWO_PI, G=lambda x, v: -v)
     u0 = from_callable(np.sin, 64, TWO_PI)
     v = _grid_segment(64, TWO_PI, [u0.values] * 3, np.linspace(0.0, t_end, 3))
-    return lambda x0: transport_step(spec, v, x0, 0.5, 8)
+    return lambda x0: transport_step(spec, v, x0, window, 8)
 
 
 STEP_CASES = {"ode": (_ode_case, np.array([1.0])),
@@ -140,6 +141,38 @@ def test_step_rejects_raw_state(kind):
     make_case, state = STEP_CASES[kind]
     with pytest.raises(TypeError, match="make_element"):
         make_case(0.5)(state)
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("kind", sorted(STEP_CASES))
+def test_step_rejects_window_that_is_not_finite_positive(kind, window):
+    make_case, state = STEP_CASES[kind]
+    with pytest.raises(ValueError, match="window must be a finite positive number"):
+        make_case(0.5, window)(_elem(state))
+
+
+def test_step_solves_on_input_times_that_end_within_float_spacing():
+    # t_start + (t_max - t_start) lands 7.3e-12 past t_max, one float spacing
+    # at 6e4 and more than an absolute 1e-12 coverage slack
+    t_start, t_max = 19599.331575670392, 60722.396169771724
+    assert t_start + (t_max - t_start) > t_max
+    inst = make_linear_ode_instance(0.0, 0.0, forcing=1.0)
+    y = _const_segment([5.0], t_start, t_max, 65)
+    seg = inst.step(y, _elem(np.array([5.0])), t_max - t_start, 64, t_start)
+    assert seg.times is y.times
+
+
+def test_ode_step_accepts_non_uniform_input_times():
+    # y(t) = t is linear, so interpolating it in time is exact on any sampling
+    spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x)
+    uniform = np.linspace(0.0, 1.0, 9)
+    skewed = np.linspace(0.0, 1.0, 17) ** 2
+    x0 = _elem(np.array([1.0]))
+    want = ode_step(spec, _segment_from_samples(uniform, uniform), x0, 1.0, 8)
+    got = ode_step(spec, _segment_from_samples(skewed, skewed), x0, 1.0, 8)
+    assert np.array_equal(got.times, want.times)
+    for a, b in zip(got.states, want.states):
+        assert abs(a.state[0] - b.state[0]) <= 1e-12
 
 
 def test_ode_step_rejects_state_of_wrong_dimension():
@@ -340,7 +373,7 @@ def test_burgers_zero_data_fixed_in_one_iterate():
     inst = make_burgers_instance(64)
     u0 = GridFunction1D(n=64, length=TWO_PI, values=np.zeros(64))
     x0 = make_element(inst, u0)
-    plan = WindowPlan(K=1.0, t1=0.5, t2=0.5, theta=0.5)
+    plan = WindowPlan(K=1.0, t_start=0.0, t_end=0.5)
     seg, rec = picard_window(inst, x0, plan, SolverConfig(substeps_per_window=8))
     assert rec.picard_iters == 1  # d_1 = 0: already the fixed point
     assert all(np.all(s.state.values == 0.0) for s in seg.states)
@@ -352,7 +385,7 @@ def test_burgers_constant_data_stays_constant():
     inst = make_burgers_instance(64)
     u0 = GridFunction1D(n=64, length=TWO_PI, values=np.full(64, 0.8))
     x0 = make_element(inst, u0)
-    plan = WindowPlan(K=2.0, t1=0.5, t2=0.5, theta=0.5)
+    plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.5)
     seg, _ = picard_window(inst, x0, plan, SolverConfig(substeps_per_window=8))
     for s in seg.states:
         assert np.max(np.abs(s.state.values - 0.8)) < 1e-12

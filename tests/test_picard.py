@@ -35,7 +35,7 @@ def _scalar_element(x):
 def test_decay_window_reaches_exponential():
     # frozen slot unused, so the first corrected iterate is already exact
     inst = make_decay_instance()
-    plan = WindowPlan(K=2.0, t1=0.693, t2=0.5, theta=0.5)
+    plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.5)
     cfg = SolverConfig(substeps_per_window=500)
     seg, rec = picard_window(inst, _scalar_element(1.0), plan, cfg)
     assert seg.states[-1].state[0] == pytest.approx(math.exp(-0.5), abs=1e-10)
@@ -47,7 +47,7 @@ def test_riccati_window_fixed_point():
     # fixed point of the frozen map solves x' = x^2: x(t) = 1/(1-t);
     # the cap needs headroom above sup|x| = 2 for the discretization error
     inst = make_riccati_instance()
-    plan = WindowPlan(K=2.5, t1=0.5, t2=0.5, theta=0.5)
+    plan = WindowPlan(K=2.5, t_start=0.0, t_end=0.5)
     cfg = SolverConfig(substeps_per_window=500)
     seg, rec = picard_window(inst, _scalar_element(1.0), plan, cfg)
     assert seg.states[-1].state[0] == pytest.approx(2.0, rel=1e-6)
@@ -57,7 +57,7 @@ def test_riccati_window_fixed_point():
 
 def test_cap_preserved_on_accepted_window():
     inst = make_linear_ode_instance(a=1.0, b=1.0)
-    plan = WindowPlan(K=2.0, t1=0.26, t2=0.25, theta=0.5)
+    plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.25)
     seg, _ = picard_window(inst, _scalar_element(1.0), plan, SolverConfig())
     assert seg.sup_strong() <= plan.K * (1.0 + 1e-9)
 
@@ -65,14 +65,14 @@ def test_cap_preserved_on_accepted_window():
 def test_initial_state_handle_reused():
     inst = make_decay_instance()
     x0 = _scalar_element(1.0)
-    plan = WindowPlan(K=2.0, t1=0.5, t2=0.5, theta=0.5)
+    plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.5)
     seg, _ = picard_window(inst, x0, plan, SolverConfig())
     assert seg.states[0] is x0
 
 
 def test_precondition_rejects_oversized_initial_norm():
     inst = make_decay_instance()
-    plan = WindowPlan(K=2.0, t1=0.5, t2=0.5, theta=0.5)
+    plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.5)
     with pytest.raises(InvalidCap):
         picard_window(inst, _scalar_element(1.5), plan, SolverConfig())
 
@@ -83,7 +83,7 @@ def test_contraction_failure_on_expanding_map():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: 2.0 * y,
                    lipschitz_y=2.0, lipschitz_x=0.0, f00=0.0)
     inst = make_ode_instance("ode.expander", spec)
-    plan = WindowPlan(K=1e9, t1=2.0, t2=2.0, theta=0.5)
+    plan = WindowPlan(K=1e9, t_start=0.0, t_end=2.0)
     with pytest.raises(ContractionFailureError):
         picard_window(inst, _scalar_element(1.0), plan,
                       SolverConfig(substeps_per_window=16, empirical_mode=True))
@@ -91,7 +91,7 @@ def test_contraction_failure_on_expanding_map():
 
 def test_iteration_budget_enforced():
     inst = make_decay_instance()
-    plan = WindowPlan(K=2.0, t1=0.5, t2=0.5, theta=0.5)
+    plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.5)
     with pytest.raises(IterBudgetExceeded):
         picard_window(inst, _scalar_element(1.0), plan,
                       SolverConfig(max_picard_iters=1))
@@ -102,13 +102,13 @@ def test_fixed_point_residual_bound():
     # trajectory by at most tol (1+theta)/(1-theta)
     inst = make_linear_ode_instance(a=1.0, b=0.5)
     x0 = _scalar_element(1.0)
-    plan = WindowPlan(K=2.0, t1=0.3, t2=0.25, theta=0.5)
+    plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.25)
     cfg = SolverConfig()
     seg, rec = picard_window(inst, x0, plan, cfg)
     extra = inst.step(seg, x0, 0.25, cfg.substeps_per_window, 0.0)
     drift = max(inst.weak_dist(a.state, b.state)
                 for a, b in zip(extra.states, seg.states))
-    assert drift <= cfg.tol * (1.0 + plan.theta) / (1.0 - plan.theta)
+    assert drift <= cfg.tol * (1.0 + cfg.theta_target) / (1.0 - cfg.theta_target)
 
 
 def test_absolute_time_passed_to_rhs():
@@ -121,9 +121,8 @@ def test_absolute_time_passed_to_rhs():
 
     spec = OdeSpec(dimension=1, f=f, lipschitz_y=0.0, lipschitz_x=0.0, f00=0.0)
     inst = make_ode_instance("ode.probe", spec)
-    plan = WindowPlan(K=2.0, t1=0.5, t2=0.5, theta=0.5)
-    picard_window(inst, _scalar_element(1.0), plan,
-                  SolverConfig(substeps_per_window=4), t_start=1.0)
+    plan = WindowPlan(K=2.0, t_start=1.0, t_end=1.5)
+    picard_window(inst, _scalar_element(1.0), plan, SolverConfig(substeps_per_window=4))
     assert min(seen) >= 1.0
     assert max(seen) <= 1.5 + 1e-12
 
@@ -134,7 +133,7 @@ def test_burgers_window_against_characteristics():
     inst = make_burgers_instance(n)
     u0 = from_callable(prof.value, n, TWO_PI)
     x0 = make_element(inst, u0)
-    plan = WindowPlan(K=4.0, t1=0.1, t2=0.1, theta=0.5)
+    plan = WindowPlan(K=4.0, t_start=0.0, t_end=0.1)
     cfg = SolverConfig(substeps_per_window=32)
     seg, rec = picard_window(inst, x0, plan, cfg)
     assert all(r < 1.0 for r in rec.observed_ratios)
@@ -149,7 +148,7 @@ def test_burgers_frozen_step_consistency():
     prof = sine_profile()
     inst = make_burgers_instance(n)
     x0 = make_element(inst, from_callable(prof.value, n, TWO_PI))
-    plan = WindowPlan(K=4.0, t1=0.2, t2=0.2, theta=0.5)
+    plan = WindowPlan(K=4.0, t_start=0.0, t_end=0.2)
     cfg = SolverConfig(substeps_per_window=32)
     seg, rec = picard_window(inst, x0, plan, cfg)
     theta_hat = estimate_theta_empirical(rec.observed_ratios)
