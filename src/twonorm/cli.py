@@ -277,8 +277,8 @@ def write_norms_csv(path: str, segments) -> None:
     rows = []
     for si, seg in enumerate(segments):
         start = 1 if si > 0 else 0  # junction states are shared with the previous window
-        for t, s in list(zip(seg.times, seg.states))[start:]:
-            rows.append([_fmt(t), _fmt(s.weak_norm), _fmt(s.strong_norm)])
+        for t, w, s in zip(*(a[start:].tolist() for a in (seg.times, seg.weak, seg.strong))):
+            rows.append([_fmt(t), _fmt(w), _fmt(s)])
     _write_atomic(path, _csv_text(["t", "weak_norm", "strong_norm"], rows))
 
 
@@ -293,12 +293,11 @@ def write_windows_csv(path: str, report: SolveReport) -> None:
 def write_trajectory(out_dir: str, config: RunConfig, segments) -> None:
     if config.instance.startswith("ode."):
         rows = []
-        dim = len(segments[0].states[0].state)
-        header = ["t"] + [f"x{i}" for i in range(dim)]
+        header = ["t"] + [f"x{i}" for i in range(segments[0].values.shape[1])]
         for si, seg in enumerate(segments):
             start = 1 if si > 0 else 0
-            for t, s in list(zip(seg.times, seg.states))[start:]:
-                rows.append([_fmt(t)] + [_fmt(v) for v in s.state])
+            for t, x in zip(seg.times[start:].tolist(), seg.values[start:].tolist()):
+                rows.append([_fmt(t)] + [_fmt(v) for v in x])
         _write_atomic(os.path.join(out_dir, "trajectory.csv"), _csv_text(header, rows))
     else:
         final = segments[-1].states[-1].state

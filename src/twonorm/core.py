@@ -13,8 +13,9 @@ length collapses or the strong norm passes a threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -84,18 +85,33 @@ class NormedPairElement:
 
 @dataclass(frozen=True)
 class TrajectorySegment:
-    """A discrete-time path over one window, on strictly increasing times."""
+    """A discrete-time path over one window, stored as arrays.
+
+    values stacks the raw states (m+1, ...) on strictly increasing times;
+    row 0 is the raw state of start, the element the window began from.
+    weak and strong hold each row's norms, and wrap turns a row into a
+    state (the identity for ODEs, a GridFunction1D for transport). The
+    four arrays are made read-only here.
+    """
 
     times: np.ndarray
-    states: tuple[NormedPairElement, ...]
+    values: np.ndarray
+    weak: np.ndarray
+    strong: np.ndarray
+    start: NormedPairElement
+    wrap: Callable[[np.ndarray], Any] = lambda row: row
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        object.__setattr__(self, "times", times)
+        for name in ("times", "values", "weak", "strong"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        times = self.times
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two time samples")
-        if len(self.states) != len(times):
-            raise ValueError("times and states length mismatch")
+        if len(self.values) != len(times) or not (
+                self.weak.shape == self.strong.shape == times.shape):
+            raise ValueError("times, values and norms length mismatch")
         if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
 
@@ -107,11 +123,16 @@ class TrajectorySegment:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def strong_history(self) -> np.ndarray:
-        return np.array([s.strong_norm for s in self.states])
+    @cached_property
+    def states(self) -> tuple[NormedPairElement, ...]:
+        """start, then every later row wrapped as an element, built on first read."""
+        return (self.start,) + tuple(
+            NormedPairElement(self.wrap(row), w, s)
+            for row, w, s in zip(self.values[1:], self.weak[1:].tolist(),
+                                 self.strong[1:].tolist()))
 
     def sup_strong(self) -> float:
-        return float(np.max(self.strong_history()))
+        return float(np.max(self.strong))
 
 
 @dataclass(frozen=True)
@@ -235,27 +256,6 @@ class SolveReport:
             ],
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "SolveReport":
-        term = d["termination"]
-        t_c = term.get("t_c_estimate")
-        if term.get("t_c_estimate_infinite"):
-            t_c = math.inf
-        return SolveReport(
-            windows=tuple(
-                WindowRecord(
-                    t_start=w["t_start"],
-                    t_end=w["t_end"],
-                    picard_iters=w["picard_iters"],
-                    observed_ratios=tuple(w["observed_ratios"]),
-                    end_strong_norm=w["end_strong_norm"],
-                )
-                for w in d["windows"]
-            ),
-            termination=Termination(term["kind"]),
-            t_c_estimate=t_c,
-        )
-
 
 # -- window planning --------------------------------------------------------
 
@@ -371,23 +371,19 @@ def estimate_theta_empirical(ratios) -> float:
 
 # -- fixed-point iteration over one window ----------------------------------
 
-def _constant_segment(times: np.ndarray, x0: NormedPairElement) -> TrajectorySegment:
-    return TrajectorySegment(times=times, states=(x0,) * len(times))
-
-
 def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
                   cfg: SolverConfig) -> tuple[TrajectorySegment, WindowRecord]:
     """Iterate the frozen-solve map on [plan.t_start, plan.t_end].
 
-    Starts from the constant-in-time trajectory at x0 on the uniform grid
-    of cfg.substeps_per_window substeps, which every step call reuses,
-    repeatedly solves the frozen problem with the previous iterate as
-    input, and stops once the a-posteriori bound theta/(1-theta) * d_n
-    falls under cfg.tol, where d_n is the sup-over-window weak distance
-    between successive iterates and theta is cfg.theta_target (or the
-    empirical estimate). Every iterate must keep its strong norms under
-    plan.K; the cap goes to the step operator, which may stop a doomed
-    iterate early.
+    Starts from the constant-in-time trajectory at x0 (its row broadcast,
+    not copied, over the uniform grid of cfg.substeps_per_window
+    substeps, which every step call reuses), repeatedly solves the frozen
+    problem with the previous iterate as input, and stops once the
+    a-posteriori bound theta/(1-theta) * d_n falls under cfg.tol, where
+    d_n = instance.weak_dist of the two iterates' stacked rows and theta
+    is cfg.theta_target (or the empirical estimate). Every iterate must
+    keep its strong norms under plan.K; the cap goes to the step
+    operator, which may reject a doomed iterate.
 
     Raises WindowFailure subclasses when the window has to shrink:
     ContractionFailureError (ratio above 1 twice in a row), CapExceeded,
@@ -403,21 +399,21 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
     analytic = instance.bounds is not None and not cfg.empirical_mode
     cap = plan.K * (1.0 + _CAP_SLACK)
 
-    prev = _constant_segment(times, x0)
+    row = np.asarray(x0.state, dtype=np.float64)
+    prev = TrajectorySegment(times, np.broadcast_to(row, (m + 1,) + row.shape),
+                             np.full(m + 1, x0.weak_norm), np.full(m + 1, x0.strong_norm),
+                             x0, wrap=lambda _: x0.state)
     d_prev = None
     ratios: list[float] = []
     consecutive_bad = 0
     for iteration in range(1, cfg.max_picard_iters + 1):
         cur = instance.step(prev, x0, plan.t_end - plan.t_start, m, plan.t_start, cap=cap)
-        if cur.states[0] is not x0:
-            raise SolverError("step operator must reuse the initial state handle")
+        if cur.start is not x0:
+            raise SolverError("step operator must start its output from the x0 element")
         if cur.sup_strong() > cap:
             raise CapExceeded(
                 f"iterate strong norm {cur.sup_strong()} exceeds cap {plan.K}")
-        d = max(
-            instance.weak_dist(a.state, b.state)
-            for a, b in zip(cur.states, prev.states)
-        )
+        d = instance.weak_dist(cur.values, prev.values)
         if d_prev is not None and d_prev > 0.0:
             ratio = d / d_prev
             ratios.append(ratio)
@@ -448,7 +444,7 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
         t_end=float(times[-1]),
         picard_iters=iteration,
         observed_ratios=tuple(ratios),
-        end_strong_norm=prev.states[-1].strong_norm,
+        end_strong_norm=float(prev.strong[-1]),
     )
     return prev, record
 
@@ -564,7 +560,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
 
 
 def _first_cap_crossing(seg: TrajectorySegment, cap: float) -> int | None:
-    over = seg.strong_history() > cap
+    over = seg.strong > cap
     if not np.any(over):
         return None
     idx = int(np.argmax(over))
@@ -573,11 +569,13 @@ def _first_cap_crossing(seg: TrajectorySegment, cap: float) -> int | None:
 
 def _truncate_at(seg: TrajectorySegment, rec: WindowRecord,
                  idx: int) -> tuple[TrajectorySegment, WindowRecord]:
-    short = TrajectorySegment(times=seg.times[: idx + 1], states=seg.states[: idx + 1])
+    k = idx + 1
+    short = replace(seg, times=seg.times[:k], values=seg.values[:k], weak=seg.weak[:k],
+                    strong=seg.strong[:k])
     return short, WindowRecord(
         t_start=rec.t_start,
         t_end=short.t_end,
         picard_iters=rec.picard_iters,
         observed_ratios=rec.observed_ratios,
-        end_strong_norm=short.states[-1].strong_norm,
+        end_strong_norm=float(short.strong[-1]),
     )

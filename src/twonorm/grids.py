@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +55,10 @@ class GridFunction1D:
 
     def nodes(self) -> np.ndarray:
         return np.arange(self.n) * (self.length / self.n)
+
+    def __array__(self, dtype=None, copy=None):
+        """The samples, so np.asarray(u) is u's row in a trajectory buffer."""
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 def _read_only(arr: np.ndarray) -> bool:
@@ -185,24 +188,6 @@ def from_callable(f, n: int, length: float) -> GridFunction1D:
     return GridFunction1D(n=n, length=length, values=np.asarray(f(xs), dtype=np.float64))
 
 
-# -- serialization ----------------------------------------------------------
-
-def to_dict(u: GridFunction1D) -> dict:
-    return {"n": u.n, "length": u.length, "values": [float(v) for v in u.values]}
-
-
-def from_dict(d: dict) -> GridFunction1D:
-    return GridFunction1D(n=int(d["n"]), length=float(d["length"]), values=np.asarray(d["values"]))
-
-
-def to_json(u: GridFunction1D) -> str:
-    return json.dumps(to_dict(u))
-
-
-def from_json(text: str) -> GridFunction1D:
-    return from_dict(json.loads(text))
-
-
 def csv_text(u: GridFunction1D) -> str:
     """The (x, value) rows of u as CSV text, with csv.writer's CRLF line ends."""
     buf = io.StringIO()
@@ -210,25 +195,3 @@ def csv_text(u: GridFunction1D) -> str:
     w.writerow(["x", "value"])
     w.writerows([repr(float(xi)), repr(float(vi))] for xi, vi in zip(u.nodes(), u.values))
     return buf.getvalue()
-
-
-def read_csv(path, length: float | None = None) -> GridFunction1D:
-    """Read (x, value) rows in the csv_text format.
-
-    The domain length is recovered from the node spacing unless given.
-    """
-    xs, vs = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["x", "value"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        for row in r:
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    n = len(vs)
-    if length is None:
-        if n < 2:
-            raise ValueError("cannot infer domain length from fewer than 2 rows")
-        length = (xs[1] - xs[0]) * n
-    return GridFunction1D(n=n, length=float(length), values=np.asarray(vs))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -52,12 +53,15 @@ class ProblemInstance:
     """A frozen-step operator together with its norm pair.
 
     step(y_traj, x0, window, substeps, t_start, cap=None) solves the
-    frozen problem with input trajectory y_traj and must reuse the x0
-    element as the first state of its output. When cap is given, step may
-    raise CapExceeded as soon as a state's strong norm exceeds it instead
-    of finishing the window (the bundled steps do, exactly when the
-    finished trajectory's sup_strong() would exceed cap); picard_window
-    checks the finished trajectory as well. bounds is None for
+    frozen problem with input trajectory y_traj (read through its stacked
+    rows y_traj.values) and returns a TrajectorySegment whose start is the
+    x0 element and whose row 0 is x0's raw state. When cap is given, step
+    may raise CapExceeded instead of returning a trajectory whose strong
+    norm exceeds it (the bundled steps do, exactly when the finished
+    trajectory's sup_strong() would exceed cap); picard_window checks the
+    finished trajectory as well. weak_dist(a, b) takes two stacked row
+    arrays of one shape and returns the weak distance, sup over every
+    row; weak_norm and strong_norm take single states. bounds is None for
     instances without analytic growth/stability estimates; the engine
     then adapts windows empirically. spec is the OdeSpec or TransportSpec
     the instance was built from (None for hand-made instances), so
@@ -131,28 +135,26 @@ def _solve_grid(y_traj: TrajectorySegment, x0, window: float, substeps: int,
     return times
 
 
-def _frozen_inputs(y_times: np.ndarray, rows: list, times: np.ndarray):
+def _frozen_inputs(y_times: np.ndarray, values: np.ndarray, times: np.ndarray):
     """Frozen-input samples, block by block: block(k0, k1) -> (ends, mids).
 
     ends stacks the input at times[k0..k1], mids at the midpoints of
-    substeps k0..k1-1. The input's own rows are used when times is its
-    grid (midpoints are 0.5 * (a + b)); otherwise the input is
+    substeps k0..k1-1. The input's own rows (values) are used when times
+    is its grid (midpoints are 0.5 * (a + b)); otherwise the rows are
     interpolated linearly in time, so reference inputs may be sampled
     more densely than the solve grid.
     """
     if times is y_times:
         def block(k0: int, k1: int):
-            ends = np.array(rows[k0:k1 + 1], dtype=np.float64)
+            ends = values[k0:k1 + 1]
             return ends, 0.5 * (ends[:-1] + ends[1:])
         return block
-
-    stacked = np.stack([np.atleast_1d(np.asarray(r, dtype=np.float64)) for r in rows])
 
     def lerp(t: np.ndarray) -> np.ndarray:
         t = np.clip(t, y_times[0], y_times[-1])
         j = np.clip(np.searchsorted(y_times, t, side="right") - 1, 0, len(y_times) - 2)
         w = ((t - y_times[j]) / (y_times[j + 1] - y_times[j]))[:, None]
-        return (1.0 - w) * stacked[j] + w * stacked[j + 1]
+        return (1.0 - w) * values[j] + w * values[j + 1]
 
     def block(k0: int, k1: int):
         t = times[k0:k1 + 1]
@@ -171,19 +173,22 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
     """Classic 4-stage one-step solve of x' = f(t, y(t), x) with frozen y.
 
     x0 is an element with state shape (spec.dimension,); y_traj covers the
-    window and is interpolated linearly in time between its samples.
-    Raises NonFiniteState as soon as a state component overflows, and
-    CapExceeded at the first state whose max-abs norm exceeds cap.
+    window and is interpolated linearly in time between its samples. The
+    states fill one (substeps+1, dimension) buffer whose row 0 is x0's;
+    each row's max-abs norm serves as both its weak and strong norm. The
+    step finishes the window before it checks the rows: it then raises
+    NonFiniteState or CapExceeded (norm above cap) for the earliest
+    offending row, NonFiniteState when one row is both.
     """
     times = _solve_grid(y_traj, x0, window, substeps, t_start)
     if np.shape(x0.state) != (spec.dimension,):
         raise ValueError(f"x0 has shape {np.shape(x0.state)}, spec dimension is {spec.dimension}")
     _check_cap(x0.strong_norm, cap, t_start)
-    y_ends, y_mids = _frozen_inputs(y_traj.times, [s.state for s in y_traj.states],
-                                    times)(0, substeps)
+    y_ends, y_mids = _frozen_inputs(y_traj.times, y_traj.values, times)(0, substeps)
 
-    x = np.array(x0.state, dtype=np.float64)
-    states = [x0]
+    xs = np.empty((substeps + 1, spec.dimension))
+    xs[0] = x0.state
+    x = xs[0]
     f = spec.f
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(substeps):
@@ -194,13 +199,16 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
             k2 = f(t_k + 0.5 * h, ym, x + 0.5 * h * k1)
             k3 = f(t_k + 0.5 * h, ym, x + 0.5 * h * k2)
             k4 = f(t_k + h, y1, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState(f"state overflowed at t={t_k + h}")
-            norm = _linf(x)
-            _check_cap(norm, cap, t_k + h)
-            states.append(NormedPairElement(x, norm, norm))
-    return TrajectorySegment(times=times, states=tuple(states))
+            xs[k + 1] = x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norms = np.max(np.abs(xs), axis=1)
+    finite = np.isfinite(xs).all(axis=1)
+    bad = ~finite if cap is None else ~finite | (norms > cap)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise NonFiniteState(f"state overflowed at t={float(times[k])}")
+        _check_cap(float(norms[k]), cap, float(times[k]))
+    return TrajectorySegment(times, xs, norms, norms, x0)
 
 
 def ode_bounds(spec: OdeSpec) -> InstanceBounds:
@@ -238,7 +246,7 @@ def make_ode_instance(name: str, spec: OdeSpec) -> ProblemInstance:
         step=step,
         weak_norm=_linf,
         strong_norm=_linf,
-        weak_dist=lambda a, b: _linf(np.asarray(a) - np.asarray(b)),
+        weak_dist=lambda a, b: _linf(np.subtract(a, b)),
         bounds=bounds,
         spec=spec,
     )
@@ -320,8 +328,11 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
 
     The feet depend on v only, so they are traced for blocks of substeps
     at once (G must act pointwise on arrays of any shape); only the
-    update of u runs substep by substep. Raises CapExceeded at the end of
-    the first block whose Lipschitz norm exceeds cap.
+    update of u runs substep by substep. The states fill one
+    (substeps+1, n) buffer whose row 0 is u0's, with the sup and
+    Lipschitz norms of each row; a row reads as a state through
+    GridFunction1D(spec.n, spec.length, row). Raises CapExceeded at the
+    end of the first block whose Lipschitz norm exceeds cap.
     """
     times = _solve_grid(v_traj, u0, window, substeps, t_start)
     grid0: GridFunction1D = u0.state
@@ -329,26 +340,25 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
         raise ValueError("initial grid does not match the transport spec")
     _check_cap(u0.strong_norm, cap, t_start)
 
-    frozen = _frozen_inputs(v_traj.times, [s.state.values for s in v_traj.states], times)
+    frozen = _frozen_inputs(v_traj.times, v_traj.values, times)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, sup, lip = _transport_sweep(spec, times, grid0.nodes(), frozen,
-                                          grid0.values, cap)
-    rows.flags.writeable = False  # lets each GridFunction1D keep its row uncopied
-    states = [u0]
-    for row, s, lp in zip(rows, sup.tolist(), lip.tolist()):
-        states.append(NormedPairElement(GridFunction1D(n=spec.n, length=spec.length,
-                                                       values=row), s, lp))
-    return TrajectorySegment(times=times, states=tuple(states))
+        rows, sup, lip = _transport_sweep(spec, times, frozen, u0, cap)
+    # the segment makes rows read-only, so each GridFunction1D keeps its row uncopied
+    return TrajectorySegment(times, rows, sup, lip, u0,
+                             wrap=partial(GridFunction1D, spec.n, spec.length))
 
 
-def _transport_sweep(spec, times, nodes, frozen, u, cap):
-    """All substeps of one step; returns the new rows and their two norms."""
+def _transport_sweep(spec, times, frozen, u0, cap):
+    """All substeps of one step; returns the rows, u0's first, and their two norms."""
     n, length, scheme = spec.n, spec.length, spec.interpolation
     substeps = len(times) - 1
     block = max(1, _BLOCK_POINTS // n)
-    rows = np.empty((substeps, n))
-    sup = np.empty(substeps)
-    lip = np.empty(substeps)
+    nodes = u0.state.nodes()
+    rows = np.empty((substeps + 1, n))
+    sup = np.empty(substeps + 1)
+    lip = np.empty(substeps + 1)
+    rows[0], sup[0], lip[0] = u0.state.values, u0.weak_norm, u0.strong_norm
+    u = rows[0]
     for k0 in range(0, substeps, block):
         k1 = min(k0 + block, substeps)
         h = (times[k0 + 1:k1 + 1] - times[k0:k1])[:, None]
@@ -378,14 +388,21 @@ def _transport_sweep(spec, times, nodes, frozen, u, cap):
                 u_next = u_foot + h[i, 0] * spec.g(x_half[i], u_star)
             if not np.isfinite(u_next).all():
                 raise NonFiniteState(f"transport state overflowed at t={times[k + 1]}")
-            rows[k] = u_next
-            u = rows[k]
+            rows[k + 1] = u_next
+            u = rows[k + 1]
         if stop < k1:
             raise CharacteristicBlowup(
                 "characteristic foot moved more than half the domain in one substep")
-        sup[k0:k1], lip[k0:k1] = sup_lip_norms(rows[k0:k1], length)
-        _check_cap(float(np.max(lip[k0:k1])), cap, float(times[k1]))
+        sup[k0 + 1:k1 + 1], lip[k0 + 1:k1 + 1] = sup_lip_norms(rows[k0 + 1:k1 + 1], length)
+        _check_cap(float(np.max(lip[k0 + 1:k1 + 1])), cap, float(times[k1]))
     return rows, sup, lip
+
+
+def _sup_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| over two row stacks, reduced a block of rows at a time."""
+    block = max(1, _BLOCK_POINTS // a.shape[-1])
+    return max(float(np.max(np.abs(a[k:k + block] - b[k:k + block])))
+               for k in range(0, len(a), block))
 
 
 def make_transport_instance(name: str, spec: TransportSpec) -> ProblemInstance:
@@ -397,7 +414,7 @@ def make_transport_instance(name: str, spec: TransportSpec) -> ProblemInstance:
         step=step,
         weak_norm=lambda gf: sup_norm_values(gf.values),
         strong_norm=lambda gf: lip_norm_values(gf.values, gf.length),
-        weak_dist=lambda a, b: float(np.max(np.abs(a.values - b.values))),
+        weak_dist=_sup_dist,
         bounds=None,  # sharp constants depend on the coefficients' derivatives
         spec=spec,
     )

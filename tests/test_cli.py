@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from twonorm import cli
 from twonorm.cli import (
     EXIT_BLOWUP,
     EXIT_ERROR,
@@ -17,7 +20,8 @@ from twonorm.cli import (
     run_solve,
     run_sweep,
 )
-from twonorm.core import SolveReport
+from twonorm.core import NormedPairElement, Termination
+from twonorm.grids import GridFunction1D
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -175,7 +179,45 @@ def test_solve_report_round_trips_through_file(tmp_path):
     config = parse_config(_decay_config(tmp_path))
     _, report, _ = run_solve(config)
     loaded = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert SolveReport.from_dict(loaded) == report
+    assert loaded == report.to_dict()
+
+
+@pytest.mark.parametrize("instance", ["ode.decay", "transport.burgers"])
+def test_solve_exposes_the_attribute_paths_the_benchmark_reads(tmp_path, monkeypatch, instance):
+    # the benchmark swaps an instance's step and weak_dist through build_instance,
+    # reads the step's x0 and substeps, and checks the final state against an oracle
+    seen = {"step": 0, "weak_dist": 0}
+    build = cli.build_instance
+
+    def traced(config):
+        inst = build(config)
+
+        def step(*args, **kwargs):
+            assert isinstance(args[1], NormedPairElement) and isinstance(args[3], int)
+            seg = inst.step(*args, **kwargs)
+            seen["step"] += 1  # steps that return
+            return seg
+
+        def weak_dist(*args):
+            seen["weak_dist"] += 1
+            return inst.weak_dist(*args)
+        return dataclasses.replace(inst, step=step, weak_dist=weak_dist)
+
+    monkeypatch.setattr(cli, "build_instance", traced)
+    params = {"x0": 1.0} if instance == "ode.decay" else {"n": 32}
+    config = parse_config({"instance": instance, "t_max": 0.25, "params": params,
+                           "output_dir": str(tmp_path / "o"),
+                           "solver": {"substeps_per_window": 8, "empirical_mode": True}})
+    _, report, segments = run_solve(config)
+    assert report.termination is Termination.HORIZON_REACHED
+    assert seen["step"] == seen["weak_dist"] > 0
+    final = segments[-1].states[-1].state
+    if instance == "ode.decay":
+        assert isinstance(final, np.ndarray) and final.shape == (1,)
+        assert float(final[0]) == pytest.approx(math.exp(-0.25), rel=1e-6)
+    else:
+        assert isinstance(final, GridFunction1D) and final.n == 32
+        assert final.nodes().shape == final.values.shape == (32,)
 
 
 def test_solve_riccati_exit_blowup(tmp_path):
@@ -225,7 +267,7 @@ def test_stray_tmp_file_is_neither_clobbered_nor_used(tmp_path):
     _, report, _ = run_solve(parse_config(_decay_config(tmp_path)))
     assert (out / "report.json.tmp").read_text() == "stray"
     loaded = json.loads((out / "report.json").read_text())
-    assert SolveReport.from_dict(loaded) == report
+    assert loaded == report.to_dict()
     assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == [
         "report.json.tmp"]
 

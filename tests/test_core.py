@@ -175,24 +175,32 @@ def test_normed_pair_element_validation():
         NormedPairElement("x", 0.0, -2.0)
 
 
+def _zero_segment(times, rows=None):
+    """A segment of zero states on times, with rows stored states (default: one per time)."""
+    rows = len(times) if rows is None else rows
+    e = NormedPairElement(np.zeros(1), 0.0, 0.0)
+    return TrajectorySegment(times, np.zeros((rows, 1)), np.zeros(rows), np.zeros(rows), e)
+
+
 def test_trajectory_segment_validation():
-    e = NormedPairElement(0.0, 0.0, 0.0)
-    TrajectorySegment(times=np.linspace(0, 1, 5), states=(e,) * 5)
-    TrajectorySegment(times=np.array([0.0, 1.0, 1.5]), states=(e,) * 3)  # non-uniform
+    _zero_segment(np.linspace(0, 1, 5))
+    _zero_segment(np.array([0.0, 1.0, 1.5]))  # non-uniform
     with pytest.raises(ValueError):
-        TrajectorySegment(times=np.array([0.0, 1.0, 0.5]), states=(e,) * 3)
+        _zero_segment(np.array([0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
-        TrajectorySegment(times=np.linspace(0, 1, 5), states=(e,) * 4)
+        _zero_segment(np.linspace(0, 1, 5), rows=4)
     with pytest.raises(ValueError):
-        TrajectorySegment(times=np.array([1.0]), states=(e,))
+        _zero_segment(np.array([1.0]))
+    e = NormedPairElement(np.zeros(1), 0.0, 0.0)
+    with pytest.raises(ValueError, match="length mismatch"):  # one norm short
+        TrajectorySegment(np.linspace(0, 1, 3), np.zeros((3, 1)), np.zeros(3), np.zeros(2), e)
 
 
 def test_short_window_late_in_time_counts_as_uniform():
     # the last 4.3e-6 of a horizon at 1.7e5: adjacent floats there are 2.9e-11
     # apart, so linspace's spacings differ by far more than 1e-6 relative
-    e = NormedPairElement(0.0, 0.0, 0.0)
     times = np.linspace(169999.99999571446, 170000.0, 65)
-    assert TrajectorySegment(times=times, states=(e,) * 65).t_end == 170000.0
+    assert _zero_segment(times).t_end == 170000.0
 
 
 def test_window_plan_validation():
@@ -220,21 +228,6 @@ def test_solver_config_validation():
         SolverConfig(max_windows=0)
     with pytest.raises(ValueError):
         SolverConfig(strong_norm_cap=-1.0)
-
-
-def test_solve_report_round_trip():
-    rep = SolveReport(
-        windows=(
-            WindowRecord(0.0, 0.5, 3, (0.2, 0.1), 1.5),
-            WindowRecord(0.5, 0.75, 4, (0.3,), 2.5),
-        ),
-        termination=Termination.BLOW_UP_DETECTED,
-        t_c_estimate=0.75,
-    )
-    assert SolveReport.from_dict(rep.to_dict()) == rep
-
-    rep2 = SolveReport(windows=(), termination=Termination.HORIZON_REACHED)
-    assert SolveReport.from_dict(rep2.to_dict()) == rep2
 
 
 def test_solve_report_blowup_needs_t_c():

@@ -1,7 +1,8 @@
 """Engine invariants of continuation_solve on random problems.
 
 Every solve, whatever its termination, must return windows that tile
-[0, t_end] without gaps, share each junction state by identity, keep
+[0, t_end] without gaps, share each junction state by identity and its
+row bitwise, store read-only arrays, keep
 each accepted window under the strong-norm cap planned from its first
 state, end exactly at t_max when it reaches the horizon, and reproduce
 its report exactly when run again.
@@ -38,7 +39,9 @@ def _check_invariants(inst, x0, t_max, cfg, threshold):
     for a, b in zip(segments, segments[1:]):
         assert b.t_start == a.t_end
         assert b.states[0] is a.states[-1]
+        assert b.values[0].tobytes() == a.values[-1].tobytes()
     for seg, rec in zip(segments, report.windows):
+        assert not any(arr.flags.writeable for arr in (seg.values, seg.weak, seg.strong))
         assert (rec.t_start, rec.t_end) == (seg.t_start, seg.t_end)
         r0 = seg.states[0].strong_norm
         assert seg.sup_strong() <= cfg.kappa * max(r0, _R0_FLOOR) * (1.0 + 1e-9)

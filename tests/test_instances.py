@@ -28,10 +28,7 @@ TWO_PI = 2.0 * math.pi
 
 def _const_segment(value, t0, t1, samples):
     times = np.linspace(t0, t1, samples)
-    elem = NormedPairElement(np.atleast_1d(np.asarray(value, dtype=float)),
-                             float(np.max(np.abs(value))),
-                             float(np.max(np.abs(value))))
-    return TrajectorySegment(times=times, states=(elem,) * samples)
+    return _segment_from_samples(times, [np.atleast_1d(value)] * samples)
 
 
 def _elem(state):
@@ -42,13 +39,10 @@ def _elem(state):
     return NormedPairElement(state, m, m)
 
 
-def _segment_from_samples(times, samples_2d, norm=None):
-    states = []
-    for row in samples_2d:
-        row = np.atleast_1d(np.asarray(row, dtype=float))
-        m = float(np.max(np.abs(row)))
-        states.append(NormedPairElement(row, m, m))
-    return TrajectorySegment(times=np.asarray(times), states=tuple(states))
+def _segment_from_samples(times, samples_2d):
+    values = np.asarray(samples_2d, dtype=float).reshape(len(times), -1)
+    norms = np.max(np.abs(values), axis=1)
+    return TrajectorySegment(times, values, norms, norms, _elem(values[0]))
 
 
 # -- ode_step -------------------------------------------------------------------
@@ -281,11 +275,10 @@ def test_ode_bounds_need_declared_constants():
 # -- transport_step ----------------------------------------------------------------
 
 def _grid_segment(spec_n, length, arrays, times):
-    states = []
-    for vals in arrays:
-        gf = GridFunction1D(n=spec_n, length=length, values=vals)
-        states.append(NormedPairElement(gf, float(np.max(np.abs(vals))), 0.0))
-    return TrajectorySegment(times=np.asarray(times), states=tuple(states))
+    values = np.array(arrays, dtype=float)
+    start = GridFunction1D(n=spec_n, length=length, values=values[0])
+    return TrajectorySegment(times, values, np.max(np.abs(values), axis=1),
+                             np.zeros(len(values)), _elem(start))
 
 
 def test_transport_constant_advection_shifts():

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from twonorm.core import (
+    CapExceeded,
     ContractionFailureError,
     InvalidCap,
     IterBudgetExceeded,
@@ -106,9 +108,33 @@ def test_fixed_point_residual_bound():
     cfg = SolverConfig()
     seg, rec = picard_window(inst, x0, plan, cfg)
     extra = inst.step(seg, x0, 0.25, cfg.substeps_per_window, 0.0)
-    drift = max(inst.weak_dist(a.state, b.state)
-                for a, b in zip(extra.states, seg.states))
+    drift = inst.weak_dist(extra.values, seg.values)
     assert drift <= cfg.tol * (1.0 + cfg.theta_target) / (1.0 - cfg.theta_target)
+
+
+def test_one_weak_distance_per_returned_step():
+    # Riccati in empirical mode: an iterate whose cap check fails raises
+    # inside the step, and every step that returns gets exactly one weak_dist
+    base = make_riccati_instance()
+    counts = {"steps": 0, "weak_dist": 0}
+
+    def step(*args, **kwargs):
+        seg = base.step(*args, **kwargs)
+        counts["steps"] += 1
+        return seg
+
+    def weak_dist(a, b):
+        counts["weak_dist"] += 1
+        return base.weak_dist(a, b)
+
+    inst = dataclasses.replace(base, step=step, weak_dist=weak_dist)
+    seg, rec = picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.5, t_start=0.0, t_end=0.4),
+                             SolverConfig(substeps_per_window=16))
+    assert counts == {"steps": rec.picard_iters, "weak_dist": rec.picard_iters}
+    with pytest.raises(CapExceeded):  # x = 1/(1-t) passes 2.5 at t = 0.6
+        picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.5, t_start=0.0, t_end=0.9),
+                      SolverConfig(substeps_per_window=16))
+    assert counts["weak_dist"] == counts["steps"] > rec.picard_iters
 
 
 def test_absolute_time_passed_to_rhs():
@@ -153,6 +179,5 @@ def test_burgers_frozen_step_consistency():
     seg, rec = picard_window(inst, x0, plan, cfg)
     theta_hat = estimate_theta_empirical(rec.observed_ratios)
     extra = inst.step(seg, x0, 0.2, cfg.substeps_per_window, 0.0)
-    drift = max(inst.weak_dist(a.state, b.state)
-                for a, b in zip(extra.states, seg.states))
+    drift = inst.weak_dist(extra.values, seg.values)
     assert drift <= cfg.tol * (1.0 + theta_hat) / (1.0 - theta_hat)

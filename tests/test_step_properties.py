@@ -48,10 +48,10 @@ def _lip(u, length):
 def _reference_inputs(v_traj, times):
     """Frozen-field rows at substep ends and midpoints, one substep at a time."""
     v_times = v_traj.times
-    raw = [s.state.values for s in v_traj.states]
+    raw = list(v_traj.values)
     if len(v_times) == len(times) and np.allclose(v_times, times, rtol=1e-12, atol=1e-14):
         return raw, [0.5 * (a + b) for a, b in zip(raw[:-1], raw[1:])]
-    stacked = np.stack(raw)
+    stacked = v_traj.values
 
     def lerp(t):
         t = min(max(t, v_times[0]), v_times[-1])
@@ -108,12 +108,12 @@ def _transport_case(n, substeps, window, t_start, scheme, kind, seed, speed, den
     x0 = NormedPairElement(u0, _sup(u0.values), _lip(u0.values, TWO_PI))
     # dense > 1 samples the frozen field more finely than the solve grid
     times = np.linspace(t_start, t_start + window, dense * substeps + 1)
-    states = [x0]
+    rows = [u0.values]
     for _ in range(dense * substeps):
-        vals = speed * (u0.values + 0.2 * rng.normal(size=n))
-        states.append(NormedPairElement(GridFunction1D(n=n, length=TWO_PI, values=vals),
-                                        _sup(vals), _lip(vals, TWO_PI)))
-    return spec, TrajectorySegment(times=times, states=tuple(states)), x0
+        rows.append(speed * (u0.values + 0.2 * rng.normal(size=n)))
+    v_traj = TrajectorySegment(times, np.array(rows), [_sup(r) for r in rows],
+                               [_lip(r, TWO_PI) for r in rows], x0)
+    return spec, v_traj, x0
 
 
 def _outcome(fn):
@@ -188,7 +188,7 @@ def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, fac
     spec, v_traj, x0 = _transport_case(*case)
     free, err = _outcome(lambda: transport_step(spec, v_traj, x0, window, substeps, t_start))
     assume(err is None)
-    cap = _cap_from(free.strong_history(), j, factor)
+    cap = _cap_from(free.strong, j, factor)
     capped, capped_err = _outcome(
         lambda: transport_step(spec, v_traj, x0, window, substeps, t_start, cap=cap))
     if free.sup_strong() > cap:
@@ -201,31 +201,60 @@ def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, fac
 ODE_SPECS = {
     "riccati": OdeSpec(dimension=1, f=lambda t, y, x: y * x),
     "linear": OdeSpec(dimension=2, f=lambda t, y, x: 0.7 * y - 1.3 * x + np.sin(t)),
+    # x' = 100 x^2 leaves every bound at 1 / (100 x0) for x0 > 0, then overflows
+    "overflow": OdeSpec(dimension=1, f=lambda t, y, x: 100.0 * x * x),
 }
 
 
-@settings(max_examples=80, deadline=None)
+def _ode_rows_until_overflow(spec, y_rows, x0, times):
+    """The 4-stage sweep one substep at a time, up to the last finite state."""
+    x = np.array(x0.state, dtype=np.float64)
+    out = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(times) - 1):
+            t, h = float(times[k]), float(times[k + 1] - times[k])
+            y0, y1 = y_rows[k], y_rows[k + 1]
+            ym = 0.5 * (y0 + y1)
+            k1 = spec.f(t, y0, x)
+            k2 = spec.f(t + 0.5 * h, ym, x + 0.5 * h * k1)
+            k3 = spec.f(t + 0.5 * h, ym, x + 0.5 * h * k2)
+            k4 = spec.f(t + h, y1, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                break
+            out.append(x)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(ODE_SPECS)), st.integers(1, 80), st.floats(1e-3, 2.0),
        st.floats(0.0, 5.0), st.integers(0, 2**31 - 1), st.integers(0, 10**6),
        st.sampled_from([0.5, 0.99, 1.0, 1.01]))
 def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, window, t_start,
                                                               seed, j, factor):
+    # the step finishes the window, then raises for the earliest offending row
     spec = ODE_SPECS[name]
     rng = np.random.default_rng(seed)
     times = np.linspace(t_start, t_start + window, substeps + 1)
     rows = rng.uniform(-2.0, 2.0, size=(substeps + 1, spec.dimension))
-    y = TrajectorySegment(times=times, states=tuple(
-        NormedPairElement(r, _sup(r), _sup(r)) for r in rows))
+    norms = np.max(np.abs(rows), axis=1)
     x0 = NormedPairElement(rows[0], _sup(rows[0]), _sup(rows[0]))
-    free, err = _outcome(lambda: ode_step(spec, y, x0, window, substeps, t_start))
-    assume(err is None)
-    cap = _cap_from(free.strong_history(), j, factor)
+    y = TrajectorySegment(times, rows, norms, norms, x0)
+    free = _ode_rows_until_overflow(spec, rows, x0, times)
+    free_norms = [_sup(x) for x in free]
+    # half the caps sit at the largest finite norm, so runs without a crossing are common
+    cap = _cap_from(free_norms + [max(free_norms)] * len(free_norms), j, factor)
     capped, capped_err = _outcome(
         lambda: ode_step(spec, y, x0, window, substeps, t_start, cap=cap))
-    if free.sup_strong() > cap:
-        assert capped_err is not None and capped_err[0] is CapExceeded
-    else:
+    crossing = next((k for k, v in enumerate(free_norms) if v > cap), None)
+    if crossing is not None:  # a finite state crosses the cap before any overflow
+        assert capped_err[0] is CapExceeded
+        assert capped_err[1].endswith(f"by t={float(times[crossing])}")
+    elif len(free) < len(times):  # the overflow comes before any crossing
+        assert capped_err == (NonFiniteState, f"state overflowed at t={float(times[len(free)])}")
+    else:  # bitwise the uncapped run, which is the one-substep-at-a-time sweep
         assert capped_err is None
-        for a, b in zip(capped.states[1:], free.states[1:]):
-            assert a.state.tobytes() == b.state.tobytes()
-            assert a.strong_norm == b.strong_norm
+        uncapped = ode_step(spec, y, x0, window, substeps, t_start)
+        assert capped.values.tobytes() == uncapped.values.tobytes() == np.array(free).tobytes()
+        assert capped.strong.tobytes() == uncapped.strong.tobytes()
+        assert capped.strong.tolist() == free_norms
