@@ -459,15 +459,16 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     plans a window (from the instance's analytic bounds, or by empirical
     halving when there are none or cfg.empirical_mode is set), runs the
     fixed-point iteration, and restarts from the exact end state. An
-    analytic plan of length 0 is a contraction failure. Blow-up
-    is declared once the strong norm passes the configured threshold or
-    the adaptive window drops below cfg.min_window. The reported t_c is
-    the detection time: the first stored time whose strong norm is over
-    the threshold, or the start of the window that collapsed. It is not
-    a bound on either side of the true critical time. A norm that grows
-    without limit passes the threshold before it (Riccati: t_c < 1), while
-    a discrete norm that saturates on a fixed grid passes it early or late
-    (Burgers: 2.2 % early at n = 256, 0.63 % late at n = 1024).
+    analytic plan of length 0, or an attempt too short for m + 1 distinct
+    grid times, is a contraction failure. Blow-up is declared once the
+    strong norm passes the configured threshold or the adaptive window
+    drops below cfg.min_window. The reported t_c is the detection time:
+    the first stored time whose strong norm is over the threshold, or the
+    start of the window that collapsed. It is not a bound on either side
+    of the true critical time. A norm that grows without limit passes the
+    threshold before it (Riccati: t_c < 1), while a discrete norm that
+    saturates on a fixed grid passes it early or late (Burgers: 2.2 %
+    early at n = 256, 0.63 % late at n = 1024).
     """
     if not math.isfinite(x0.strong_norm):
         raise ValueError("initial state must have a finite strong norm")
@@ -522,16 +523,22 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
         seg = None
         while True:
             if window < remaining * (1.0 - 1e-9):
-                attempt, plan = window, WindowPlan(K=k_cap, t_start=t_cur, t_end=t_cur + window)
+                attempt, t_end = window, t_cur + window
             else:  # a window within float jitter of the remaining horizon ends on it
-                attempt, plan = remaining, WindowPlan(K=k_cap, t_start=t_cur, t_end=t_max)
+                attempt, t_end = remaining, t_max
+            times = np.linspace(t_cur, t_end, cfg.substeps_per_window + 1)
+            if not np.all(times[1:] > times[:-1]):
+                termination = Termination.CONTRACTION_FAILURE
+                break
             try:
-                seg, rec = picard_window(instance, x_cur, plan, cfg)
+                seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)
                 break
             except WindowFailure:
                 window = attempt * cfg.window_shrink
                 if window < cfg.min_window:
                     break
+        if termination is not None:
+            break
         if seg is None:
             termination = Termination.BLOW_UP_DETECTED
             t_c = t_cur

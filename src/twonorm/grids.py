@@ -74,8 +74,11 @@ def sup_lip_norms(values: np.ndarray, length: float):
     """Sup and discrete Lipschitz norms of each row (last axis) of values."""
     dx = length / values.shape[-1]
     sup = np.max(np.abs(values), axis=-1)
-    slopes = np.abs(np.roll(values, -1, axis=-1) - values) / dx
-    return sup, sup + np.max(slopes, axis=-1)
+    diff = np.empty_like(values)
+    np.subtract(values[..., 1:], values[..., :-1], out=diff[..., :-1])
+    np.subtract(values[..., :1], values[..., -1:], out=diff[..., -1:])
+    # dividing the largest |difference| by dx > 0 is bitwise the largest quotient
+    return sup, sup + np.max(np.abs(diff, out=diff), axis=-1) / dx
 
 
 def sup_norm_values(values: np.ndarray) -> float:
@@ -119,25 +122,37 @@ def pad_periodic(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[..., -1:], values, values[..., :3]), axis=-1)
 
 
+def wrap_periodic(x, length: float):
+    """Bitwise np.mod(x, length) for float64 x, without its floor division.
+
+    np.mod is the exact fmod shifted by length where negative; -0 + 0.0 is +0.
+    """
+    m = np.fmod(x, length)
+    m += length * (m < 0.0)
+    return m
+
+
 def interp_stencil(x_wrapped: np.ndarray, length: float, n: int):
-    """Stencil of periodic interpolation at positions already wrapped by np.mod.
+    """Stencil of periodic interpolation at an array of wrapped positions.
 
     Returns (idx, frac): in a row padded by pad_periodic, idx indexes the
     first of the four stencil samples, i.e. the left neighbour's left
     neighbour, and frac in [0, 1) is the offset from the left neighbour in
     cells. Offsets within _NODE_SNAP of a node are snapped onto it so float
     jitter never leaks neighbour values into node queries. Positions must
-    be wrapped exactly once: np.mod can return length itself for tiny
+    be wrapped exactly once, by wrap_periodic: it can return length for tiny
     negative x, and wrapping that again gives 0 and a different stencil.
     """
     s = x_wrapped * (n / length)
-    idx = np.floor(s).astype(np.int64)
-    frac = s - idx
+    floor = np.floor(s)
+    frac = s - floor
     snap_hi = frac > 1.0 - _NODE_SNAP
+    idx = floor.astype(np.int64)
+    idx += snap_hi
     # finite positions give idx in [0, n] already; NaN ones get a valid
     # stencil here and still a NaN frac, so their result is NaN
-    idx = np.clip(np.where(snap_hi, idx + 1, idx), 0, n)
-    frac = np.where(snap_hi | (frac < _NODE_SNAP), 0.0, frac)
+    np.minimum(np.maximum(idx, 0, out=idx), n, out=idx)
+    np.copyto(frac, 0.0, where=snap_hi | (frac < _NODE_SNAP))
     return idx, frac
 
 
@@ -150,10 +165,24 @@ def interp_eval(padded: np.ndarray, idx: np.ndarray, frac: np.ndarray,
         return p1 + frac * (p2 - p1)
     p0 = padded[idx]
     p3 = padded[3:][idx]
-    return p1 + 0.5 * frac * (
-        p2 - p0
-        + frac * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3 + frac * (3.0 * (p1 - p2) + p3 - p0))
-    )
+    # Catmull-Rom p1 + 0.5 * frac * (p2 - p0 + frac * (2.0 * p0 - 5.0 * p1 + 4.0 * p2
+    # - p3 + frac * (3.0 * (p1 - p2) + p3 - p0))) in place: each step is one IEEE
+    # operation of this nested form on the same operands, up to commuting * and +
+    c = p1 - p2
+    c *= 3.0
+    c += p3
+    c -= p0
+    c *= frac
+    b = 2.0 * p0
+    b -= 5.0 * p1
+    b += 4.0 * p2
+    b -= p3
+    b += c
+    b *= frac
+    b += np.subtract(p2, p0, out=c)
+    b *= 0.5 * frac
+    b += p1
+    return b
 
 
 def interp_values(values: np.ndarray, length: float, x, scheme: str = "cubic",
@@ -163,17 +192,17 @@ def interp_values(values: np.ndarray, length: float, x, scheme: str = "cubic",
     'linear' is piecewise linear; 'cubic' is the 4-point Catmull-Rom
     cardinal spline. Both reproduce node values exactly (see
     interp_stencil). stencil, when given, is interp_stencil's result for
-    x wrapped once by np.mod, built ahead (e.g. for many rows in one
-    batch); it is used instead of rebuilding it from x.
+    x wrapped once by wrap_periodic, built ahead (e.g. for many rows in
+    one batch); it is used instead of rebuilding it from x.
     """
     if scheme not in INTERP_SCHEMES:
         raise ValueError(f"unknown interpolation scheme {scheme!r}")
     if stencil is None:
-        x_wrapped = np.mod(np.asarray(x, dtype=np.float64), length)
+        x_wrapped = wrap_periodic(np.atleast_1d(np.asarray(x, dtype=np.float64)), length)
         stencil = interp_stencil(x_wrapped, length, len(values))
     out = interp_eval(pad_periodic(np.asarray(values)), *stencil, scheme)
     if np.ndim(x) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 

@@ -31,6 +31,7 @@ from .grids import (
     lip_norm_values,
     sup_lip_norms,
     sup_norm_values,
+    wrap_periodic,
 )
 
 
@@ -365,7 +366,7 @@ def _transport_sweep(spec, times, frozen, u0, cap):
         v_ends, v_mids = frozen(k0, k1)
         # backward trace over each substep: dX/ds = -G, 2-stage midpoint
         g_end = spec.G(np.broadcast_to(nodes, v_mids.shape), v_ends[1:])
-        x_half = np.mod(nodes + 0.5 * h * g_end, length)
+        x_half = wrap_periodic(nodes + 0.5 * h * g_end, length)
         half_idx, half_frac = interp_stencil(x_half, length, n)
         v_half = np.empty_like(x_half)
         for i, v_mid in enumerate(v_mids):
@@ -374,7 +375,7 @@ def _transport_sweep(spec, times, frozen, u0, cap):
         foot = nodes + h * spec.G(x_half, v_half)
         blown = np.flatnonzero(np.max(np.abs(foot - nodes), axis=1) > 0.5 * length)
         stop = k0 + int(blown[0]) if blown.size else k1
-        foot = np.mod(foot, length)
+        foot = wrap_periodic(foot, length)
         foot_idx, foot_frac = interp_stencil(foot, length, n)
         # the only sequential part: each substep interpolates the one before
         for k in range(k0, stop):
@@ -386,10 +387,12 @@ def _transport_sweep(spec, times, frozen, u0, cap):
             else:
                 u_star = u_foot + 0.5 * h[i, 0] * spec.g(foot[i], u_foot)
                 u_next = u_foot + h[i, 0] * spec.g(x_half[i], u_star)
-            if not np.isfinite(u_next).all():
-                raise NonFiniteState(f"transport state overflowed at t={times[k + 1]}")
             rows[k + 1] = u_next
             u = rows[k + 1]
+        finite = np.isfinite(rows[k0 + 1:stop + 1]).all(axis=1)
+        if not finite.all():
+            k = k0 + int(np.argmin(finite))
+            raise NonFiniteState(f"transport state overflowed at t={times[k + 1]}")
         if stop < k1:
             raise CharacteristicBlowup(
                 "characteristic foot moved more than half the domain in one substep")

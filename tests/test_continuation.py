@@ -1,11 +1,13 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from twonorm.core import (
     AprioriBound,
+    CapExceeded,
     SolverConfig,
     StabilityBounds,
     Termination,
@@ -233,3 +235,54 @@ def test_analytic_windows_below_min_window_still_reach_the_horizon():
     assert rep.termination is Termination.HORIZON_REACHED
     assert segs[-1].t_end == 1e-3
     assert min(w.t_end - w.t_start for w in rep.windows) < SolverConfig().min_window
+
+
+@pytest.mark.parametrize("empirical", [False, True])
+def test_forced_zero_crossing_at_a_late_time_ends_without_an_exception(empirical):
+    # x' = -1.145 from 9.3e4: analytic windows shrink with the strong norm
+    # until the m + 1 grid times of a window are no longer distinct floats;
+    # that used to escape as "ValueError: times must be strictly increasing"
+    inst = make_linear_ode_instance(0.0, 0.0, forcing=-1.1452242316012757)
+    x0 = 92972.81636387811
+    cfg = SolverConfig(kappa=1.7339569268753046, substeps_per_window=13,
+                       empirical_mode=empirical)
+    segs, rep = continuation_solve(inst, _scalar(inst, x0), 3.0 * x0, cfg)
+    if empirical:
+        assert rep.termination is Termination.HORIZON_REACHED
+        assert segs[-1].t_end == 3.0 * x0
+    else:
+        assert rep.termination is Termination.CONTRACTION_FAILURE
+        assert 0.0 < rep.windows[-1].t_end < 3.0 * x0
+
+
+def test_empirical_window_too_short_for_distinct_times_is_a_contraction_failure():
+    # every attempt past t = 1e6 fails, so the empirical window halves until
+    # its 17 grid times repeat (1e-9 at 1e6), long before min_window = 1e-12
+    inst = make_decay_instance()
+
+    def step(y, x0, window, substeps, t_start=0.0, cap=None):
+        if t_start + window > 1e6:
+            raise CapExceeded("refused past t = 1e6")
+        return inst.step(y, x0, window, substeps, t_start, cap)
+
+    cfg = SolverConfig(substeps_per_window=16, min_window=1e-12, empirical_mode=True)
+    segs, rep = continuation_solve(replace(inst, step=step), _scalar(inst, 0.0), 2e6, cfg)
+    assert rep.termination is Termination.CONTRACTION_FAILURE
+    assert segs[-1].t_end == 1e6
+
+
+def test_forced_linear_sweep_raises_nothing():
+    # x' = forcing drives the strong norm through 0 whenever the signs of x0
+    # and forcing differ, which shrinks analytic windows towards the float
+    # spacing at late times; 6 of these draws used to raise a ValueError
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        forcing = rng.uniform(-2.0, 2.0)
+        x0 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 6.0)
+        cfg = SolverConfig(kappa=rng.uniform(1.1, 4.0),
+                           substeps_per_window=int(rng.integers(2, 17)),
+                           empirical_mode=bool(rng.random() < 0.5))
+        inst = make_linear_ode_instance(0.0, 0.0, forcing)
+        segs, rep = continuation_solve(inst, _scalar(inst, x0), 3.0 * abs(x0), cfg)
+        if rep.termination is Termination.HORIZON_REACHED:
+            assert segs[-1].t_end == 3.0 * abs(x0)

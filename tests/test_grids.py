@@ -15,7 +15,9 @@ from twonorm.grids import (
     interpolate,
     lip_norm,
     sup_distance,
+    sup_lip_norms,
     sup_norm,
+    wrap_periodic,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -252,3 +254,41 @@ def test_interpolation_at_non_finite_positions_is_nan(scheme):
     with np.errstate(invalid="ignore"):
         out = interpolate(u, np.array([np.nan, np.inf, -np.inf, 0.3]), scheme)
     assert np.all(np.isnan(out[:3])) and np.isfinite(out[3])
+
+
+# -- the transport kernel's exact shortcuts --------------------------------------
+
+LENGTHS = [1.0, 2.7, TWO_PI, 1e-3, 1e5]
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                    1.8e308, -1.8e308, 1e-17, -1e-17])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(0, 64), elements=st.floats(width=64)),
+       st.sampled_from(LENGTHS))
+def test_wrap_periodic_is_bitwise_np_mod(x, length):
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.concatenate([x, SPECIAL, SPECIAL * length, [length, -length, 2 * length],
+                            [-2 * length]])
+        assert wrap_periodic(x, length).tobytes() == np.mod(x, length).tobytes()
+
+
+def _roll_and_divide(values, length):
+    dx = length / values.shape[-1]
+    sup = np.max(np.abs(values), axis=-1)
+    return sup, sup + np.max(np.abs(np.roll(values, -1, axis=-1) - values) / dx, axis=-1)
+
+
+finite_or_huge = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([1.7e308, -1.7e308, 8e307, -8e307]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 40), st.data(), st.sampled_from(LENGTHS),
+       st.booleans())
+def test_sup_lip_norms_is_bitwise_the_roll_and_divide_formula(rows, n, data, length, stack):
+    shape = (rows, n) if stack else (n,)
+    values = data.draw(arrays(np.float64, shape, elements=finite_or_huge))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = sup_lip_norms(values, length), _roll_and_divide(values, length)
+    assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twonorm import instances
 from twonorm.core import (
     NonFiniteState,
     NormedPairElement,
@@ -22,6 +23,8 @@ from twonorm.instances import (
     transport_step,
 )
 from twonorm.oracles import burgers_profile_at, sine_profile
+
+from test_step_properties import _reference_step, _transport_case
 
 TWO_PI = 2.0 * math.pi
 
@@ -347,6 +350,20 @@ def test_transport_characteristic_blowup_guard():
     v = _grid_segment(n, TWO_PI, [u0.values] * 3, times)
     with pytest.raises(CharacteristicBlowup):
         transport_step(spec, v, _elem(u0), 1.0, 2)
+
+
+def test_transport_overflow_inside_a_block_names_the_first_non_finite_row():
+    # finiteness is checked once per block; with n = 16 one block holds all
+    # 256 substeps, and u' = 1e150 u^2 first overflows at row 90 of them
+    substeps, window = 256, 3e-150
+    assert max(1, instances._BLOCK_POINTS // 16) == substeps
+    spec, v, x0 = _transport_case(16, substeps, window, 0.0, "cubic", "overflow", 0, 1.0)
+    message = f"transport state overflowed at t={np.linspace(0.0, window, substeps + 1)[90]}"
+    with pytest.raises(NonFiniteState) as want:
+        _reference_step(spec, v, x0.state, window, substeps, 0.0)
+    with pytest.raises(NonFiniteState) as got:
+        transport_step(spec, v, x0, window, substeps, 0.0)
+    assert str(got.value) == str(want.value) == message
 
 
 def test_transport_grid_mismatch_rejected():
