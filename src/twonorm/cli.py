@@ -219,7 +219,11 @@ def build_initial_state(config: RunConfig, instance: ProblemInstance,
 def _solve(config: RunConfig, amplitude_override: float | None = None):
     """Build the configured instance and initial state and solve to t_max."""
     instance = build_instance(config)
-    x0 = build_initial_state(config, instance, amplitude_override=amplitude_override)
+    with np.errstate(over="ignore"):  # a finite amplitude can give an overflowing slope
+        x0 = build_initial_state(config, instance, amplitude_override=amplitude_override)
+    if not math.isfinite(x0.strong_norm):
+        name = "--amplitudes" if amplitude_override is not None else "field 'params.amplitude'"
+        raise ConfigError(f"{name}: the initial strong norm overflows; use a smaller amplitude")
     segments, report = continuation_solve(instance, x0, config.t_max, config.solver)
     return instance, segments, report
 
@@ -235,7 +239,10 @@ def _fmt(x: float) -> str:
 def resolve_output_dir(config: RunConfig) -> str:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     out = os.path.join(root, config.output_dir) if root else config.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"field 'output_dir': cannot create directory {out}: {exc}") from exc
     return out
 
 
@@ -311,8 +318,8 @@ def run_solve(config: RunConfig):
 
     Returns (exit_code, report, segments).
     """
-    _, segments, report = _solve(config)
     out_dir = resolve_output_dir(config)
+    _, segments, report = _solve(config)
     if config.emit_report:
         write_report_json(os.path.join(out_dir, "report.json"), report)
         write_windows_csv(os.path.join(out_dir, "windows.csv"), report)
@@ -349,6 +356,7 @@ def run_sweep(config: RunConfig, levels: int):
     """
     if levels < 1:
         raise ConfigError("levels must be >= 1")
+    out_dir = resolve_output_dir(config)
     errors = []
     for lev in range(levels):
         if config.instance.startswith("ode."):
@@ -371,7 +379,6 @@ def run_sweep(config: RunConfig, levels: int):
         else:
             order = _fmt(math.log2(errors[lev - 1] / err))
         rows.append([str(lev), _fmt(err), order])
-    out_dir = resolve_output_dir(config)
     _write_atomic(os.path.join(out_dir, "sweep.csv"),
                   _csv_text(["level", "error", "observed_order"], rows))
     return EXIT_OK, errors
@@ -393,6 +400,7 @@ def run_blowup_scan(config: RunConfig, amplitudes):
     """
     if config.instance not in ("transport.burgers", "ode.riccati"):
         raise ConfigError("blow-up scans need instance transport.burgers or ode.riccati")
+    out_dir = resolve_output_dir(config)
     base_amp = float(config.params.get("amplitude", config.params.get("x0", 1.0)))
     rows = []
     results = []
@@ -410,7 +418,6 @@ def run_blowup_scan(config: RunConfig, amplitudes):
         oracle = _oracle_t_star(config, amp)
         rows.append([_fmt(amp), _fmt(t_c), _fmt(oracle)])
         results.append((amp, t_c, oracle, report.termination))
-    out_dir = resolve_output_dir(config)
     _write_atomic(os.path.join(out_dir, "blowup.csv"),
                   _csv_text(["amplitude", "t_c_estimate", "oracle_T_star"], rows))
     return EXIT_OK, results
@@ -443,7 +450,12 @@ def main(argv=None) -> int:
             code, errors = run_sweep(config, args.levels)
             print(f"{config.instance}: sweep errors {[f'{e:.3e}' for e in errors]}")
             return code
-        amplitudes = [float(a) for a in args.amplitudes.split(",") if a]
+        try:
+            amplitudes = [float(a) for a in args.amplitudes.split(",") if a]
+        except ValueError:
+            amplitudes = [math.nan]  # not a number: reported with the non-finite ones
+        if not all(map(math.isfinite, amplitudes)):
+            raise ConfigError(f"--amplitudes: must be finite numbers, got {args.amplitudes!r}")
         code, results = run_blowup_scan(config, amplitudes)
         for amp, t_c, oracle, term in results:
             print(f"amplitude {amp:g}: t_c {t_c:g} (oracle {oracle:g}, {term.value})")

@@ -281,12 +281,17 @@ def select_window(apriori: AprioriBound, r0: float, k_cap: float, t_max: float,
             raise NonMonotone("a-priori bound decreases in t on sampled probes")
     if sampled[-1] <= k_cap:
         return t_max
-    lo, hi = 0.0, t_max  # apriori(0) = r0 < k_cap, apriori(t_max) > k_cap
-    while hi - lo > tol_t:
+    # apriori(0) = r0 < k_cap, apriori(t_max) > k_cap
+    return _bisect(lambda t: apriori.eval(t, r0, k_cap) <= k_cap, 0.0, t_max, tol_t)
+
+
+def _bisect(ok, lo: float, hi: float, tol: float) -> float:
+    """Halve [lo, hi], ok(lo) true and ok(hi) false, to tol or no float inside; return lo."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if apriori.eval(mid, r0, k_cap) <= k_cap:
+        if ok(mid):
             lo = mid
         else:
             hi = mid
@@ -297,7 +302,7 @@ def _sup_ratio(fn, t: float, radii: np.ndarray) -> float:
     return max(fn(t, float(r)) / float(r) for r in radii)
 
 
-def select_contraction_window(bounds: StabilityBounds, k_cap: float, r0: float,
+def select_contraction_window(bounds: StabilityBounds, k_cap: float,
                               t1: float, theta_target: float,
                               swap_roles: bool = False, *,
                               min_t: float = 0.0) -> float:
@@ -310,8 +315,8 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float, r0: float,
     toward 1 once if infeasible. With swap_roles the two bounds trade
     places, mirroring the symmetric variant of the construction.
 
-    r0 is not read. Raises NoContractionWindow when no t >= min_t works,
-    which signals invalid stability bounds.
+    Raises NoContractionWindow when no t >= min_t works, which signals
+    invalid stability bounds.
     """
     if not t1 > 0:
         raise ValueError("t1 must be positive")
@@ -347,14 +352,7 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float, r0: float,
         floor = max(min_t, t1 * 1e-12)
         if not feasible(floor):
             continue
-        lo, hi = floor, t1
-        while hi - lo > t1 * 1e-12:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _bisect(feasible, floor, t1, t1 * 1e-12)
     raise NoContractionWindow(
         f"no contraction window of length >= {min_t} exists below {t1}")
 
@@ -501,8 +499,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
             break
 
         remaining = t_max - t_cur
-        r0 = max(x_cur.strong_norm, _R0_FLOOR)
-        k_cap = cfg.kappa * r0
+        k_cap = cfg.kappa * max(x_cur.strong_norm, _R0_FLOOR)
         if analytic:
             apriori, stability = instance.bounds
             t1 = select_window(apriori, x_cur.strong_norm, k_cap, remaining)
@@ -511,7 +508,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
                 break
             try:
                 window = select_contraction_window(
-                    stability, k_cap, r0, t1, cfg.theta_target,
+                    stability, k_cap, t1, cfg.theta_target,
                     cfg.swap_roles, min_t=cfg.min_window)
             except NoContractionWindow:
                 termination = Termination.CONTRACTION_FAILURE

@@ -54,9 +54,10 @@ class ProblemInstance:
     """A frozen-step operator together with its norm pair.
 
     step(y_traj, x0, window, substeps, t_start, cap=None) solves the
-    frozen problem with input trajectory y_traj (read through its stacked
-    rows y_traj.values) and returns a TrajectorySegment whose start is the
-    x0 element and whose row 0 is x0's raw state. When cap is given, step
+    frozen problem on the times of its input trajectory y_traj (the
+    window's uniform grid of substeps steps, read through its stacked rows
+    y_traj.values) and returns a TrajectorySegment whose start is the x0
+    element and whose row 0 is x0's raw state. When cap is given, step
     may raise CapExceeded instead of returning a trajectory whose strong
     norm exceeds it (the bundled steps do, exactly when the finished
     trajectory's sup_strong() would exceed cap); picard_window checks the
@@ -116,9 +117,8 @@ def _solve_grid(y_traj: TrajectorySegment, x0, window: float, substeps: int,
                 t_start: float) -> np.ndarray:
     """Check the step operators' shared entry contract; return the solve grid.
 
-    The solve grid is the input's own times when they lie within
-    1e-9 * window of the uniform grid of the window; otherwise it is that
-    uniform grid, and the input must cover it within the same slack.
+    The solve grid is the input's own times, which must lie within
+    1e-9 * window of the window's uniform grid of substeps steps.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -126,41 +126,17 @@ def _solve_grid(y_traj: TrajectorySegment, x0, window: float, substeps: int,
         raise ValueError(f"window must be a finite positive number, got {window}")
     if not isinstance(x0, NormedPairElement):
         raise TypeError(f"x0 must be a NormedPairElement from make_element, not {type(x0)}")
-    slack = 1e-9 * window
-    times = np.linspace(t_start, t_start + window, substeps + 1)
-    have = y_traj.times
-    if len(have) == len(times) and np.all(np.abs(have - times) <= slack):
-        return have
-    if y_traj.t_start > times[0] + slack or y_traj.t_end < times[-1] - slack:
-        raise ValueError("frozen input trajectory does not cover the window")
+    times, grid = y_traj.times, np.linspace(t_start, t_start + window, substeps + 1)
+    if len(times) != len(grid) or not np.all(np.abs(times - grid) <= 1e-9 * window):
+        raise ValueError(f"frozen input times must lie on the window's grid of {substeps} "
+                         f"uniform substeps over [{t_start}, {t_start + window}]")
     return times
 
 
-def _frozen_inputs(y_times: np.ndarray, values: np.ndarray, times: np.ndarray):
-    """Frozen-input samples, block by block: block(k0, k1) -> (ends, mids).
-
-    ends stacks the input at times[k0..k1], mids at the midpoints of
-    substeps k0..k1-1. The input's own rows (values) are used when times
-    is its grid (midpoints are 0.5 * (a + b)); otherwise the rows are
-    interpolated linearly in time, so reference inputs may be sampled
-    more densely than the solve grid.
-    """
-    if times is y_times:
-        def block(k0: int, k1: int):
-            ends = values[k0:k1 + 1]
-            return ends, 0.5 * (ends[:-1] + ends[1:])
-        return block
-
-    def lerp(t: np.ndarray) -> np.ndarray:
-        t = np.clip(t, y_times[0], y_times[-1])
-        j = np.clip(np.searchsorted(y_times, t, side="right") - 1, 0, len(y_times) - 2)
-        w = ((t - y_times[j]) / (y_times[j + 1] - y_times[j]))[:, None]
-        return (1.0 - w) * values[j] + w * values[j + 1]
-
-    def block(k0: int, k1: int):
-        t = times[k0:k1 + 1]
-        return lerp(t), lerp(0.5 * (t[:-1] + t[1:]))
-    return block
+def _frozen_inputs(values: np.ndarray, k0: int, k1: int):
+    """The frozen input of substeps k0..k1-1: rows at their ends, means at their midpoints."""
+    ends = values[k0:k1 + 1]
+    return ends, 0.5 * (ends[:-1] + ends[1:])
 
 
 def _check_cap(strong_norm: float, cap: float | None, t: float) -> None:
@@ -173,8 +149,8 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
              cap: float | None = None) -> TrajectorySegment:
     """Classic 4-stage one-step solve of x' = f(t, y(t), x) with frozen y.
 
-    x0 is an element with state shape (spec.dimension,); y_traj covers the
-    window and is interpolated linearly in time between its samples. The
+    x0 is an element with state shape (spec.dimension,); y_traj is sampled
+    on the solve grid, and its midpoint value is the mean of two rows. The
     states fill one (substeps+1, dimension) buffer whose row 0 is x0's;
     each row's max-abs norm serves as both its weak and strong norm. The
     step finishes the window before it checks the rows: it then raises
@@ -185,13 +161,13 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
     if np.shape(x0.state) != (spec.dimension,):
         raise ValueError(f"x0 has shape {np.shape(x0.state)}, spec dimension is {spec.dimension}")
     _check_cap(x0.strong_norm, cap, t_start)
-    y_ends, y_mids = _frozen_inputs(y_traj.times, y_traj.values, times)(0, substeps)
 
     xs = np.empty((substeps + 1, spec.dimension))
     xs[0] = x0.state
     x = xs[0]
     f = spec.f
     with np.errstate(over="ignore", invalid="ignore"):
+        y_ends, y_mids = _frozen_inputs(y_traj.values, 0, substeps)
         for k in range(substeps):
             t_k = float(times[k])
             h = float(times[k + 1] - times[k])
@@ -238,13 +214,9 @@ def ode_bounds(spec: OdeSpec) -> InstanceBounds:
 def make_ode_instance(name: str, spec: OdeSpec) -> ProblemInstance:
     """The instance of spec, with analytic bounds when it declares Lipschitz data."""
     bounds = ode_bounds(spec) if spec.lipschitz_y is not None else None
-
-    def step(y_traj, x0, window, substeps, t_start=0.0, cap=None):
-        return ode_step(spec, y_traj, x0, window, substeps, t_start, cap)
-
     return ProblemInstance(
         name=name,
-        step=step,
+        step=partial(ode_step, spec),
         weak_norm=_linf,
         strong_norm=_linf,
         weak_dist=lambda a, b: _linf(np.subtract(a, b)),
@@ -320,12 +292,12 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
                    cap: float | None = None) -> TrajectorySegment:
     """Semi-Lagrangian solve of du/dt = G(x, v(t,x)) du/dx + g(x, u).
 
-    u0 is an element on the spec's grid; v_traj covers the window. Per
-    substep and per node: trace the characteristic one substep backward
-    (dX/ds = -G, 2-stage midpoint), interpolate the previous values at the
-    foot, then advance du/ds = g(X(s), u) along the characteristic with a
-    2-stage step. v is interpolated linearly in time between its samples
-    and spatially on its grid.
+    u0 is an element on the spec's grid; v_traj is sampled on the solve
+    grid. Per substep and per node: trace the characteristic one substep
+    backward (dX/ds = -G, 2-stage midpoint), interpolate the previous
+    values at the foot, then advance du/ds = g(X(s), u) along the
+    characteristic with a 2-stage step. v is interpolated spatially on
+    its grid; at a midpoint in time it is the mean of two rows.
 
     The feet depend on v only, so they are traced for blocks of substeps
     at once (G must act pointwise on arrays of any shape); only the
@@ -341,15 +313,14 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
         raise ValueError("initial grid does not match the transport spec")
     _check_cap(u0.strong_norm, cap, t_start)
 
-    frozen = _frozen_inputs(v_traj.times, v_traj.values, times)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, sup, lip = _transport_sweep(spec, times, frozen, u0, cap)
+        rows, sup, lip = _transport_sweep(spec, times, v_traj.values, u0, cap)
     # the segment makes rows read-only, so each GridFunction1D keeps its row uncopied
     return TrajectorySegment(times, rows, sup, lip, u0,
                              wrap=partial(GridFunction1D, spec.n, spec.length))
 
 
-def _transport_sweep(spec, times, frozen, u0, cap):
+def _transport_sweep(spec, times, v_values, u0, cap):
     """All substeps of one step; returns the rows, u0's first, and their two norms."""
     n, length, scheme = spec.n, spec.length, spec.interpolation
     substeps = len(times) - 1
@@ -363,7 +334,7 @@ def _transport_sweep(spec, times, frozen, u0, cap):
     for k0 in range(0, substeps, block):
         k1 = min(k0 + block, substeps)
         h = (times[k0 + 1:k1 + 1] - times[k0:k1])[:, None]
-        v_ends, v_mids = frozen(k0, k1)
+        v_ends, v_mids = _frozen_inputs(v_values, k0, k1)
         # backward trace over each substep: dX/ds = -G, 2-stage midpoint
         g_end = spec.G(np.broadcast_to(nodes, v_mids.shape), v_ends[1:])
         x_half = wrap_periodic(nodes + 0.5 * h * g_end, length)
@@ -409,12 +380,9 @@ def _sup_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def make_transport_instance(name: str, spec: TransportSpec) -> ProblemInstance:
-    def step(v_traj, u0, window, substeps, t_start=0.0, cap=None):
-        return transport_step(spec, v_traj, u0, window, substeps, t_start, cap)
-
     return ProblemInstance(
         name=name,
-        step=step,
+        step=partial(transport_step, spec),
         weak_norm=lambda gf: sup_norm_values(gf.values),
         strong_norm=lambda gf: lip_norm_values(gf.values, gf.length),
         weak_dist=_sup_dist,

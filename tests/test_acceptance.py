@@ -179,14 +179,14 @@ def test_criterion_7_discrete_fatou():
 
 def test_criterion_8_role_swap():
     sym = StabilityBounds(b=lambda t, r: t * r, c=lambda t, r: t * r)
-    plain = select_contraction_window(sym, 1.0, 1.0, 10.0, 0.5)
-    swapped = select_contraction_window(sym, 1.0, 1.0, 10.0, 0.5, swap_roles=True)
+    plain = select_contraction_window(sym, 1.0, 10.0, 0.5)
+    swapped = select_contraction_window(sym, 1.0, 10.0, 0.5, swap_roles=True)
     assert plain == swapped
 
     asym = StabilityBounds(b=lambda t, r: 0.25 * t * r, c=lambda t, r: 3.0 * t * r)
     manual = StabilityBounds(b=asym.c, c=asym.b)
-    got = select_contraction_window(asym, 2.0, 1.0, 5.0, 0.4, swap_roles=True)
-    want = select_contraction_window(manual, 2.0, 1.0, 5.0, 0.4)
+    got = select_contraction_window(asym, 2.0, 5.0, 0.4, swap_roles=True)
+    want = select_contraction_window(manual, 2.0, 5.0, 0.4)
     assert got == want
     _report("8 role swap", f"symmetric {plain}, asymmetric swap == manual {got}")
 

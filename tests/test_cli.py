@@ -445,3 +445,43 @@ def test_main_blowup_parses_amplitudes(tmp_path):
     assert main(["blowup", path, "--amplitudes", "0.0,2.0"]) == EXIT_OK
     lines = (tmp_path / "o" / "blowup.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("amplitudes", ["0.5,abc", "nan", "inf"])
+def test_main_blowup_names_bad_amplitudes(capsys, amplitudes):
+    path = str(CONFIGS / "riccati.json")
+    assert main(["blowup", path, "--amplitudes", amplitudes]) == EXIT_ERROR
+    assert "error: --amplitudes:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["solve"], "field 'params.amplitude'"),
+    (["sweep", "--levels", "1"], "field 'params.amplitude'"),
+    (["blowup", "--amplitudes", "1e308"], "--amplitudes"),
+], ids=["solve", "sweep", "blowup"])
+def test_main_names_an_amplitude_whose_strong_norm_overflows(tmp_path, capsys, argv, name):
+    # amplitude 1e308 is finite, but its Lipschitz norm at n = 64 is not
+    path = _write(tmp_path, "b.json", {"instance": "transport.burgers", "t_max": 0.5,
+                                       "output_dir": str(tmp_path / "b"),
+                                       "params": {"n": 64, "amplitude": 1e308}})
+    assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: {name}: the initial strong norm overflows" in err
+    assert "Warning" not in err
+
+
+def test_main_solves_an_amplitude_whose_strong_norm_is_finite(tmp_path):
+    path = _write(tmp_path, "b.json", {"instance": "transport.burgers", "t_max": 0.5,
+                                       "output_dir": str(tmp_path / "b"),
+                                       "params": {"n": 64, "amplitude": 1e300}})
+    assert main(["solve", path]) == EXIT_BLOWUP
+
+
+@pytest.mark.parametrize("output_dir", ["file", "file/sub"], ids=["is-a-file", "under-a-file"])
+def test_output_dir_that_cannot_be_created_names_the_field(tmp_path, capsys, output_dir):
+    (tmp_path / "file").write_text("")
+    cfg = _decay_config(tmp_path, output_dir=str(tmp_path / output_dir))
+    with pytest.raises(ConfigError, match="field 'output_dir'"):
+        run_solve(parse_config(cfg))
+    assert main(["solve", _write(tmp_path, "cfg.json", cfg)]) == EXIT_ERROR
+    assert "field 'output_dir'" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,16 @@ def test_riccati_blows_up_near_one():
     assert rep.termination is Termination.BLOW_UP_DETECTED
     assert 0.85 <= rep.t_c_estimate <= 1.0
     assert elapsed < 1.0
+
+
+def test_riccati_from_the_largest_float_blows_up_at_once_without_warnings():
+    # every attempt overflows, frozen-input midpoints included
+    inst = make_riccati_instance()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = continuation_solve(inst, _scalar(inst, 1e308), 1.0, SolverConfig())
+    assert rep.termination is Termination.BLOW_UP_DETECTED
+    assert rep.t_c_estimate == 0.0
 
 
 def test_window_junctions_share_state_handles():

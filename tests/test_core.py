@@ -81,7 +81,7 @@ def test_select_window_detects_decreasing_bound():
 
 def test_contraction_window_symmetric_bounds():
     bounds = StabilityBounds(b=lambda t, r: t * r, c=lambda t, r: t * r)
-    t2 = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
+    t2 = select_contraction_window(bounds, 1.0, 10.0, 0.5)
     assert t2 == pytest.approx(0.25, abs=1e-9)
     # the returned window satisfies both sampled conditions with theta1 = 0.5
     radii = np.geomspace(2e-6, 2.0, 32)
@@ -92,34 +92,34 @@ def test_contraction_window_symmetric_bounds():
 
 def test_contraction_window_vanishing_b():
     bounds = StabilityBounds(b=lambda t, r: 0.0, c=lambda t, r: t * r)
-    t2 = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.9)
+    t2 = select_contraction_window(bounds, 1.0, 10.0, 0.9)
     assert t2 == pytest.approx(0.9, abs=1e-9)
 
 
 def test_contraction_window_time_independent_b():
     bounds = StabilityBounds(b=lambda t, r: 0.5 * r, c=lambda t, r: t * r)
-    t2 = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
+    t2 = select_contraction_window(bounds, 1.0, 10.0, 0.5)
     assert t2 == pytest.approx(0.25, abs=1e-9)
 
 
 def test_contraction_window_capped_by_t1():
     bounds = StabilityBounds(b=lambda t, r: 0.0, c=lambda t, r: t * r)
-    t2 = select_contraction_window(bounds, 1.0, 1.0, 0.3, 0.9)
+    t2 = select_contraction_window(bounds, 1.0, 0.3, 0.9)
     assert t2 == 0.3
 
 
 def test_contraction_window_swap_roles_symmetric_identical():
     bounds = StabilityBounds(b=lambda t, r: t * r, c=lambda t, r: t * r)
-    plain = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
-    swapped = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5, swap_roles=True)
+    plain = select_contraction_window(bounds, 1.0, 10.0, 0.5)
+    swapped = select_contraction_window(bounds, 1.0, 10.0, 0.5, swap_roles=True)
     assert plain == swapped
 
 
 def test_contraction_window_swap_equals_manual_exchange():
     bounds = StabilityBounds(b=lambda t, r: 0.3 * t * r, c=lambda t, r: 2.0 * t * r)
     exchanged = StabilityBounds(b=bounds.c, c=bounds.b)
-    swapped = select_contraction_window(bounds, 1.5, 1.0, 10.0, 0.4, swap_roles=True)
-    manual = select_contraction_window(exchanged, 1.5, 1.0, 10.0, 0.4)
+    swapped = select_contraction_window(bounds, 1.5, 10.0, 0.4, swap_roles=True)
+    manual = select_contraction_window(exchanged, 1.5, 10.0, 0.4)
     assert swapped == manual  # exact equality, same code path
 
 
@@ -127,19 +127,19 @@ def test_contraction_window_infeasible_bounds_raise():
     # c/R does not vanish for small t: no window can exist
     bounds = StabilityBounds(b=lambda t, r: 0.0, c=lambda t, r: r)
     with pytest.raises(NoContractionWindow):
-        select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
+        select_contraction_window(bounds, 1.0, 10.0, 0.5)
 
 
 def test_contraction_window_b_above_one_raises():
     bounds = StabilityBounds(b=lambda t, r: 1.5 * r, c=lambda t, r: t * r)
     with pytest.raises(NoContractionWindow):
-        select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
+        select_contraction_window(bounds, 1.0, 10.0, 0.5)
 
 
 def test_contraction_window_strong_b_level_still_works():
     # b sits at 0.8 R: theta1 must rise above the target to make room
     bounds = StabilityBounds(b=lambda t, r: 0.8 * r, c=lambda t, r: t * r)
-    t2 = select_contraction_window(bounds, 1.0, 1.0, 10.0, 0.5)
+    t2 = select_contraction_window(bounds, 1.0, 10.0, 0.5)
     assert 0.0 < t2 <= 10.0
     # conditions hold with theta1 = 0.8
     assert t2 / (1.0 - 0.8) <= 0.5 + 1e-9

@@ -78,25 +78,24 @@ def test_ode_step_frozen_riccati_input():
 
 
 def test_ode_step_fourth_order_with_stage_exact_input():
-    # frozen input sampled on the half-step grid is exact at every stage
-    # point, so the one-step truncation alone drives the error
-    spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x)
+    # f reads time explicitly, so every stage value is exact and the
+    # one-step truncation alone drives the error
+    spec = OdeSpec(dimension=1, f=lambda t, y, x: math.cos(t) * x)
     exact = math.exp(math.sin(0.5))
     errs = []
     for substeps in (8, 16):
-        fine = np.linspace(0.0, 0.5, 2 * substeps + 1)
-        y = _segment_from_samples(fine, np.cos(fine))
+        y = _const_segment([0.0], 0.0, 0.5, substeps + 1)
         seg = ode_step(spec, y, _elem(np.array([1.0])), 0.5, substeps)
         errs.append(abs(seg.states[-1].state[0] - exact))
     assert errs[0] / errs[1] >= 12.0
 
 
 def test_ode_step_riccati_frozen_input_is_moebius_exact():
-    # for y = 1/(1-t) the 4-stage amplification reproduces the rational
-    # flow exactly, a useful canary for stage-time bookkeeping
-    spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x)
-    dense = np.linspace(0.0, 0.5, 16385)
-    y = _segment_from_samples(dense, 1.0 / (1.0 - dense))
+    # for x' = x / (1 - t) the 4-stage amplification reproduces the
+    # rational flow exactly, a useful canary for stage-time bookkeeping
+    spec = OdeSpec(dimension=1, f=lambda t, y, x: x / (1.0 - t))
+    times = np.linspace(0.0, 0.5, 9)
+    y = _segment_from_samples(times, 1.0 / (1.0 - times))
     seg = ode_step(spec, y, _elem(np.array([1.0])), 0.5, 8)
     assert seg.states[-1].state[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -108,16 +107,20 @@ def test_ode_step_raises_on_overflow():
         ode_step(spec, y, _elem(np.array([1.0])), 10.0, 10)
 
 
-def _ode_case(t_end, window=0.5):
+ON_GRID = np.linspace(0.0, 0.5, 9)  # the grid of 8 substeps over [0, 0.5]
+
+
+def _ode_case(times, window=0.5):
     spec = OdeSpec(dimension=1, f=lambda t, y, x: -x)
-    return lambda x0: ode_step(spec, _const_segment([0.0], 0.0, t_end, 9), x0, window, 8)
+    y = _segment_from_samples(times, np.zeros(len(times)))
+    return lambda x0: ode_step(spec, y, x0, window, 8)
 
 
-def _burgers_case(t_end, window=0.5):
-    # a Burgers input sampled only on [0, t_end], solved over [0, window]
+def _burgers_case(times, window=0.5):
+    # a Burgers input sampled at times, solved over [0, window] in 8 substeps
     spec = TransportSpec(n=64, length=TWO_PI, G=lambda x, v: -v)
     u0 = from_callable(np.sin, 64, TWO_PI)
-    v = _grid_segment(64, TWO_PI, [u0.values] * 3, np.linspace(0.0, t_end, 3))
+    v = _grid_segment(64, TWO_PI, [u0.values] * len(times), times)
     return lambda x0: transport_step(spec, v, x0, window, 8)
 
 
@@ -125,19 +128,25 @@ STEP_CASES = {"ode": (_ode_case, np.array([1.0])),
               "transport": (_burgers_case, from_callable(np.sin, 64, TWO_PI))}
 
 
+OFF_GRID = {"short": np.linspace(0.0, 0.1, 9),
+            "denser": np.linspace(0.0, 0.5, 17),
+            "non-uniform": 0.5 * np.linspace(0.0, 1.0, 9) ** 2}
+
+
 @pytest.mark.parametrize("kind", sorted(STEP_CASES))
-def test_step_requires_covering_input(kind):
+def test_step_requires_input_on_the_window_grid(kind):
     make_case, state = STEP_CASES[kind]
-    assert len(make_case(0.5)(_elem(state)).states) == 9
-    with pytest.raises(ValueError, match="does not cover the window"):
-        make_case(0.1)(_elem(state))
+    assert len(make_case(ON_GRID)(_elem(state)).states) == 9
+    for times in OFF_GRID.values():
+        with pytest.raises(ValueError, match=r"grid of 8 uniform substeps over \[0.0, 0.5\]"):
+            make_case(times)(_elem(state))
 
 
 @pytest.mark.parametrize("kind", sorted(STEP_CASES))
 def test_step_rejects_raw_state(kind):
     make_case, state = STEP_CASES[kind]
     with pytest.raises(TypeError, match="make_element"):
-        make_case(0.5)(state)
+        make_case(ON_GRID)(state)
 
 
 @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -0.5])
@@ -145,7 +154,7 @@ def test_step_rejects_raw_state(kind):
 def test_step_rejects_window_that_is_not_finite_positive(kind, window):
     make_case, state = STEP_CASES[kind]
     with pytest.raises(ValueError, match="window must be a finite positive number"):
-        make_case(0.5, window)(_elem(state))
+        make_case(ON_GRID, window)(_elem(state))
 
 
 def test_step_solves_on_input_times_that_end_within_float_spacing():
@@ -157,19 +166,6 @@ def test_step_solves_on_input_times_that_end_within_float_spacing():
     y = _const_segment([5.0], t_start, t_max, 65)
     seg = inst.step(y, _elem(np.array([5.0])), t_max - t_start, 64, t_start)
     assert seg.times is y.times
-
-
-def test_ode_step_accepts_non_uniform_input_times():
-    # y(t) = t is linear, so interpolating it in time is exact on any sampling
-    spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x)
-    uniform = np.linspace(0.0, 1.0, 9)
-    skewed = np.linspace(0.0, 1.0, 17) ** 2
-    x0 = _elem(np.array([1.0]))
-    want = ode_step(spec, _segment_from_samples(uniform, uniform), x0, 1.0, 8)
-    got = ode_step(spec, _segment_from_samples(skewed, skewed), x0, 1.0, 8)
-    assert np.array_equal(got.times, want.times)
-    for a, b in zip(got.states, want.states):
-        assert abs(a.state[0] - b.state[0]) <= 1e-12
 
 
 def test_ode_step_rejects_state_of_wrong_dimension():
