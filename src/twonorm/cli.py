@@ -6,7 +6,7 @@ Commands:
     blowup <config> --amplitudes a,...  map critical times over data sizes
 
 Exit codes for solve: 0 horizon reached, 2 blow-up detected, 3 window
-budget exhausted, 1 error (bad config or failed contraction planning).
+budget exhausted, 1 error (bad config, usage error or failed contraction planning).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .core import (
     continuation_solve,
 )
 from .instances import (
-    INSTANCE_NAMES,
     ProblemInstance,
     make_advect_instance,
     make_burgers_instance,
@@ -71,9 +70,6 @@ class RunConfig:
     emit_report: bool = True
 
 
-_EMIT_DEFAULTS = {"trajectory": False, "norms": True, "report": True}
-
-
 def _is_number(value) -> bool:
     """A finite JSON number that fits a float; true/false are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -84,22 +80,74 @@ def _is_number(value) -> bool:
         return False
 
 
+def _one_of(names) -> tuple:
+    return lambda v: isinstance(v, str) and v in names, "one of " + ", ".join(names)
+
+
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite positive number")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
 _TYPE_CHECKS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_number, "a finite number"),
+    "float": _NUMBER,
     "float | None": (lambda v: v is None or _is_number(v), "a finite number or null"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
 }
-# each solver field's JSON check, from its annotation (an unknown one fails at import)
-_SOLVER_CHECKS = {f.name: _TYPE_CHECKS[f.type] for f in fields(SolverConfig)}
+
+# A section's table maps each key it accepts to (default, check, what the value
+# must be). A default is checked like a given value, so a key whose default
+# fails its check (None) must be given.
+_TRANSPORT_PARAMS = {
+    "n": (256, lambda v: isinstance(v, int) and v >= 16, "an integer >= 16"),
+    "length": (2.0 * math.pi, *_POSITIVE),
+    "interpolation": ("cubic", *_one_of(grids.INTERP_SCHEMES)),
+    "profile": ("sine", *_one_of(oracles.PROFILES)),
+    "amplitude": (1.0, *_NUMBER),
+}
+_PARAMS = {  # keyed by instance name: these are the instances a config can name
+    "ode.decay": {"x0": (1.0, *_NUMBER), "rate": (1.0, *_POSITIVE)},
+    "ode.riccati": {"x0": (1.0, *_NUMBER)},
+    "transport.advect": _TRANSPORT_PARAMS,
+    "transport.burgers": _TRANSPORT_PARAMS,
+}
+_CONFIG = {
+    "instance": (None, *_one_of(_PARAMS)),
+    "t_max": (None, *_POSITIVE),
+    "output_dir": (None, lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "params": ({}, *_OBJECT),
+    "solver": ({}, *_OBJECT),
+    "emit": ({}, *_OBJECT),
+}
+# solver and emit defaults and checks come from the dataclass fields and their
+# annotations (an annotation with no check fails at import)
+_SOLVER = {f.name: (f.default, *_TYPE_CHECKS[f.type]) for f in fields(SolverConfig)}
+_EMIT = {f.name.removeprefix("emit_"): (f.default, *_TYPE_CHECKS[f.type])
+         for f in fields(RunConfig) if f.name.startswith("emit_")}
+
+
+def _check_section(source: str, section: str, raw: dict, table: dict) -> dict:
+    """The section's values, defaults filled in; a ConfigError names its first bad key."""
+    prefix = section + "." if section else ""
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{source}: field '{prefix}{key}': unknown key, "
+                              f"must be one of {', '.join(table)}")
+    values = {key: raw.get(key, default) for key, (default, _, _) in table.items()}
+    for key, (_, accepts, what) in table.items():
+        if not accepts(values[key]):
+            raise ConfigError(
+                f"{source}: field '{prefix}{key}': must be {what}, got {values[key]!r}")
+    return values
 
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -108,82 +156,19 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
-    def fail(field: str, msg: str):
-        raise ConfigError(f"{source}: field '{field}': {msg}")
-
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
-    name = raw.get("instance")
-    if name not in INSTANCE_NAMES:
-        fail("instance", f"must be one of {', '.join(INSTANCE_NAMES)}, got {name!r}")
-    t_max = raw.get("t_max")
-    if not _is_number(t_max) or not t_max > 0:
-        fail("t_max", f"must be a finite positive number, got {t_max!r}")
-    output_dir = raw.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        fail("output_dir", "must be a non-empty string")
-
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        fail("params", "must be an object")
-    params = dict(params)
-    if name.startswith("transport."):
-        n = params.setdefault("n", 256)
-        if not isinstance(n, int) or n < 16:
-            fail("params.n", f"must be an integer >= 16, got {n!r}")
-        length = params.setdefault("length", 2.0 * math.pi)
-        if not _is_number(length) or not length > 0:
-            fail("params.length", f"must be a finite positive number, got {length!r}")
-        scheme = params.setdefault("interpolation", "cubic")
-        if scheme not in grids.INTERP_SCHEMES:
-            fail("params.interpolation", f"must be one of {grids.INTERP_SCHEMES}")
-        profile = params.setdefault("profile", "sine")
-        if profile not in oracles.PROFILES:
-            fail("params.profile", f"unknown profile {profile!r}")
-        amplitude = params.setdefault("amplitude", 1.0)
-        if not _is_number(amplitude):
-            fail("params.amplitude", f"must be a finite number, got {amplitude!r}")
-    else:
-        x0 = params.setdefault("x0", 1.0)
-        if not _is_number(x0):
-            fail("params.x0", f"must be a finite number, got {x0!r}")
-        if name == "ode.decay":
-            rate = params.setdefault("rate", 1.0)
-            if not _is_number(rate) or not rate > 0:
-                fail("params.rate", f"must be a finite positive number, got {rate!r}")
-
-    solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        fail("solver", "must be an object")
-    unknown = set(solver_raw) - set(_SOLVER_CHECKS)
-    if unknown:
-        fail("solver", f"unknown keys {sorted(unknown)}")
-    for key, value in solver_raw.items():
-        accepts, expected = _SOLVER_CHECKS[key]
-        if not accepts(value):
-            fail(f"solver.{key}", f"must be {expected}, got {value!r}")
+    top = _check_section(source, "", raw, _CONFIG)
+    params = _check_section(source, "params", top["params"], _PARAMS[top["instance"]])
+    solver = _check_section(source, "solver", top["solver"], _SOLVER)
     try:
-        solver = SolverConfig(**solver_raw)
-    except (TypeError, ValueError) as exc:
-        fail("solver", str(exc))
-
-    emit = raw.get("emit", {})
-    if not isinstance(emit, dict):
-        fail("emit", "must be an object")
-    emit = {key: emit.get(key, default) for key, default in _EMIT_DEFAULTS.items()}
-    for key, value in emit.items():
-        if not isinstance(value, bool):
-            fail(f"emit.{key}", f"must be true or false, got {value!r}")
-    return RunConfig(
-        instance=name,
-        t_max=float(t_max),
-        output_dir=output_dir,
-        params=params,
-        solver=solver,
-        emit_trajectory=emit["trajectory"],
-        emit_norms=emit["norms"],
-        emit_report=emit["report"],
-    )
+        solver = SolverConfig(**solver)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: field 'solver': {exc}") from exc
+    emit = _check_section(source, "emit", top["emit"], _EMIT)
+    return RunConfig(instance=top["instance"], t_max=float(top["t_max"]),
+                     output_dir=top["output_dir"], params=params, solver=solver,
+                     **{"emit_" + key: value for key, value in emit.items()})
 
 
 # -- problem assembly ---------------------------------------------------------
@@ -216,16 +201,17 @@ def build_initial_state(config: RunConfig, instance: ProblemInstance,
     return make_element(instance, state)
 
 
-def _solve(config: RunConfig, amplitude_override: float | None = None):
-    """Build the configured instance and initial state and solve to t_max."""
+def _build_case(config: RunConfig, amplitude_override: float | None = None):
+    """Build the configured instance and an initial state whose strong norm is finite."""
     instance = build_instance(config)
     with np.errstate(over="ignore"):  # a finite amplitude can give an overflowing slope
         x0 = build_initial_state(config, instance, amplitude_override=amplitude_override)
     if not math.isfinite(x0.strong_norm):
         name = "--amplitudes" if amplitude_override is not None else "field 'params.amplitude'"
-        raise ConfigError(f"{name}: the initial strong norm overflows; use a smaller amplitude")
-    segments, report = continuation_solve(instance, x0, config.t_max, config.solver)
-    return instance, segments, report
+        amp = config.params["amplitude"] if amplitude_override is None else amplitude_override
+        raise ConfigError(f"{name}: the initial strong norm overflows at amplitude {amp:g}; "
+                          "use a smaller amplitude")
+    return instance, x0
 
 
 # -- artifact writing ---------------------------------------------------------
@@ -318,8 +304,9 @@ def run_solve(config: RunConfig):
 
     Returns (exit_code, report, segments).
     """
+    instance, x0 = _build_case(config)
     out_dir = resolve_output_dir(config)
-    _, segments, report = _solve(config)
+    segments, report = continuation_solve(instance, x0, config.t_max, config.solver)
     if config.emit_report:
         write_report_json(os.path.join(out_dir, "report.json"), report)
         write_windows_csv(os.path.join(out_dir, "windows.csv"), report)
@@ -365,7 +352,8 @@ def run_sweep(config: RunConfig, levels: int):
         else:
             n = int(config.params["n"]) * 2 ** lev
             level = replace(config, params={**config.params, "n": n})
-        instance, segments, report = _solve(level)
+        instance, x0 = _build_case(level)
+        segments, report = continuation_solve(instance, x0, level.t_max, level.solver)
         if report.termination is not Termination.HORIZON_REACHED:
             raise ConfigError(
                 f"sweep level {lev} did not reach the horizon "
@@ -400,17 +388,21 @@ def run_blowup_scan(config: RunConfig, amplitudes):
     """
     if config.instance not in ("transport.burgers", "ode.riccati"):
         raise ConfigError("blow-up scans need instance transport.burgers or ode.riccati")
-    out_dir = resolve_output_dir(config)
+    if not amplitudes:
+        raise ConfigError("--amplitudes: must list at least one number")
     base_amp = float(config.params.get("amplitude", config.params.get("x0", 1.0)))
+    cases = []
+    for amp in amplitudes:  # every case is built, and so checked, before the first solve
+        solver = config.solver
+        cap = solver.strong_norm_cap
+        if cap is not None and amp > 0 and base_amp > 0:
+            solver = replace(solver, strong_norm_cap=cap * (amp / base_amp))
+        cases.append((amp, solver, *_build_case(config, amplitude_override=amp)))
+    out_dir = resolve_output_dir(config)
     rows = []
     results = []
-    for amp in amplitudes:
-        case = config
-        cap = config.solver.strong_norm_cap
-        if cap is not None and amp > 0 and base_amp > 0:
-            case = replace(config, solver=replace(config.solver,
-                                                  strong_norm_cap=cap * (amp / base_amp)))
-        _, _, report = _solve(case, amplitude_override=amp)
+    for amp, solver, instance, x0 in cases:
+        _, report = continuation_solve(instance, x0, config.t_max, solver)
         if report.termination is Termination.BLOW_UP_DETECTED:
             t_c = report.t_c_estimate
         else:
@@ -423,9 +415,16 @@ def run_blowup_scan(config: RunConfig, amplitudes):
     return EXIT_OK, results
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's own exit code 2 means blow-up here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="twonorm",
-                                     description="windowed two-norm evolution solver")
+    parser = _ArgumentParser(prog="twonorm", description="windowed two-norm evolution solver")
     sub = parser.add_subparsers(dest="command", required=True)
     p_solve = sub.add_parser("solve", help="run one continuation solve")
     p_solve.add_argument("config")

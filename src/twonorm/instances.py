@@ -411,6 +411,3 @@ def make_burgers_instance(n: int, length: float = 2.0 * np.pi,
     """G(x, v) = -v and g = 0: the fixed point solves du/dt + u du/dx = 0."""
     return _bundled_transport("transport.burgers", lambda x, v: -v,
                               n, length, interpolation)
-
-
-INSTANCE_NAMES = ("ode.decay", "ode.riccati", "transport.advect", "transport.burgers")

@@ -140,6 +140,32 @@ def test_transport_param_validation(tmp_path):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"solvr": {"kappa": 4}}, "solvr"),
+    ({"instance": "ode.riccati", "params": {"x0": 1.0, "amplitude": 2.0}}, "params.amplitude"),
+    ({"instance": "ode.riccati", "params": {"x0": 1.0, "rate": 2.0}}, "params.rate"),
+    ({"instance": "transport.burgers", "params": {"n": 64, "x0": 1.0}}, "params.x0"),
+    ({"emit": {"trajectroy": True}}, "emit.trajectroy"),
+], ids=["top-level", "riccati-amplitude", "riccati-rate", "burgers-x0", "emit"])
+def test_main_rejects_an_unknown_key_naming_it(tmp_path, capsys, overrides, field):
+    path = _write(tmp_path, "cfg.json", _decay_config(tmp_path, **overrides))
+    assert main(["solve", path]) == EXIT_ERROR
+    assert f"field '{field}': unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_every_bundled_config_loads(path):
+    assert load_config(str(path)).instance == json.loads(path.read_text())["instance"]
+
+
+def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"instance": "ode.decay"}'.encode("utf-16-le"))
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_defaults_filled_in(tmp_path):
     config = parse_config(_decay_config(tmp_path))
     assert config.params["rate"] == 1.0
@@ -447,7 +473,7 @@ def test_main_blowup_parses_amplitudes(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("amplitudes", ["0.5,abc", "nan", "inf"])
+@pytest.mark.parametrize("amplitudes", ["0.5,abc", "nan", "inf", ","])
 def test_main_blowup_names_bad_amplitudes(capsys, amplitudes):
     path = str(CONFIGS / "riccati.json")
     assert main(["blowup", path, "--amplitudes", amplitudes]) == EXIT_ERROR
@@ -468,6 +494,33 @@ def test_main_names_an_amplitude_whose_strong_norm_overflows(tmp_path, capsys, a
     err = capsys.readouterr().err
     assert f"error: {name}: the initial strong norm overflows" in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv,amplitude", [
+    (["solve"], 1e308),
+    (["blowup", "--amplitudes", "1,1e308"], 1.0),
+], ids=["solve", "blowup"])
+def test_an_overflowing_amplitude_is_named_before_any_solve_or_directory(
+        tmp_path, capsys, monkeypatch, argv, amplitude):
+    solves = []
+    monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
+    path = _write(tmp_path, "b.json", {"instance": "transport.burgers", "t_max": 0.5,
+                                       "output_dir": str(tmp_path / "b"),
+                                       "params": {"n": 64, "amplitude": amplitude}})
+    assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
+    assert "overflows at amplitude 1e+308" in capsys.readouterr().err
+    assert solves == [] and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["sweep", str(CONFIGS / "decay.json"), "--levels", "abc"], EXIT_ERROR),
+    (["solve"], EXIT_ERROR),
+    (["--help"], EXIT_OK),
+], ids=["levels-not-int", "no-config", "help"])
+def test_usage_errors_exit_1_not_the_blowup_code(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
 
 
 def test_main_solves_an_amplitude_whose_strong_norm_is_finite(tmp_path):
