@@ -98,7 +98,7 @@ _TYPE_CHECKS = {
 # must be). A default is checked like a given value, so a key whose default
 # fails its check (None) must be given.
 _TRANSPORT_PARAMS = {
-    "n": (256, lambda v: isinstance(v, int) and v >= 16, "an integer >= 16"),
+    "n": (256, lambda v: isinstance(v, int) and 16 <= v <= 2**20, "an integer in [16, 2**20]"),
     "length": (2.0 * math.pi, *_POSITIVE),
     "interpolation": ("cubic", *_one_of(grids.INTERP_SCHEMES)),
     "profile": ("sine", *_one_of(oracles.PROFILES)),
@@ -216,12 +216,6 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
 
 # -- artifact writing ---------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
 def resolve_output_dir(config: RunConfig) -> str:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     out = os.path.join(root, config.output_dir) if root else config.output_dir
@@ -256,7 +250,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -266,34 +260,35 @@ def write_report_json(path: str, report: SolveReport) -> None:
     _write_atomic(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def write_norms_csv(path: str, segments) -> None:
+def _segment_rows(segments, columns) -> list:
+    """CSV rows of the 1-d arrays columns(seg) of every segment, formatted a column at a time."""
     rows = []
     for si, seg in enumerate(segments):
         start = 1 if si > 0 else 0  # junction states are shared with the previous window
-        for t, w, s in zip(*(a[start:].tolist() for a in (seg.times, seg.weak, seg.strong))):
-            rows.append([_fmt(t), _fmt(w), _fmt(s)])
+        rows.extend(zip(*(map(repr, col[start:].tolist()) for col in columns(seg))))
+    return rows
+
+
+def write_norms_csv(path: str, segments) -> None:
+    rows = _segment_rows(segments, lambda seg: (seg.times, seg.weak, seg.strong))
     _write_atomic(path, _csv_text(["t", "weak_norm", "strong_norm"], rows))
 
 
 def write_windows_csv(path: str, report: SolveReport) -> None:
     rows = []
     for w in report.windows:
-        max_ratio = _fmt(max(w.observed_ratios)) if w.observed_ratios else "na"
-        rows.append([_fmt(w.t_start), _fmt(w.t_end), str(w.picard_iters), max_ratio])
+        max_ratio = repr(float(max(w.observed_ratios))) if w.observed_ratios else "na"
+        rows.append([repr(w.t_start), repr(w.t_end), str(w.picard_iters), max_ratio])
     _write_atomic(path, _csv_text(["t_start", "t_end", "iters", "max_ratio"], rows))
 
 
 def write_trajectory(out_dir: str, config: RunConfig, segments) -> None:
     if config.instance.startswith("ode."):
-        rows = []
         header = ["t"] + [f"x{i}" for i in range(segments[0].values.shape[1])]
-        for si, seg in enumerate(segments):
-            start = 1 if si > 0 else 0
-            for t, x in zip(seg.times[start:].tolist(), seg.values[start:].tolist()):
-                rows.append([_fmt(t)] + [_fmt(v) for v in x])
+        rows = _segment_rows(segments, lambda seg: (seg.times, *seg.values.T))
         _write_atomic(os.path.join(out_dir, "trajectory.csv"), _csv_text(header, rows))
     else:
-        final = segments[-1].states[-1].state
+        final = segments[-1].end.state
         _write_atomic(os.path.join(out_dir, "final_state.csv"), grids.csv_text(final))
 
 
@@ -319,7 +314,7 @@ def run_solve(config: RunConfig):
 
 def _oracle_final_error(config: RunConfig, instance, segments) -> float:
     """Weak-norm distance between the computed final state and the oracle."""
-    final = segments[-1].states[-1].state
+    final = segments[-1].end.state
     t_final = segments[-1].t_end
     if config.instance.startswith("ode."):
         _, ref = oracles.dense_reference(instance.spec, np.atleast_1d(config.params["x0"]),
@@ -334,6 +329,14 @@ def _oracle_final_error(config: RunConfig, instance, segments) -> float:
     return float(np.max(np.abs(final.values - np.asarray(exact))))
 
 
+def _sweep_level(config: RunConfig, lev: int) -> RunConfig:
+    """Sweep level lev: 2**lev times the config's substeps (ODEs) or grid points (transport)."""
+    if config.instance.startswith("ode."):
+        substeps = config.solver.substeps_per_window * 2 ** lev
+        return replace(config, solver=replace(config.solver, substeps_per_window=substeps))
+    return replace(config, params={**config.params, "n": config.params["n"] * 2 ** lev})
+
+
 def run_sweep(config: RunConfig, levels: int):
     """Refinement study: transport refines the grid, ODEs halve the substep.
 
@@ -343,16 +346,17 @@ def run_sweep(config: RunConfig, levels: int):
     """
     if levels < 1:
         raise ConfigError("levels must be >= 1")
+    if not config.instance.startswith("ode."):  # n >= 16 fails the n check past 20 levels
+        _, accepts, what = _TRANSPORT_PARAMS["n"]
+        if not accepts(config.params["n"] * 2 ** min(levels - 1, 20)):
+            raise ConfigError(f"--levels: the finest grid n * 2**(levels - 1) must be {what}, "
+                              f"got n = {config.params['n']} and {levels} levels")
+    case = _build_case(config)  # level 0 is the config; checked before the directory exists
     out_dir = resolve_output_dir(config)
     errors = []
     for lev in range(levels):
-        if config.instance.startswith("ode."):
-            substeps = config.solver.substeps_per_window * 2 ** lev
-            level = replace(config, solver=replace(config.solver, substeps_per_window=substeps))
-        else:
-            n = int(config.params["n"]) * 2 ** lev
-            level = replace(config, params={**config.params, "n": n})
-        instance, x0 = _build_case(level)
+        level = _sweep_level(config, lev)
+        instance, x0 = _build_case(level) if lev else case
         segments, report = continuation_solve(instance, x0, level.t_max, level.solver)
         if report.termination is not Termination.HORIZON_REACHED:
             raise ConfigError(
@@ -365,8 +369,8 @@ def run_sweep(config: RunConfig, levels: int):
         if lev == 0 or errors[lev - 1] == 0.0 or err == 0.0:
             order = "na"
         else:
-            order = _fmt(math.log2(errors[lev - 1] / err))
-        rows.append([str(lev), _fmt(err), order])
+            order = repr(math.log2(errors[lev - 1] / err))
+        rows.append([str(lev), repr(err), order])
     _write_atomic(os.path.join(out_dir, "sweep.csv"),
                   _csv_text(["level", "error", "observed_order"], rows))
     return EXIT_OK, errors
@@ -408,7 +412,7 @@ def run_blowup_scan(config: RunConfig, amplitudes):
         else:
             t_c = math.inf
         oracle = _oracle_t_star(config, amp)
-        rows.append([_fmt(amp), _fmt(t_c), _fmt(oracle)])
+        rows.append([repr(float(amp)), repr(t_c), repr(oracle)])
         results.append((amp, t_c, oracle, report.termination))
     _write_atomic(os.path.join(out_dir, "blowup.csv"),
                   _csv_text(["amplitude", "t_c_estimate", "oracle_T_star"], rows))

@@ -124,12 +124,18 @@ class TrajectorySegment:
         return float(self.times[-1])
 
     @cached_property
+    def end(self) -> NormedPairElement:
+        """The last row wrapped as an element, built on first read without the others."""
+        return NormedPairElement(self.wrap(self.values[-1]), float(self.weak[-1]),
+                                 float(self.strong[-1]))
+
+    @cached_property
     def states(self) -> tuple[NormedPairElement, ...]:
-        """start, then every later row wrapped as an element, built on first read."""
+        """start, then each later row wrapped as an element (end last), built on first read."""
         return (self.start,) + tuple(
             NormedPairElement(self.wrap(row), w, s)
-            for row, w, s in zip(self.values[1:], self.weak[1:].tolist(),
-                                 self.strong[1:].tolist()))
+            for row, w, s in zip(self.values[1:-1], self.weak[1:-1].tolist(),
+                                 self.strong[1:-1].tolist())) + (self.end,)
 
     def sup_strong(self) -> float:
         return float(np.max(self.strong))
@@ -298,8 +304,24 @@ def _bisect(ok, lo: float, hi: float, tol: float) -> float:
     return lo
 
 
-def _sup_ratio(fn, t: float, radii: np.ndarray) -> float:
-    return max(fn(t, float(r)) / float(r) for r in radii)
+def _sup_ratio(fn, t: float, radii: list[float]) -> float:
+    return max([fn(t, r) / r for r in radii])
+
+
+def _sup_ratio_over(fn, t: float, radii: list[float], level: float) -> bool:
+    """_sup_ratio(fn, t, radii) > level, stopping once the running max is over.
+
+    A running max only grows, and a NaN first ratio is never replaced (as
+    in max), so the verdict is that of the full max.
+    """
+    peak = fn(t, radii[0]) / radii[0]
+    for r in radii[1:]:
+        if peak > level:
+            return True
+        ratio = fn(t, r) / r
+        if ratio > peak:
+            peak = ratio
+    return peak > level
 
 
 def select_contraction_window(bounds: StabilityBounds, k_cap: float,
@@ -322,12 +344,12 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float,
         raise ValueError("t1 must be positive")
     b_fn, c_fn = (bounds.c, bounds.b) if swap_roles else (bounds.b, bounds.c)
     # geometric radius samples; sup over them stands in for the true sup
-    radii_b = np.geomspace(2.0 * k_cap * 1e-6, 2.0 * k_cap, _RADIUS_SAMPLES)
-    radii_c = np.geomspace(k_cap * 1e-6, k_cap, _RADIUS_SAMPLES)
+    radii_b = np.geomspace(2.0 * k_cap * 1e-6, 2.0 * k_cap, _RADIUS_SAMPLES).tolist()
+    radii_c = np.geomspace(k_cap * 1e-6, k_cap, _RADIUS_SAMPLES).tolist()
 
     t_tiny = t1 * 1e-9
-    probe_ts = np.linspace(t_tiny, t1, 9)
-    b_vanishes = all(b_fn(float(t), float(r)) == 0.0 for t in probe_ts for r in radii_b)
+    probe_ts = np.linspace(t_tiny, t1, 9).tolist()
+    b_vanishes = all(b_fn(t, r) == 0.0 for t in probe_ts for r in radii_b)
     beta_tiny = 0.0 if b_vanishes else _sup_ratio(b_fn, t_tiny, radii_b)
 
     if b_vanishes:
@@ -343,8 +365,9 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float,
 
     for theta1 in theta1_candidates:
         def feasible(t: float) -> bool:
-            if _sup_ratio(b_fn, t, radii_b) > theta1:
+            if _sup_ratio_over(b_fn, t, radii_b, theta1):
                 return False
+            # a full max: a NaN sup is not <= the level, though it is not over it
             return _sup_ratio(c_fn, t, radii_c) <= theta_target * (1.0 - theta1)
 
         if feasible(t1):
@@ -554,7 +577,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
 
         segments.append(seg)
         records.append(rec)
-        x_cur = seg.states[-1]  # exact handle: junction states are identical
+        x_cur = seg.end  # exact handle: junction states are identical
         t_cur = seg.t_end
         last_accepted = seg.t_end - seg.t_start
 

@@ -150,7 +150,9 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
     """Classic 4-stage one-step solve of x' = f(t, y(t), x) with frozen y.
 
     x0 is an element with state shape (spec.dimension,); y_traj is sampled
-    on the solve grid, and its midpoint value is the mean of two rows. The
+    on the solve grid, and its midpoint value is the mean of two rows,
+    0.5 (a + b). Once f reads the frozen slot, the step is therefore second
+    order in time, not fourth: the mean is a second-order midpoint. The
     states fill one (substeps+1, dimension) buffer whose row 0 is x0's;
     each row's max-abs norm serves as both its weak and strong norm. The
     step finishes the window before it checks the rows: it then raises

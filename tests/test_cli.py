@@ -538,3 +538,46 @@ def test_output_dir_that_cannot_be_created_names_the_field(tmp_path, capsys, out
         run_solve(parse_config(cfg))
     assert main(["solve", _write(tmp_path, "cfg.json", cfg)]) == EXIT_ERROR
     assert "field 'output_dir'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2**20 + 1, 10**30], ids=["just-over", "1e30"])
+def test_grid_size_past_the_bound_names_params_n(tmp_path, capsys, n):
+    cfg = {"instance": "transport.advect", "t_max": 0.5,
+           "output_dir": str(tmp_path / "a"), "params": {"n": n}}
+    with pytest.raises(ConfigError, match=r"field .params.n.: must be an integer in \[16, 2"):
+        parse_config(cfg)
+    assert main(["solve", _write(tmp_path, "a.json", cfg)]) == EXIT_ERROR
+    assert "field 'params.n'" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_grid_size_at_the_bound_parses(tmp_path):
+    cfg = {"instance": "transport.advect", "t_max": 0.5,
+           "output_dir": str(tmp_path / "a"), "params": {"n": 2**20}}
+    assert parse_config(cfg).params["n"] == 2**20
+
+
+@pytest.mark.parametrize("n,levels", [(64, 16), (2**20, 2), (16, 10**9)],
+                         ids=["64x2^15", "bound-x2", "huge-levels"])
+def test_sweep_whose_finest_grid_is_past_the_bound_names_levels(
+        tmp_path, capsys, monkeypatch, n, levels):
+    solves = []
+    monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
+    path = _write(tmp_path, "a.json", {"instance": "transport.advect", "t_max": 0.5,
+                                       "output_dir": str(tmp_path / "a"),
+                                       "params": {"n": n}})
+    assert main(["sweep", path, "--levels", str(levels)]) == EXIT_ERROR
+    assert "error: --levels: the finest grid" in capsys.readouterr().err
+    assert solves == [] and not (tmp_path / "a").exists()
+
+
+def test_sweep_checks_level_0_before_any_solve_or_directory(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
+    path = _write(tmp_path, "b.json", {"instance": "transport.burgers", "t_max": 0.5,
+                                       "output_dir": str(tmp_path / "b"),
+                                       "params": {"n": 64, "amplitude": 1e308}})
+    assert main(["sweep", path, "--levels", "1"]) == EXIT_ERROR
+    assert "error: field 'params.amplitude': the initial strong norm overflows" in (
+        capsys.readouterr().err)
+    assert solves == [] and not (tmp_path / "b").exists()

@@ -1,10 +1,14 @@
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twonorm.core import (
+    _RADIUS_SAMPLES,
     AprioriBound,
     InvalidCap,
     NoContractionWindow,
@@ -17,11 +21,13 @@ from twonorm.core import (
     TrajectorySegment,
     WindowPlan,
     WindowRecord,
+    _bisect,
+    continuation_solve,
     estimate_theta_empirical,
     select_contraction_window,
     select_window,
 )
-from twonorm.instances import make_decay_instance
+from twonorm.instances import make_decay_instance, make_element
 
 
 # -- select_window -------------------------------------------------------------
@@ -145,6 +151,93 @@ def test_contraction_window_strong_b_level_still_works():
     assert t2 / (1.0 - 0.8) <= 0.5 + 1e-9
 
 
+def _full_max_contraction_window(bounds, k_cap, t1, theta_target, swap_roles, min_t):
+    """The contraction-window rule with full maxima, the reference for the early-exit
+    b-check: every feasibility probe takes the max over all radii of both bounds."""
+    b_fn, c_fn = (bounds.c, bounds.b) if swap_roles else (bounds.b, bounds.c)
+    radii_b = np.geomspace(2.0 * k_cap * 1e-6, 2.0 * k_cap, _RADIUS_SAMPLES)
+    radii_c = np.geomspace(k_cap * 1e-6, k_cap, _RADIUS_SAMPLES)
+
+    def sup_ratio(fn, t, radii):
+        return max(fn(t, float(r)) / float(r) for r in radii)
+
+    t_tiny = t1 * 1e-9
+    probe_ts = np.linspace(t_tiny, t1, 9)
+    b_vanishes = all(b_fn(float(t), float(r)) == 0.0 for t in probe_ts for r in radii_b)
+    beta_tiny = 0.0 if b_vanishes else sup_ratio(b_fn, t_tiny, radii_b)
+    if b_vanishes:
+        theta1_candidates = [0.0]
+    else:
+        first = max(theta_target, beta_tiny)
+        theta1_candidates = [first] if first < 1.0 else []
+        blend = 0.5 * (max(theta_target, beta_tiny) + 1.0)
+        if blend < 1.0:
+            theta1_candidates.append(blend)
+    if not theta1_candidates:
+        raise NoContractionWindow("b")
+    for theta1 in theta1_candidates:
+        def feasible(t):
+            if sup_ratio(b_fn, t, radii_b) > theta1:
+                return False
+            return sup_ratio(c_fn, t, radii_c) <= theta_target * (1.0 - theta1)
+
+        if feasible(t1):
+            return t1
+        floor = max(min_t, t1 * 1e-12)
+        if not feasible(floor):
+            continue
+        return _bisect(feasible, floor, t1, t1 * 1e-12)
+    raise NoContractionWindow("window")
+
+
+@st.composite
+def power_law_bounds(draw):
+    """g(t, R) = a t^p R^q, made nan, +inf or -inf on the radii below or above a cut."""
+    a = draw(st.sampled_from([0.0, 0.05, 0.5, 0.8, 1.0, 1.5]) | st.floats(0.0, 3.0))
+    p = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0))
+    q = draw(st.sampled_from([1.0]) | st.floats(0.5, 1.5))
+    bad = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    cut = draw(st.floats(1e-7, 3.0))
+    below = draw(st.booleans())
+
+    def g(t, r):
+        if bad is not None and (r < cut) == below:
+            return bad
+        return a * t ** p * r ** q
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=power_law_bounds(), c=power_law_bounds(), k_cap=st.floats(1e-3, 1e3),
+       t1=st.floats(1e-3, 50.0), theta_target=st.floats(0.05, 0.95),
+       swap_roles=st.booleans(), min_t=st.sampled_from([0.0, 1e-4]))
+def test_contraction_window_equals_the_full_max_rule(b, c, k_cap, t1, theta_target,
+                                                     swap_roles, min_t):
+    bounds = StabilityBounds(b=b, c=c)
+
+    def outcome(select):
+        try:
+            return select(bounds, k_cap, t1, theta_target, swap_roles, min_t=min_t).hex()
+        except NoContractionWindow:
+            return "NoContractionWindow"
+    assert outcome(select_contraction_window) == outcome(_full_max_contraction_window)
+
+
+def test_contraction_window_b_check_stops_at_the_first_radius_over():
+    calls = collections.Counter()
+
+    def b(t, r):
+        calls[t] += 1
+        return t * r
+    t2 = select_contraction_window(StabilityBounds(b=b, c=lambda t, r: 0.0), 1.0, 10.0, 0.5)
+    assert t2 == pytest.approx(0.5, abs=1e-9)
+    # b/R = t at every radius: a probe over theta1 = 0.5 stops after one radius,
+    # a probe under it reads all of them
+    over = [t for t in calls if t > 0.5 * (1.0 + 1e-9)]
+    assert len(over) > 5 and all(calls[t] == 1 for t in over)
+    assert all(calls[t] == _RADIUS_SAMPLES for t in calls if 1e-6 < t < 0.5 * (1.0 - 1e-9))
+
+
 # -- estimate_theta_empirical ----------------------------------------------------
 
 def test_theta_empirical_takes_max_of_last_three():
@@ -201,6 +294,33 @@ def test_short_window_late_in_time_counts_as_uniform():
     # apart, so linspace's spacings differ by far more than 1e-6 relative
     times = np.linspace(169999.99999571446, 170000.0, 65)
     assert _zero_segment(times).t_end == 170000.0
+
+
+def test_segment_end_is_the_last_state_and_built_alone():
+    e = NormedPairElement(np.zeros(1), 0.0, 0.0)
+    seg = TrajectorySegment(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [2.0], [-3.0]]),
+                            np.array([0.0, 2.0, 3.0]), np.array([0.0, 2.0, 3.0]), e)
+    end = seg.end
+    assert "states" not in vars(seg)
+    assert (end.state.tolist(), end.weak_norm, end.strong_norm) == ([-3.0], 3.0, 3.0)
+    assert type(end.weak_norm) is float and type(end.strong_norm) is float
+    assert seg.end is end and seg.states[-1] is end and seg.states[0] is e
+    assert [s.strong_norm for s in seg.states] == [0.0, 2.0, 3.0]
+    two = TrajectorySegment(np.array([0.0, 1.0]), np.zeros((2, 1)), np.zeros(2), np.zeros(2), e)
+    assert two.states == (e, two.end) and two.states[1] is two.end
+
+
+def test_decay_solve_builds_only_end_elements_and_junctions_share_them():
+    inst = make_decay_instance()
+    segs, rep = continuation_solve(inst, make_element(inst, np.array([1.0])), 6.0,
+                                   SolverConfig())
+    assert rep.termination is Termination.HORIZON_REACHED and len(segs) >= 3
+    # continuation reads only each window's end; building every row's element
+    # per accepted window is the overhead this guards against
+    assert not any("states" in vars(seg) for seg in segs)
+    for a, b in zip(segs, segs[1:]):
+        assert b.start is a.end
+    assert segs[-1].states[-1] is segs[-1].end
 
 
 def test_window_plan_validation():
