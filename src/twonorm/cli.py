@@ -123,6 +123,7 @@ _CONFIG = {
 _SOLVER = {f.name: (f.default, *_TYPE_CHECKS[f.type]) for f in fields(SolverConfig)}
 _EMIT = {f.name.removeprefix("emit_"): (f.default, *_TYPE_CHECKS[f.type])
          for f in fields(RunConfig) if f.name.startswith("emit_")}
+_MAX_ITERATE_FLOATS = 2**27  # one Picard iterate's buffer: 1 GiB; n = 2**20 at 64 substeps fits
 
 
 def _check_section(source: str, section: str, raw: dict, table: dict) -> dict:
@@ -138,6 +139,18 @@ def _check_section(source: str, section: str, raw: dict, table: dict) -> dict:
             raise ConfigError(
                 f"{source}: field '{prefix}{key}': must be {what}, got {values[key]!r}")
     return values
+
+
+def _check_iterate_size(config: RunConfig, name: str) -> None:
+    """A ConfigError naming name if (substeps_per_window + 1) x state size passes the bound.
+
+    The state size is 1 for the CLI's ODEs and n for transport.
+    """
+    size = 1 if config.instance.startswith("ode.") else config.params["n"]
+    substeps = config.solver.substeps_per_window
+    if (substeps + 1) * size > _MAX_ITERATE_FLOATS:
+        raise ConfigError(f"{name}: (substeps_per_window + 1) x state size must be at most "
+                          f"2**27 floats, got ({substeps} + 1) x {size}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -166,9 +179,11 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{source}: field 'solver': {exc}") from exc
     emit = _check_section(source, "emit", top["emit"], _EMIT)
-    return RunConfig(instance=top["instance"], t_max=float(top["t_max"]),
-                     output_dir=top["output_dir"], params=params, solver=solver,
-                     **{"emit_" + key: value for key, value in emit.items()})
+    config = RunConfig(instance=top["instance"], t_max=float(top["t_max"]),
+                       output_dir=top["output_dir"], params=params, solver=solver,
+                       **{"emit_" + key: value for key, value in emit.items()})
+    _check_iterate_size(config, f"{source}: field 'solver.substeps_per_window'")
+    return config
 
 
 # -- problem assembly ---------------------------------------------------------
@@ -204,8 +219,15 @@ def build_initial_state(config: RunConfig, instance: ProblemInstance,
 def _build_case(config: RunConfig, amplitude_override: float | None = None):
     """Build the configured instance and an initial state whose strong norm is finite."""
     instance = build_instance(config)
-    with np.errstate(over="ignore"):  # a finite amplitude can give an overflowing slope
-        x0 = build_initial_state(config, instance, amplitude_override=amplitude_override)
+    # a finite amplitude can give an overflowing slope, and a tiny length an
+    # infinite wavenumber, whose samples the grid rejects with a ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x0 = build_initial_state(config, instance, amplitude_override=amplitude_override)
+        except ValueError as exc:
+            length = config.params["length"]
+            raise ConfigError(f"field 'params.length': the initial state is not finite at "
+                              f"length {length:g}; use a larger length") from exc
     if not math.isfinite(x0.strong_norm):
         name = "--amplitudes" if amplitude_override is not None else "field 'params.amplitude'"
         amp = config.params["amplitude"] if amplitude_override is None else amplitude_override
@@ -346,11 +368,14 @@ def run_sweep(config: RunConfig, levels: int):
     """
     if levels < 1:
         raise ConfigError("levels must be >= 1")
-    if not config.instance.startswith("ode."):  # n >= 16 fails the n check past 20 levels
+    # 27 doublings already fail the checks below, so the level checked is capped there
+    finest = _sweep_level(config, min(levels - 1, 27))
+    if not config.instance.startswith("ode."):
         _, accepts, what = _TRANSPORT_PARAMS["n"]
-        if not accepts(config.params["n"] * 2 ** min(levels - 1, 20)):
+        if not accepts(finest.params["n"]):
             raise ConfigError(f"--levels: the finest grid n * 2**(levels - 1) must be {what}, "
                               f"got n = {config.params['n']} and {levels} levels")
+    _check_iterate_size(finest, "--levels: at the finest level")
     case = _build_case(config)  # level 0 is the config; checked before the directory exists
     out_dir = resolve_output_dir(config)
     errors = []

@@ -472,24 +472,45 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
 
 # -- continuation by gluing --------------------------------------------------
 
+def _plan_window(instance, cfg: SolverConfig, r0: float, k_cap: float, remaining: float,
+                 last_accepted: float) -> float | None:
+    """A round's first attempt: the analytic plan, or min(remaining, 2 * last_accepted).
+
+    None when the a-priori window is 0 or there is no contraction window.
+    """
+    if instance.bounds is None or cfg.empirical_mode:
+        return min(remaining, 2.0 * last_accepted)
+    apriori, stability = instance.bounds
+    t1 = select_window(apriori, r0, k_cap, remaining)
+    if not t1 > 0:
+        return None
+    try:
+        return select_contraction_window(stability, k_cap, t1, cfg.theta_target,
+                                         cfg.swap_roles, min_t=cfg.min_window)
+    except NoContractionWindow:
+        return None
+
+
 def continuation_solve(instance, x0: NormedPairElement, t_max: float,
                        cfg: SolverConfig) -> tuple[list[TrajectorySegment], SolveReport]:
     """Advance to t_max by planning, solving and gluing windows.
 
-    Each round caps the strong norm at kappa times its current value,
-    plans a window (from the instance's analytic bounds, or by empirical
-    halving when there are none or cfg.empirical_mode is set), runs the
-    fixed-point iteration, and restarts from the exact end state. An
-    analytic plan of length 0, or an attempt too short for m + 1 distinct
-    grid times, is a contraction failure. Blow-up is declared once the
-    strong norm passes the configured threshold or the adaptive window
-    drops below cfg.min_window. The reported t_c is the detection time:
-    the first stored time whose strong norm is over the threshold, or the
-    start of the window that collapsed. It is not a bound on either side
-    of the true critical time. A norm that grows without limit passes the
-    threshold before it (Riccati: t_c < 1), while a discrete norm that
-    saturates on a fixed grid passes it early or late (Burgers: 2.2 %
-    early at n = 256, 0.63 % late at n = 1024).
+    Each round caps the strong norm at kappa times its current value and
+    plans a first attempt from the instance's analytic bounds or, when
+    there are none or cfg.empirical_mode is set, as min(remaining, 2 x the
+    last accepted window), the remaining horizon in the first round. In
+    both modes a failed attempt is multiplied by cfg.window_shrink and
+    retried; an accepted one is glued on and the next round restarts from
+    its exact end state. An analytic plan of length 0, or an attempt too
+    short for m + 1 distinct grid times, is a contraction failure. Blow-up
+    is declared once the strong norm passes the configured threshold (the
+    window is cut at the first stored time over it) or an attempt drops
+    below cfg.min_window. t_c is the end of the last accepted window (0.0
+    if none): the detection time, not a bound on either side of the true
+    critical time. A norm that grows without limit passes the threshold
+    before it (Riccati: t_c < 1), while a discrete norm that saturates on
+    a fixed grid passes it early or late (Burgers: 2.2 % early at n = 256,
+    0.63 % late at n = 1024).
     """
     if not math.isfinite(x0.strong_norm):
         raise ValueError("initial state must have a finite strong norm")
@@ -498,111 +519,64 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     blowup_cap = cfg.strong_norm_cap
     if blowup_cap is None:
         blowup_cap = 1e6 * max(x0.strong_norm, _R0_FLOOR)
-    analytic = instance.bounds is not None and not cfg.empirical_mode
+    horizon_slack = 1e-12 * max(1.0, abs(t_max))
 
     segments: list[TrajectorySegment] = []
     records: list[WindowRecord] = []
+
+    def finish(termination: Termination, t_c: float | None = None):
+        return segments, SolveReport(windows=tuple(records), termination=termination,
+                                     t_c_estimate=t_c)
+
     x_cur = x0
     t_cur = 0.0
-    last_accepted: float | None = None
-    termination = None
-    t_c: float | None = None
-
-    horizon_slack = 1e-12 * max(1.0, abs(t_max))
+    last_accepted = math.inf
+    window = None  # None: the next attempt opens a round
     while True:
-        if t_cur >= t_max - horizon_slack:
-            termination = Termination.HORIZON_REACHED
-            break
-        if x_cur.strong_norm > blowup_cap:
-            termination = Termination.BLOW_UP_DETECTED
-            t_c = t_cur
-            break
-        if len(records) >= cfg.max_windows:
-            termination = Termination.BUDGET_EXHAUSTED
-            break
-
         remaining = t_max - t_cur
-        k_cap = cfg.kappa * max(x_cur.strong_norm, _R0_FLOOR)
-        if analytic:
-            apriori, stability = instance.bounds
-            t1 = select_window(apriori, x_cur.strong_norm, k_cap, remaining)
-            if not t1 > 0:
-                termination = Termination.CONTRACTION_FAILURE
-                break
-            try:
-                window = select_contraction_window(
-                    stability, k_cap, t1, cfg.theta_target,
-                    cfg.swap_roles, min_t=cfg.min_window)
-            except NoContractionWindow:
-                termination = Termination.CONTRACTION_FAILURE
-                break
-        else:
-            window = remaining if last_accepted is None else min(remaining, 2.0 * last_accepted)
+        if window is None:
+            if t_cur >= t_max - horizon_slack:
+                return finish(Termination.HORIZON_REACHED)
+            if x_cur.strong_norm > blowup_cap:
+                return finish(Termination.BLOW_UP_DETECTED, t_cur)
+            if len(records) >= cfg.max_windows:
+                return finish(Termination.BUDGET_EXHAUSTED)
+            k_cap = cfg.kappa * max(x_cur.strong_norm, _R0_FLOOR)
+            window = _plan_window(instance, cfg, x_cur.strong_norm, k_cap, remaining,
+                                  last_accepted)
+            if window is None:
+                return finish(Termination.CONTRACTION_FAILURE)
 
-        # shrink-and-retry loop; collapse below min_window is blow-up evidence
-        seg = None
-        while True:
-            if window < remaining * (1.0 - 1e-9):
-                attempt, t_end = window, t_cur + window
-            else:  # a window within float jitter of the remaining horizon ends on it
-                attempt, t_end = remaining, t_max
-            times = np.linspace(t_cur, t_end, cfg.substeps_per_window + 1)
-            if not np.all(times[1:] > times[:-1]):
-                termination = Termination.CONTRACTION_FAILURE
-                break
-            try:
-                seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)
-                break
-            except WindowFailure:
-                window = attempt * cfg.window_shrink
-                if window < cfg.min_window:
-                    break
-        if termination is not None:
-            break
-        if seg is None:
-            termination = Termination.BLOW_UP_DETECTED
-            t_c = t_cur
-            break
+        if window < remaining * (1.0 - 1e-9):
+            t_end = t_cur + window
+        else:  # a window within float jitter of the remaining horizon ends on it
+            window, t_end = remaining, t_max
+        times = np.linspace(t_cur, t_end, cfg.substeps_per_window + 1)
+        if not np.all(times[1:] > times[:-1]):
+            return finish(Termination.CONTRACTION_FAILURE)
+        try:
+            seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)
+        except WindowFailure:
+            window *= cfg.window_shrink
+            if window < cfg.min_window:  # collapse is blow-up evidence
+                return finish(Termination.BLOW_UP_DETECTED, t_cur)
+            continue
 
-        # substep-resolution blow-up detection: truncate at the first time
-        # the stored strong-norm history leaves the threshold
-        crossing = _first_cap_crossing(seg, blowup_cap)
-        if crossing is not None:
-            seg, rec = _truncate_at(seg, rec, crossing)
+        # substep-resolution blow-up detection: cut the window at the first
+        # stored time over the threshold (row 0 passed this round's check)
+        over = seg.strong > blowup_cap
+        if over.any():
+            k = max(int(over.argmax()), 1) + 1
+            seg = replace(seg, times=seg.times[:k], values=seg.values[:k],
+                          weak=seg.weak[:k], strong=seg.strong[:k])
             segments.append(seg)
-            records.append(rec)
-            termination = Termination.BLOW_UP_DETECTED
-            t_c = seg.t_end
-            break
+            records.append(replace(rec, t_end=seg.t_end,
+                                   end_strong_norm=float(seg.strong[-1])))
+            return finish(Termination.BLOW_UP_DETECTED, seg.t_end)
 
         segments.append(seg)
         records.append(rec)
         x_cur = seg.end  # exact handle: junction states are identical
         t_cur = seg.t_end
         last_accepted = seg.t_end - seg.t_start
-
-    report = SolveReport(windows=tuple(records), termination=termination,
-                         t_c_estimate=t_c)
-    return segments, report
-
-
-def _first_cap_crossing(seg: TrajectorySegment, cap: float) -> int | None:
-    over = seg.strong > cap
-    if not np.any(over):
-        return None
-    idx = int(np.argmax(over))
-    return max(idx, 1)  # index 0 cannot cross: it passed the previous round's check
-
-
-def _truncate_at(seg: TrajectorySegment, rec: WindowRecord,
-                 idx: int) -> tuple[TrajectorySegment, WindowRecord]:
-    k = idx + 1
-    short = replace(seg, times=seg.times[:k], values=seg.values[:k], weak=seg.weak[:k],
-                    strong=seg.strong[:k])
-    return short, WindowRecord(
-        t_start=rec.t_start,
-        t_end=short.t_end,
-        picard_iters=rec.picard_iters,
-        observed_ratios=rec.observed_ratios,
-        end_strong_norm=float(short.strong[-1]),
-    )
+        window = None

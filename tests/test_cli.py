@@ -512,6 +512,24 @@ def test_an_overflowing_amplitude_is_named_before_any_solve_or_directory(
     assert solves == [] and not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--levels", "1"],
+                                  ["blowup", "--amplitudes", "1"]], ids=["solve", "sweep", "blowup"])
+def test_a_length_whose_initial_samples_are_not_finite_is_named(tmp_path, capsys, monkeypatch,
+                                                                argv):
+    # 2 pi / 5e-324 is +inf, so the sampled sine is nan; it used to escape as
+    # a ValueError from the grid
+    solves = []
+    monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
+    path = _write(tmp_path, "b.json", {"instance": "transport.burgers", "t_max": 0.5,
+                                       "output_dir": str(tmp_path / "b"),
+                                       "params": {"n": 64, "length": 5e-324}})
+    assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "error: field 'params.length': the initial state is not finite" in err
+    assert "Warning" not in err
+    assert solves == [] and not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("argv,code", [
     (["sweep", str(CONFIGS / "decay.json"), "--levels", "abc"], EXIT_ERROR),
     (["solve"], EXIT_ERROR),
@@ -581,3 +599,48 @@ def test_sweep_checks_level_0_before_any_solve_or_directory(tmp_path, capsys, mo
     assert "error: field 'params.amplitude': the initial strong norm overflows" in (
         capsys.readouterr().err)
     assert solves == [] and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("instance,params,substeps", [
+    ("ode.decay", {}, 10**13),
+    ("ode.decay", {}, 2**27),
+    ("transport.advect", {"n": 16}, 10**12),
+    ("transport.advect", {"n": 2**20}, 128),
+    ("transport.burgers", {"n": 2**17}, 1024),
+], ids=["decay-1e13", "decay-just-over", "advect-16x1e12", "advect-2^20x129",
+        "burgers-2^17x1025"])
+def test_an_iterate_past_the_buffer_bound_names_substeps(tmp_path, capsys, instance, params,
+                                                         substeps):
+    # 10**13 substeps on decay used to die allocating the time grid
+    cfg = {"instance": instance, "t_max": 0.5, "output_dir": str(tmp_path / "o"),
+           "params": params, "solver": {"substeps_per_window": substeps}}
+    with pytest.raises(ConfigError, match=r"field .solver.substeps_per_window.: "
+                                          r"\(substeps_per_window \+ 1\) x state size"):
+        parse_config(cfg)
+    assert main(["solve", _write(tmp_path, "c.json", cfg)]) == EXIT_ERROR
+    assert "field 'solver.substeps_per_window'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_iterate_at_the_buffer_bound_parses(tmp_path):
+    cfg = _decay_config(tmp_path, solver={"substeps_per_window": 2**27 - 1})
+    assert parse_config(cfg).solver.substeps_per_window == 2**27 - 1
+
+
+@pytest.mark.parametrize("instance,params,substeps,levels", [
+    ("ode.decay", {}, 64, 22),
+    ("ode.riccati", {}, 1, 10**9),
+    ("transport.advect", {"n": 2**19}, 200, 2),
+], ids=["decay-64x2^21", "riccati-huge-levels", "advect-2^20x201"])
+def test_sweep_whose_finest_iterate_is_past_the_bound_names_levels(
+        tmp_path, capsys, monkeypatch, instance, params, substeps, levels):
+    # ODE sweeps double the substeps per level, which the grid check never saw
+    solves = []
+    monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
+    path = _write(tmp_path, "c.json", {"instance": instance, "t_max": 0.5,
+                                       "output_dir": str(tmp_path / "o"), "params": params,
+                                       "solver": {"substeps_per_window": substeps}})
+    assert main(["sweep", path, "--levels", str(levels)]) == EXIT_ERROR
+    assert "error: --levels: at the finest level: (substeps_per_window + 1)" in (
+        capsys.readouterr().err)
+    assert solves == [] and not (tmp_path / "o").exists()

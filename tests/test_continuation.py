@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from twonorm import core
 from twonorm.core import (
     AprioriBound,
     CapExceeded,
@@ -61,6 +62,28 @@ def test_riccati_from_the_largest_float_blows_up_at_once_without_warnings():
         _, rep = continuation_solve(inst, _scalar(inst, 1e308), 1.0, SolverConfig())
     assert rep.termination is Termination.BLOW_UP_DETECTED
     assert rep.t_c_estimate == 0.0
+
+
+def test_attempts_and_plans_go_through_the_core_globals(monkeypatch):
+    # the benchmark counts attempts and plan calls by swapping these globals
+    calls = dict.fromkeys(["picard_window", "select_window", "select_contraction_window"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(core, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(core, name, counted)
+
+    inst = make_decay_instance()
+    _, rep = continuation_solve(inst, _scalar(inst, 1.0), 5.0, SolverConfig())
+    windows = len(rep.windows)
+    assert calls == {"picard_window": windows, "select_window": windows,
+                     "select_contraction_window": windows}
+
+    calls.update(dict.fromkeys(calls, 0))
+    inst = make_riccati_instance()
+    _, rep = continuation_solve(inst, _scalar(inst, 1.0), 2.0, SolverConfig())
+    assert calls["picard_window"] > len(rep.windows) > 0
+    assert calls["select_window"] == calls["select_contraction_window"] == 0
 
 
 def test_window_junctions_share_state_handles():

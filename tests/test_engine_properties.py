@@ -4,8 +4,10 @@ Every solve, whatever its termination, must return windows that tile
 [0, t_end] without gaps, share each junction state by identity and its
 row bitwise, store read-only arrays, keep
 each accepted window under the strong-norm cap planned from its first
-state, end exactly at t_max when it reaches the horizon, and reproduce
-its report exactly when run again.
+state, end exactly at t_max when it reaches the horizon, report a
+blow-up at the end of its last window (a window over the blow-up
+threshold is cut at its first stored time over it), and reproduce its
+report exactly when run again.
 """
 
 import math
@@ -47,6 +49,15 @@ def _check_invariants(inst, x0, t_max, cfg, threshold):
         assert seg.sup_strong() <= cfg.kappa * max(r0, _R0_FLOOR) * (1.0 + 1e-9)
     if report.termination is Termination.HORIZON_REACHED:
         assert segments[-1].t_end == t_max
+    if report.termination is Termination.BLOW_UP_DETECTED:  # t_c ends the last window
+        assert report.t_c_estimate == (report.windows[-1].t_end if report.windows else 0.0)
+    blowup_cap = cfg.strong_norm_cap
+    if blowup_cap is None:
+        blowup_cap = 1e6 * max(x0.strong_norm, _R0_FLOOR)
+    if segments and segments[-1].strong[-1] > blowup_cap:  # cut at the first crossing
+        assert report.termination is Termination.BLOW_UP_DETECTED
+        assert np.all(segments[-1].strong[1:-1] <= blowup_cap)
+        assert report.windows[-1].end_strong_norm == segments[-1].strong[-1]
     _, again = continuation_solve(inst, x0, t_max, cfg)
     assert again.to_dict() == report.to_dict()
 
