@@ -24,6 +24,7 @@ import numpy as np
 
 from . import grids, oracles
 from .core import (
+    BLOWUP_FACTOR,
     NormedPairElement,
     SolveReport,
     SolverConfig,
@@ -217,7 +218,12 @@ def build_initial_state(config: RunConfig, instance: ProblemInstance,
 
 
 def _build_case(config: RunConfig, amplitude_override: float | None = None):
-    """Build the configured instance and an initial state whose strong norm is finite."""
+    """Build the configured instance and an initial state with headroom.
+
+    The initial strong norm r0 must leave BLOWUP_FACTOR x r0 (the default
+    blow-up threshold) and 2 x kappa x r0 (the largest radius window
+    planning samples) finite.
+    """
     instance = build_instance(config)
     # a finite amplitude can give an overflowing slope, and a tiny length an
     # infinite wavenumber, whose samples the grid rejects with a ValueError
@@ -228,11 +234,20 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
             length = config.params["length"]
             raise ConfigError(f"field 'params.length': the initial state is not finite at "
                               f"length {length:g}; use a larger length") from exc
-    if not math.isfinite(x0.strong_norm):
-        name = "--amplitudes" if amplitude_override is not None else "field 'params.amplitude'"
-        amp = config.params["amplitude"] if amplitude_override is None else amplitude_override
-        raise ConfigError(f"{name}: the initial strong norm overflows at amplitude {amp:g}; "
-                          "use a smaller amplitude")
+    r0 = x0.strong_norm
+    if not math.isfinite(BLOWUP_FACTOR * r0):
+        if amplitude_override is not None:
+            name, key, amp = "--amplitudes", "amplitude", amplitude_override
+        else:
+            key = "x0" if config.instance.startswith("ode.") else "amplitude"
+            name, amp = f"field 'params.{key}'", config.params[key]
+        raise ConfigError(f"{name}: the initial strong norm overflows at {key} {amp:g} (the "
+                          f"default blow-up threshold is {BLOWUP_FACTOR:g} times it); "
+                          f"use a smaller {key}")
+    kappa = config.solver.kappa
+    if not math.isfinite(2.0 * kappa * r0):
+        raise ConfigError(f"field 'solver.kappa': 2 x kappa x the initial strong norm {r0:g} "
+                          f"overflows at kappa {kappa:g}; use a smaller kappa")
     return instance, x0
 
 
@@ -385,9 +400,13 @@ def run_sweep(config: RunConfig, levels: int):
         segments, report = continuation_solve(instance, x0, level.t_max, level.solver)
         if report.termination is not Termination.HORIZON_REACHED:
             raise ConfigError(
-                f"sweep level {lev} did not reach the horizon "
+                f"field 't_max': sweep level {lev} did not reach the horizon "
                 f"({report.termination.value}); choose t_max before blow-up")
-        errors.append(_oracle_final_error(level, instance, segments))
+        try:
+            errors.append(_oracle_final_error(level, instance, segments))
+        except oracles.OracleError as exc:  # e.g. Burgers past its shock
+            raise ConfigError(f"field 't_max': sweep level {lev} has no oracle value ({exc}); "
+                              "choose t_max before blow-up") from exc
 
     rows = []
     for lev, err in enumerate(errors):

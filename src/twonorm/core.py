@@ -21,6 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 THETA_FLOOR = 0.1  # floor for empirically estimated contraction factors
+BLOWUP_FACTOR = 1e6  # default blow-up threshold: this times the initial strong norm
 
 _R0_FLOOR = 64.0 * np.finfo(np.float64).eps  # cap floor for zero initial data
 _CAP_SLACK = 1e-9  # relative slack when comparing strong norms against caps
@@ -190,7 +191,7 @@ class SolverConfig:
     max_picard_iters: int = 80
     max_windows: int = 64
     substeps_per_window: int = 64
-    strong_norm_cap: float | None = None  # None: 1e6 x initial strong norm
+    strong_norm_cap: float | None = None  # None: BLOWUP_FACTOR x initial strong norm
     min_window: float = 1e-4        # below this, declare blow-up
     window_shrink: float = 0.5
     empirical_mode: bool = False
@@ -518,7 +519,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     blowup_cap = cfg.strong_norm_cap
     if blowup_cap is None:
-        blowup_cap = 1e6 * max(x0.strong_norm, _R0_FLOOR)
+        blowup_cap = BLOWUP_FACTOR * max(x0.strong_norm, _R0_FLOOR)
     horizon_slack = 1e-12 * max(1.0, abs(t_max))
 
     segments: list[TrajectorySegment] = []

@@ -109,10 +109,6 @@ class OdeSpec:
             raise ValueError(f"{missing} is missing: declare both Lipschitz constants or neither")
 
 
-def _linf(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v)))
-
-
 def _solve_grid(y_traj: TrajectorySegment, x0, window: float, substeps: int,
                 t_start: float) -> np.ndarray:
     """Check the step operators' shared entry contract; return the solve grid.
@@ -139,9 +135,20 @@ def _frozen_inputs(values: np.ndarray, k0: int, k1: int):
     return ends, 0.5 * (ends[:-1] + ends[1:])
 
 
-def _check_cap(strong_norm: float, cap: float | None, t: float) -> None:
-    if cap is not None and strong_norm > cap:
-        raise CapExceeded(f"strong norm {strong_norm} exceeds cap {cap} by t={t}")
+def _reject_rows(times, rows, strong, cap: float | None) -> None:
+    """Raise for the earliest row that is not finite or whose strong norm is over cap.
+
+    times[k] and strong[k] belong to rows[k]. A row that is both raises
+    NonFiniteState; either message names the row's time.
+    """
+    finite = np.isfinite(rows).all(axis=1)
+    bad = ~finite if cap is None else ~finite | (strong > cap)
+    if bad.any():
+        k = int(np.argmax(bad))
+        t = float(times[k])
+        if not finite[k]:
+            raise NonFiniteState(f"state overflowed at t={t}")
+        raise CapExceeded(f"strong norm {float(strong[k])} exceeds cap {cap} by t={t}")
 
 
 def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
@@ -155,14 +162,12 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
     order in time, not fourth: the mean is a second-order midpoint. The
     states fill one (substeps+1, dimension) buffer whose row 0 is x0's;
     each row's max-abs norm serves as both its weak and strong norm. The
-    step finishes the window before it checks the rows: it then raises
-    NonFiniteState or CapExceeded (norm above cap) for the earliest
-    offending row, NonFiniteState when one row is both.
+    step finishes the window before it checks the rows, row 0 included,
+    and raises for the earliest offending one (see _reject_rows).
     """
     times = _solve_grid(y_traj, x0, window, substeps, t_start)
     if np.shape(x0.state) != (spec.dimension,):
         raise ValueError(f"x0 has shape {np.shape(x0.state)}, spec dimension is {spec.dimension}")
-    _check_cap(x0.strong_norm, cap, t_start)
 
     xs = np.empty((substeps + 1, spec.dimension))
     xs[0] = x0.state
@@ -180,13 +185,7 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
             k4 = f(t_k + h, y1, x + h * k3)
             xs[k + 1] = x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms = np.max(np.abs(xs), axis=1)
-    finite = np.isfinite(xs).all(axis=1)
-    bad = ~finite if cap is None else ~finite | (norms > cap)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not finite[k]:
-            raise NonFiniteState(f"state overflowed at t={float(times[k])}")
-        _check_cap(float(norms[k]), cap, float(times[k]))
+    _reject_rows(times, xs, norms, cap)
     return TrajectorySegment(times, xs, norms, norms, x0)
 
 
@@ -219,9 +218,9 @@ def make_ode_instance(name: str, spec: OdeSpec) -> ProblemInstance:
     return ProblemInstance(
         name=name,
         step=partial(ode_step, spec),
-        weak_norm=_linf,
-        strong_norm=_linf,
-        weak_dist=lambda a, b: _linf(np.subtract(a, b)),
+        weak_norm=sup_norm_values,
+        strong_norm=sup_norm_values,
+        weak_dist=_sup_dist,
         bounds=bounds,
         spec=spec,
     )
@@ -306,14 +305,14 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     update of u runs substep by substep. The states fill one
     (substeps+1, n) buffer whose row 0 is u0's, with the sup and
     Lipschitz norms of each row; a row reads as a state through
-    GridFunction1D(spec.n, spec.length, row). Raises CapExceeded at the
-    end of the first block whose Lipschitz norm exceeds cap.
+    GridFunction1D(spec.n, spec.length, row). Each block's rows are checked
+    once it is filled (see _reject_rows; the strong norm is the Lipschitz
+    norm), before the block may raise CharacteristicBlowup.
     """
     times = _solve_grid(v_traj, u0, window, substeps, t_start)
     grid0: GridFunction1D = u0.state
     if grid0.n != spec.n or grid0.length != spec.length:
         raise ValueError("initial grid does not match the transport spec")
-    _check_cap(u0.strong_norm, cap, t_start)
 
     with np.errstate(over="ignore", invalid="ignore"):
         rows, sup, lip = _transport_sweep(spec, times, v_traj.values, u0, cap)
@@ -332,6 +331,7 @@ def _transport_sweep(spec, times, v_values, u0, cap):
     sup = np.empty(substeps + 1)
     lip = np.empty(substeps + 1)
     rows[0], sup[0], lip[0] = u0.state.values, u0.weak_norm, u0.strong_norm
+    _reject_rows(times[:1], rows[:1], lip[:1], cap)
     u = rows[0]
     for k0 in range(0, substeps, block):
         k1 = min(k0 + block, substeps)
@@ -362,15 +362,12 @@ def _transport_sweep(spec, times, v_values, u0, cap):
                 u_next = u_foot + h[i, 0] * spec.g(x_half[i], u_star)
             rows[k + 1] = u_next
             u = rows[k + 1]
-        finite = np.isfinite(rows[k0 + 1:stop + 1]).all(axis=1)
-        if not finite.all():
-            k = k0 + int(np.argmin(finite))
-            raise NonFiniteState(f"transport state overflowed at t={times[k + 1]}")
+        filled = slice(k0 + 1, stop + 1)
+        sup[filled], lip[filled] = sup_lip_norms(rows[filled], length)
+        _reject_rows(times[filled], rows[filled], lip[filled], cap)
         if stop < k1:
             raise CharacteristicBlowup(
                 "characteristic foot moved more than half the domain in one substep")
-        sup[k0 + 1:k1 + 1], lip[k0 + 1:k1 + 1] = sup_lip_norms(rows[k0 + 1:k1 + 1], length)
-        _check_cap(float(np.max(lip[k0 + 1:k1 + 1])), cap, float(times[k1]))
     return rows, sup, lip
 
 

@@ -386,6 +386,33 @@ def test_sweep_zero_data_marks_orders_na(tmp_path):
     assert all(row[1] == "0.0" and row[2] == "na" for row in rows)
 
 
+def test_main_sweep_burgers_errors_decrease(tmp_path, capsys):
+    # errors observed: 9.88e-4, 2.18e-4, 4.12e-5 at n = 64, 128, 256
+    path = _write(tmp_path, "b.json", {"instance": "transport.burgers", "t_max": 0.5,
+                                       "output_dir": str(tmp_path / "o"),
+                                       "params": {"n": 64}})
+    assert main(["sweep", path, "--levels", "3"]) == EXIT_OK
+    assert "transport.burgers: sweep errors" in capsys.readouterr().out
+    errors = [float(line.split(",")[1]) for line in
+              (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(errors) == 3 and all(b < a for a, b in zip(errors, errors[1:]))
+    assert errors[0] < 2e-3
+
+
+@pytest.mark.parametrize("instance,params,message", [
+    # x' = x^2 from 1 blows up at t = 1
+    ("ode.riccati", {}, "sweep level 0 did not reach the horizon (BlowUpDetected)"),
+    # the discrete Lipschitz norm saturates, so the solve goes on past the shock at t = 1
+    ("transport.burgers", {"n": 64}, "sweep level 0 has no oracle value (characteristics cross"),
+], ids=["riccati-blowup", "burgers-past-shock"])
+def test_sweep_level_without_an_error_past_t_c_names_t_max(tmp_path, capsys, instance, params,
+                                                           message):
+    path = _write(tmp_path, "c.json", {"instance": instance, "t_max": 2.0,
+                                       "output_dir": str(tmp_path / "o"), "params": params})
+    assert main(["sweep", path, "--levels", "1"]) == EXIT_ERROR
+    assert f"error: field 't_max': {message}" in capsys.readouterr().err
+
+
 # -- run_blowup_scan ------------------------------------------------------------------
 
 def test_blowup_scan_riccati(tmp_path):
@@ -494,6 +521,41 @@ def test_main_names_an_amplitude_whose_strong_norm_overflows(tmp_path, capsys, a
     err = capsys.readouterr().err
     assert f"error: {name}: the initial strong norm overflows" in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("instance,argv,params,solver,message", [
+    ("ode.decay", ["solve"], {"x0": 1.8e302}, {}, "field 'params.x0': the initial strong norm"),
+    ("ode.decay", ["solve"], {"x0": 4e307}, {}, "field 'params.x0': the initial strong norm"),
+    ("ode.decay", ["solve"], {"x0": 8.9e307}, {}, "field 'params.x0': the initial strong norm"),
+    ("ode.decay", ["solve"], {"x0": 1e308}, {}, "field 'params.x0': the initial strong norm"),
+    ("ode.decay", ["sweep", "--levels", "1"], {"x0": -1e308}, {},
+     "field 'params.x0': the initial strong norm"),
+    ("ode.riccati", ["blowup", "--amplitudes", "1,1e303"], {}, {},
+     "--amplitudes: the initial strong norm"),
+    ("ode.decay", ["solve"], {}, {"kappa": 1e308}, "field 'solver.kappa': 2 x kappa x"),
+], ids=["decay-1.8e302", "decay-4e307", "decay-8.9e307", "decay-1e308", "sweep-decay--1e308",
+        "riccati-scan-1e303", "kappa-1e308"])
+def test_an_initial_norm_without_headroom_is_named_before_any_solve_or_directory(
+        tmp_path, capsys, monkeypatch, instance, argv, params, solver, message):
+    # 1e6 x the initial norm (the default blow-up threshold) or 2 x kappa x it (the
+    # largest radius planning samples) is not finite; these runs used to end
+    # BlowUpDetected at t_c = 0, leak numpy warnings or end ContractionFailure
+    solves = []
+    monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
+    path = _write(tmp_path, "c.json", {"instance": instance, "t_max": 5.0,
+                                       "output_dir": str(tmp_path / "o"), "params": params,
+                                       "solver": solver})
+    assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "overflows" in err
+    assert "Warning" not in err
+    assert solves == [] and not (tmp_path / "o").exists()
+
+
+def test_decay_from_the_largest_x0_with_headroom_reaches_the_horizon(tmp_path):
+    # 1e6 x 1.7e302 is still finite
+    code, report, _ = run_solve(parse_config(_decay_config(tmp_path, params={"x0": 1.7e302})))
+    assert code == EXIT_OK and report.termination is Termination.HORIZON_REACHED
 
 
 @pytest.mark.parametrize("argv,amplitude", [

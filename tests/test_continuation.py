@@ -121,6 +121,15 @@ def test_strong_norm_cap_triggers_blowup_verdict():
     assert 0.9 <= rep.t_c_estimate <= 1.0
 
 
+def test_strong_norm_cap_below_the_initial_norm_is_blowup_at_zero():
+    inst = make_decay_instance()
+    segs, rep = continuation_solve(inst, _scalar(inst, 1.0), 2.0,
+                                   SolverConfig(strong_norm_cap=0.5))
+    assert rep.termination is Termination.BLOW_UP_DETECTED
+    assert rep.t_c_estimate == 0.0
+    assert segs == [] and rep.windows == ()
+
+
 def test_determinism_identical_reports():
     inst = make_riccati_instance()
     _, rep1 = continuation_solve(inst, _scalar(inst, 1.0), 2.0, SolverConfig())

@@ -11,6 +11,7 @@ from twonorm.core import (
     IterBudgetExceeded,
     NormedPairElement,
     SolverConfig,
+    SolverError,
     WindowPlan,
     estimate_theta_empirical,
     picard_window,
@@ -135,6 +136,31 @@ def test_one_weak_distance_per_returned_step():
         picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.5, t_start=0.0, t_end=0.9),
                       SolverConfig(substeps_per_window=16))
     assert counts["weak_dist"] == counts["steps"] > rec.picard_iters
+
+
+def test_picard_checks_the_cap_of_a_step_that_ignores_it():
+    base = make_riccati_instance()
+
+    def step(y_traj, x0, window, substeps, t_start, cap=None):
+        return base.step(y_traj, x0, window, substeps, t_start)
+
+    inst = dataclasses.replace(base, step=step)
+    with pytest.raises(CapExceeded, match="iterate strong norm .* exceeds cap 2.5"):
+        picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.5, t_start=0.0, t_end=0.9),
+                      SolverConfig(substeps_per_window=16))
+
+
+def test_picard_rejects_a_step_output_that_does_not_start_from_x0():
+    base = make_decay_instance()
+
+    def step(*args, **kwargs):
+        seg = base.step(*args, **kwargs)
+        return dataclasses.replace(seg, start=_scalar_element(1.0))  # equal, not the same
+
+    inst = dataclasses.replace(base, step=step)
+    with pytest.raises(SolverError, match="must start its output from the x0 element"):
+        picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.0, t_start=0.0, t_end=0.5),
+                      SolverConfig(substeps_per_window=4))
 
 
 def test_absolute_time_passed_to_rhs():

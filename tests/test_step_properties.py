@@ -80,7 +80,7 @@ def _reference_step(spec, v_traj, u0, window, substeps, t_start):
             else:
                 u_next = u_foot
             if not np.all(np.isfinite(u_next)):
-                raise NonFiniteState(f"transport state overflowed at t={times[k + 1]}")
+                raise NonFiniteState(f"state overflowed at t={times[k + 1]}")
             u = np.asarray(u_next, dtype=np.float64)
             out.append((times[k + 1], u, _sup(u), _lip(u, length)))
     return out
@@ -179,9 +179,30 @@ def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, fac
         lambda: transport_step(spec, v_traj, x0, window, substeps, t_start, cap=cap))
     if free.sup_strong() > cap:
         assert capped_err is not None and capped_err[0] is CapExceeded
+        crossing = int(np.argmax(free.strong > cap))
+        assert capped_err[1].endswith(f"by t={float(free.times[crossing])}")
     else:
         assert capped_err is None
         assert [s.strong_norm for s in capped.states] == [s.strong_norm for s in free.states]
+
+
+def test_transport_cap_crossing_before_an_overflow_in_one_block_names_the_crossing_row():
+    # with n = 16 one block holds all 256 substeps, and u' = 1e150 u^2 overflows
+    # at row 90 of them; the cap is crossed earlier in the same block
+    substeps, window = 256, 3e-150
+    spec, v, x0 = _transport_case(16, substeps, window, 0.0, "cubic", "overflow", 0, 1.0)
+    with pytest.raises(NonFiniteState) as err:
+        transport_step(spec, v, x0, window, substeps, 0.0)
+    assert str(err.value) == f"state overflowed at t={float(v.times[90])}"
+    # the first 89 substeps alone: the same rows, all finite
+    head = TrajectorySegment(v.times[:90], v.values[:90], v.weak[:90], v.strong[:90], x0)
+    free = transport_step(spec, head, x0, float(v.times[89]), 89, 0.0)
+    cap = 2.0 * x0.strong_norm
+    crossing = int(np.argmax(free.strong > cap))
+    assert 0 < crossing < 89
+    with pytest.raises(CapExceeded) as err:
+        transport_step(spec, v, x0, window, substeps, 0.0, cap=cap)
+    assert str(err.value).endswith(f"by t={float(v.times[crossing])}")
 
 
 ODE_SPECS = {
