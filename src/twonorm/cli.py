@@ -287,10 +287,10 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_text(header: list[str], rows, line_end: str = "\n") -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return line_end.join(lines) + line_end
 
 
 def write_report_json(path: str, report: SolveReport) -> None:
@@ -326,7 +326,9 @@ def write_trajectory(out_dir: str, config: RunConfig, segments) -> None:
         _write_atomic(os.path.join(out_dir, "trajectory.csv"), _csv_text(header, rows))
     else:
         final = segments[-1].end.state
-        _write_atomic(os.path.join(out_dir, "final_state.csv"), grids.csv_text(final))
+        rows = zip(map(repr, final.nodes().tolist()), map(repr, final.values.tolist()))
+        _write_atomic(os.path.join(out_dir, "final_state.csv"),
+                      _csv_text(["x", "value"], rows, "\r\n"))
 
 
 # -- commands ------------------------------------------------------------------
@@ -382,7 +384,7 @@ def run_sweep(config: RunConfig, levels: int):
     row or degenerate (zero-error) ratios.
     """
     if levels < 1:
-        raise ConfigError("levels must be >= 1")
+        raise ConfigError(f"--levels: must be >= 1, got {levels}")
     # 27 doublings already fail the checks below, so the level checked is capped there
     finest = _sweep_level(config, min(levels - 1, 27))
     if not config.instance.startswith("ode."):

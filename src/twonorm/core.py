@@ -393,6 +393,25 @@ def estimate_theta_empirical(ratios) -> float:
 
 # -- fixed-point iteration over one window ----------------------------------
 
+def reject_rows(times, weak, strong, cap: float | None) -> None:
+    """Raise for the earliest row that leaves the weak space or the strong ball of radius cap.
+
+    times[k], weak[k] and strong[k] belong to row k. A weak norm that is
+    not finite raises NonFiniteState; a strong norm that is not <= cap
+    (NaN included) raises CapExceeded; a row that is both raises
+    NonFiniteState. Either message names the row's time. With cap None
+    only the weak norms are checked.
+    """
+    finite = np.isfinite(weak)
+    bad = ~finite if cap is None else ~(finite & (strong <= cap))
+    if bad.any():
+        k = int(np.argmax(bad))
+        t = float(times[k])
+        if not finite[k]:
+            raise NonFiniteState(f"state overflowed at t={t}")
+        raise CapExceeded(f"strong norm {float(strong[k])} exceeds cap {cap} by t={t}")
+
+
 def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
                   cfg: SolverConfig) -> tuple[TrajectorySegment, WindowRecord]:
     """Iterate the frozen-solve map on [plan.t_start, plan.t_end].
@@ -403,13 +422,13 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
     problem with the previous iterate as input, and stops once the
     a-posteriori bound theta/(1-theta) * d_n falls under cfg.tol, where
     d_n = instance.weak_dist of the two iterates' stacked rows and theta
-    is cfg.theta_target (or the empirical estimate). Every iterate must
-    keep its strong norms under plan.K; the cap goes to the step
-    operator, which may reject a doomed iterate.
+    is cfg.theta_target (or the empirical estimate). Every returned
+    iterate is judged by reject_rows against plan.K (with _CAP_SLACK),
+    a cap the step operator also gets, to reject a doomed iterate early.
 
     Raises WindowFailure subclasses when the window has to shrink:
     ContractionFailureError (ratio above 1 twice in a row), CapExceeded,
-    NonFiniteState (propagated from the step operator), or
+    NonFiniteState (from reject_rows, here or in the step operator), or
     IterBudgetExceeded.
     """
     if x0.strong_norm > plan.K / cfg.kappa * (1.0 + _CAP_SLACK):
@@ -432,9 +451,7 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
         cur = instance.step(prev, x0, plan.t_end - plan.t_start, m, plan.t_start, cap=cap)
         if cur.start is not x0:
             raise SolverError("step operator must start its output from the x0 element")
-        if cur.sup_strong() > cap:
-            raise CapExceeded(
-                f"iterate strong norm {cur.sup_strong()} exceeds cap {plan.K}")
+        reject_rows(cur.times, cur.weak, cur.strong, cap)
         d = instance.weak_dist(cur.values, prev.values)
         if d_prev is not None and d_prev > 0.0:
             ratio = d / d_prev

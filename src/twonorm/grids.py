@@ -7,8 +7,6 @@ largest one-sided difference quotient (periodic wrap included).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,12 +213,3 @@ def from_callable(f, n: int, length: float) -> GridFunction1D:
     """Sample a callable at the grid nodes."""
     xs = np.arange(n) * (length / n)
     return GridFunction1D(n=n, length=length, values=np.asarray(f(xs), dtype=np.float64))
-
-
-def csv_text(u: GridFunction1D) -> str:
-    """The (x, value) rows of u as CSV text, with csv.writer's CRLF line ends."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["x", "value"])
-    w.writerows([repr(float(xi)), repr(float(vi))] for xi, vi in zip(u.nodes(), u.values))
-    return buf.getvalue()

@@ -15,7 +15,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import (
+from .core import (  # CapExceeded and NonFiniteState are re-exported for callers
     AprioriBound,
     CapExceeded,
     NonFiniteState,
@@ -23,6 +23,7 @@ from .core import (
     StabilityBounds,
     TrajectorySegment,
     WindowFailure,
+    reject_rows,
 )
 from .grids import (
     GridFunction1D,
@@ -57,11 +58,11 @@ class ProblemInstance:
     frozen problem on the times of its input trajectory y_traj (the
     window's uniform grid of substeps steps, read through its stacked rows
     y_traj.values) and returns a TrajectorySegment whose start is the x0
-    element and whose row 0 is x0's raw state. When cap is given, step
-    may raise CapExceeded instead of returning a trajectory whose strong
-    norm exceeds it (the bundled steps do, exactly when the finished
-    trajectory's sup_strong() would exceed cap); picard_window checks the
-    finished trajectory as well. weak_dist(a, b) takes two stacked row
+    element and whose row 0 is x0's raw state. picard_window rejects a
+    returned trajectory by core.reject_rows: its earliest row whose weak
+    norm is not finite (NonFiniteState) or whose strong norm is not <= cap
+    (CapExceeded). A step may call reject_rows itself to stop early, as
+    the bundled steps do. weak_dist(a, b) takes two stacked row
     arrays of one shape and returns the weak distance, sup over every
     row; weak_norm and strong_norm take single states. bounds is None for
     instances without analytic growth/stability estimates; the engine
@@ -135,22 +136,6 @@ def _frozen_inputs(values: np.ndarray, k0: int, k1: int):
     return ends, 0.5 * (ends[:-1] + ends[1:])
 
 
-def _reject_rows(times, rows, strong, cap: float | None) -> None:
-    """Raise for the earliest row that is not finite or whose strong norm is over cap.
-
-    times[k] and strong[k] belong to rows[k]. A row that is both raises
-    NonFiniteState; either message names the row's time.
-    """
-    finite = np.isfinite(rows).all(axis=1)
-    bad = ~finite if cap is None else ~finite | (strong > cap)
-    if bad.any():
-        k = int(np.argmax(bad))
-        t = float(times[k])
-        if not finite[k]:
-            raise NonFiniteState(f"state overflowed at t={t}")
-        raise CapExceeded(f"strong norm {float(strong[k])} exceeds cap {cap} by t={t}")
-
-
 def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
              window: float, substeps: int, t_start: float = 0.0,
              cap: float | None = None) -> TrajectorySegment:
@@ -163,7 +148,7 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
     states fill one (substeps+1, dimension) buffer whose row 0 is x0's;
     each row's max-abs norm serves as both its weak and strong norm. The
     step finishes the window before it checks the rows, row 0 included,
-    and raises for the earliest offending one (see _reject_rows).
+    with core.reject_rows.
     """
     times = _solve_grid(y_traj, x0, window, substeps, t_start)
     if np.shape(x0.state) != (spec.dimension,):
@@ -185,7 +170,7 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
             k4 = f(t_k + h, y1, x + h * k3)
             xs[k + 1] = x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms = np.max(np.abs(xs), axis=1)
-    _reject_rows(times, xs, norms, cap)
+    reject_rows(times, norms, norms, cap)
     return TrajectorySegment(times, xs, norms, norms, x0)
 
 
@@ -306,8 +291,8 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     (substeps+1, n) buffer whose row 0 is u0's, with the sup and
     Lipschitz norms of each row; a row reads as a state through
     GridFunction1D(spec.n, spec.length, row). Each block's rows are checked
-    once it is filled (see _reject_rows; the strong norm is the Lipschitz
-    norm), before the block may raise CharacteristicBlowup.
+    by core.reject_rows once it is filled, before the block may raise
+    CharacteristicBlowup.
     """
     times = _solve_grid(v_traj, u0, window, substeps, t_start)
     grid0: GridFunction1D = u0.state
@@ -331,7 +316,7 @@ def _transport_sweep(spec, times, v_values, u0, cap):
     sup = np.empty(substeps + 1)
     lip = np.empty(substeps + 1)
     rows[0], sup[0], lip[0] = u0.state.values, u0.weak_norm, u0.strong_norm
-    _reject_rows(times[:1], rows[:1], lip[:1], cap)
+    reject_rows(times[:1], sup[:1], lip[:1], cap)
     u = rows[0]
     for k0 in range(0, substeps, block):
         k1 = min(k0 + block, substeps)
@@ -364,7 +349,7 @@ def _transport_sweep(spec, times, v_values, u0, cap):
             u = rows[k + 1]
         filled = slice(k0 + 1, stop + 1)
         sup[filled], lip[filled] = sup_lip_norms(rows[filled], length)
-        _reject_rows(times[filled], rows[filled], lip[filled], cap)
+        reject_rows(times[filled], sup[filled], lip[filled], cap)
         if stop < k1:
             raise CharacteristicBlowup(
                 "characteristic foot moved more than half the domain in one substep")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -78,6 +79,7 @@ def _burgers_config(tmp_path, **params):
 
 @pytest.mark.parametrize("make_cfg,field", [
     (lambda p: _decay_config(p, t_max=True), "t_max"),
+    (lambda p: _decay_config(p, t_max=10**400), "t_max"),
     (lambda p: _burgers_config(p, amplitude=float("nan")), "params.amplitude"),
     (lambda p: _burgers_config(p, amplitude=float("inf")), "params.amplitude"),
     (lambda p: _decay_config(p, params={"x0": float("nan")}), "params.x0"),
@@ -98,7 +100,7 @@ def _burgers_config(tmp_path, **params):
     (lambda p: _decay_config(p, solver={"strong_norm_cap": float("nan")}),
      "solver.strong_norm_cap"),
     (lambda p: _decay_config(p, solver={"strong_norm_cap": "100"}), "solver.strong_norm_cap"),
-], ids=["t_max-true", "amplitude-nan", "amplitude-inf", "x0-nan", "x0-inf",
+], ids=["t_max-true", "t_max-10**400", "amplitude-nan", "amplitude-inf", "x0-nan", "x0-inf",
         "length-str", "emit-str", "picard-iters-float", "picard-iters-true",
         "substeps-float", "max-windows-float", "max-windows-str", "kappa-inf",
         "swap-roles-str", "tol-inf", "tol-true", "empirical-mode-int",
@@ -164,6 +166,14 @@ def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe" + '{"instance": "ode.decay"}'.encode("utf-16-le"))
     assert main(["solve", str(path)]) == EXIT_ERROR
     assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "5"], ids=["array", "null", "number"])
+def test_config_whose_top_level_is_not_an_object_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    assert f"error: {path}: top level must be a JSON object" in capsys.readouterr().err
 
 
 def test_defaults_filled_in(tmp_path):
@@ -284,6 +294,21 @@ def test_solve_burgers_writes_final_state_grid(tmp_path):
     lines = (tmp_path / "o" / "final_state.csv").read_text().splitlines()
     assert lines[0] == "x,value"
     assert len(lines) == 65
+
+
+def test_final_state_csv_round_trip(tmp_path):
+    cfg = {"instance": "transport.burgers", "t_max": 0.2, "output_dir": str(tmp_path / "o"),
+           "params": {"n": 32}, "solver": {"substeps_per_window": 16},
+           "emit": {"trajectory": True}}
+    _, _, segments = run_solve(parse_config(cfg))
+    final = segments[-1].end.state
+    path = tmp_path / "o" / "final_state.csv"
+    assert path.read_bytes().count(b"\r\n") == 33  # CRLF line ends
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["x", "value"]
+    assert np.array_equal([float(x) for x, _ in rows], final.nodes())
+    assert np.array_equal([float(v) for _, v in rows], final.values)
 
 
 def test_stray_tmp_file_is_neither_clobbered_nor_used(tmp_path):
@@ -637,17 +662,19 @@ def test_grid_size_at_the_bound_parses(tmp_path):
     assert parse_config(cfg).params["n"] == 2**20
 
 
-@pytest.mark.parametrize("n,levels", [(64, 16), (2**20, 2), (16, 10**9)],
-                         ids=["64x2^15", "bound-x2", "huge-levels"])
+@pytest.mark.parametrize("n,levels,message", [
+    (64, 16, "the finest grid"), (2**20, 2, "the finest grid"), (16, 10**9, "the finest grid"),
+    (64, 0, "must be >= 1, got 0"), (64, -3, "must be >= 1, got -3"),
+], ids=["64x2^15", "bound-x2", "huge-levels", "zero", "negative"])
 def test_sweep_whose_finest_grid_is_past_the_bound_names_levels(
-        tmp_path, capsys, monkeypatch, n, levels):
+        tmp_path, capsys, monkeypatch, n, levels, message):
     solves = []
     monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
     path = _write(tmp_path, "a.json", {"instance": "transport.advect", "t_max": 0.5,
                                        "output_dir": str(tmp_path / "a"),
                                        "params": {"n": n}})
     assert main(["sweep", path, "--levels", str(levels)]) == EXIT_ERROR
-    assert "error: --levels: the finest grid" in capsys.readouterr().err
+    assert f"error: --levels: {message}" in capsys.readouterr().err
     assert solves == [] and not (tmp_path / "a").exists()
 
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from twonorm.core import (
     _RADIUS_SAMPLES,
     AprioriBound,
+    CapExceeded,
     InvalidCap,
     NoContractionWindow,
+    NonFiniteState,
     NonMonotone,
     NormedPairElement,
     SolveReport,
@@ -24,6 +26,7 @@ from twonorm.core import (
     _bisect,
     continuation_solve,
     estimate_theta_empirical,
+    reject_rows,
     select_contraction_window,
     select_window,
 )
@@ -81,6 +84,22 @@ def test_select_window_detects_decreasing_bound():
     a = AprioriBound(eval=lambda t, r, m: r + (10.0 - t) * m)
     with pytest.raises(NonMonotone):
         select_window(a, 1.0, 20.0, 10.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: select_window(AprioriBound(eval=lambda t, r, m: r + t * m), 1.0, 2.0, 0.0),
+     "t_max must be positive"),
+    (lambda: select_contraction_window(
+        StabilityBounds(b=lambda t, r: t * r, c=lambda t, r: t * r), 1.0, 0.0, 0.5),
+     "t1 must be positive"),
+    (lambda: continuation_solve(make_decay_instance(),
+                                NormedPairElement(np.array([1.0]), 1.0, math.inf), 1.0,
+                                SolverConfig()),
+     "initial state must have a finite strong norm"),
+], ids=["select_window-t_max-0", "select_contraction_window-t1-0", "solve-from-inf-strong-norm"])
+def test_engine_entry_points_reject_degenerate_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # -- select_contraction_window ---------------------------------------------------
@@ -254,6 +273,29 @@ def test_theta_empirical_rejects_empty_and_negative():
         estimate_theta_empirical([])
     with pytest.raises(ValueError):
         estimate_theta_empirical([-0.1])
+
+
+# -- reject_rows -----------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("weak,strong,cap,error,row", [
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 1.0], 2.0, None, None),
+    ([1.0, INF, NAN], [9.0, 9.0, 9.0], None, NonFiniteState, 1),
+    ([1.0, 1.0, NAN], [1.0, NAN, 1.0], 2.0, CapExceeded, 1),
+    ([1.0, 1.0, NAN], [1.0, 3.0, NAN], 2.0, CapExceeded, 1),
+    ([1.0, NAN, 1.0], [1.0, 3.0, 3.0], 2.0, NonFiniteState, 1),
+    ([1.0, 1.0, INF], [1.0, 1.0, 1.0], 2.0, NonFiniteState, 2),
+], ids=["at-the-cap", "no-cap", "nan-strong", "earliest-row", "both", "inf-weak"])
+def test_reject_rows_raises_for_the_earliest_bad_row(weak, strong, cap, error, row):
+    times = np.array([0.0, 0.25, 0.5])
+    if error is None:
+        reject_rows(times, np.array(weak), np.array(strong), cap)
+        return
+    with pytest.raises(error) as exc:
+        reject_rows(times, np.array(weak), np.array(strong), cap)
+    assert str(exc.value).endswith(f"t={times[row]}")
 
 
 # -- domain type validation ------------------------------------------------------

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from twonorm.grids import (
     GridFunction1D,
-    csv_text,
     from_callable,
     interp_values,
     interpolate,
@@ -44,6 +42,13 @@ def test_rejects_bad_shape_and_length():
         GridFunction1D(n=4, length=0.0, values=np.zeros(4))
     with pytest.raises(ValueError):
         GridFunction1D(n=1, length=1.0, values=np.zeros(1))
+
+
+@pytest.mark.parametrize("other", [grid(np.zeros(5)), grid(np.zeros(4), length=2.0)],
+                         ids=["other-n", "other-length"])
+def test_sup_distance_rejects_functions_on_different_grids(other):
+    with pytest.raises(ValueError, match="different grids"):
+        sup_distance(grid(np.zeros(4)), other)
 
 
 def test_values_are_immutable():
@@ -196,19 +201,6 @@ def test_unknown_scheme_rejected():
     u = grid([0.0, 1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         interpolate(u, 0.1, "quintic")
-
-
-# -- serialization ---------------------------------------------------------------
-
-def test_csv_round_trip(tmp_path):
-    u = from_callable(np.cos, 32, 3.0)
-    path = tmp_path / "u.csv"
-    path.write_text(csv_text(u), newline="")
-    with open(path, newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == ["x", "value"]
-    assert np.array_equal([float(x) for x, _ in rows], u.nodes())
-    assert np.array_equal([float(v) for _, v in rows], u.values)
 
 
 def _interp_four_mods(values, length, x, scheme):

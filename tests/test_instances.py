@@ -16,6 +16,7 @@ from twonorm.instances import (
     TransportSpec,
     make_advect_instance,
     make_burgers_instance,
+    make_decay_instance,
     make_element,
     make_linear_ode_instance,
     ode_bounds,
@@ -180,6 +181,23 @@ def test_ode_step_rejects_state_of_wrong_dimension():
 def test_ode_spec_rejects_half_declared_lipschitz_data(declared, missing):
     with pytest.raises(ValueError, match=f"{missing} is missing"):
         OdeSpec(dimension=1, f=lambda t, y, x: -x, **declared)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: OdeSpec(dimension=0, f=lambda t, y, x: -x), "dimension must be >= 1"),
+    (lambda: OdeSpec(dimension=1, f=lambda t, y, x: -x, lipschitz_y=-1.0, lipschitz_x=1.0),
+     "lipschitz_y must be finite and nonnegative"),
+    (lambda: make_decay_instance(rate=0.0), "rate must be positive"),
+    (lambda: TransportSpec(n=1, length=1.0, G=lambda x, v: v), "at least 2 points"),
+    (lambda: TransportSpec(n=16, length=0.0, G=lambda x, v: v), "length must be positive"),
+    (lambda: ode_step(OdeSpec(dimension=1, f=lambda t, y, x: -x),
+                      _const_segment([0.0], 0.0, 0.5, 9), _elem(np.array([1.0])), 0.5, 0),
+     "substeps must be >= 1"),
+], ids=["ode-dimension-0", "ode-negative-lipschitz", "decay-rate-0", "transport-n-1",
+        "transport-length-0", "ode-step-0-substeps"])
+def test_instance_inputs_are_checked(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # -- ode_bounds -----------------------------------------------------------------

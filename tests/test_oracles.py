@@ -6,6 +6,7 @@ import pytest
 from twonorm.instances import OdeSpec
 from twonorm.oracles import (
     NoConvergence,
+    OracleError,
     PostShock,
     SmoothProfile,
     blowup_time,
@@ -69,6 +70,23 @@ def test_characteristics_post_shock_raises():
     with pytest.raises(PostShock):
         # the shock forms at t = 1; far past it the slope check must trip
         burgers_profile_at(prof, 1.5, np.linspace(2.5, 3.8, 40))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    # with sup_hint 0 the bracket is only the padding, which misses the root
+    (lambda: burgers_characteristics(sine_profile(), 0.5, 0.5 * math.pi, sup_hint=0.0),
+     NoConvergence, "bracket does not straddle"),
+    (lambda: burgers_characteristics(sine_profile(), 0.5, 1.0, max_iters=1),
+     NoConvergence, "no root within 1 iterations"),
+    (lambda: dense_reference(OdeSpec(dimension=1, f=lambda t, y, x: -x), [1.0], 0.0, 1e-4),
+     ValueError, "t_final must be positive"),
+    (lambda: dense_reference(OdeSpec(dimension=1, f=lambda t, y, x: 1e200 * y * x), [1.0],
+                             1.0, 1e-4),
+     OracleError, "reference solve overflowed at t=0.0001"),
+], ids=["bracket-misses-root", "iteration-budget", "dense-t_final-0", "dense-overflow"])
+def test_oracles_raise_when_they_have_no_answer(call, error, match):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+        call()
 
 
 def test_blowup_time_sine():

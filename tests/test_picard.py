@@ -9,6 +9,7 @@ from twonorm.core import (
     ContractionFailureError,
     InvalidCap,
     IterBudgetExceeded,
+    NonFiniteState,
     NormedPairElement,
     SolverConfig,
     SolverError,
@@ -145,9 +146,59 @@ def test_picard_checks_the_cap_of_a_step_that_ignores_it():
         return base.step(y_traj, x0, window, substeps, t_start)
 
     inst = dataclasses.replace(base, step=step)
-    with pytest.raises(CapExceeded, match="iterate strong norm .* exceeds cap 2.5"):
+    with pytest.raises(CapExceeded, match="strong norm .* exceeds cap 2.5"):
         picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.5, t_start=0.0, t_end=0.9),
                       SolverConfig(substeps_per_window=16))
+
+
+def _riccati_passing_rows_through(edit):
+    """Riccati whose step ignores cap and returns edit(output); inputs and outputs are kept."""
+    base = make_riccati_instance()
+    inputs, outputs = [], []
+
+    def step(y_traj, x0, window, substeps, t_start, cap=None):
+        inputs.append(y_traj)
+        outputs.append(edit(base.step(y_traj, x0, window, substeps, t_start)))
+        return outputs[-1]
+
+    return dataclasses.replace(base, step=step), inputs, outputs
+
+
+def _nan_rows_from_5(seg):
+    values = seg.values.copy()
+    values[5:] = np.nan
+    norms = np.max(np.abs(values), axis=1)
+    return dataclasses.replace(seg, values=values, weak=norms, strong=norms)
+
+
+def _nan_strong_norm_at_3(seg):
+    strong = seg.strong.copy()
+    strong[3] = np.nan
+    return dataclasses.replace(seg, strong=strong)
+
+
+@pytest.mark.parametrize("edit,error,row", [(_nan_rows_from_5, NonFiniteState, 5),
+                                            (_nan_strong_norm_at_3, CapExceeded, 3)],
+                         ids=["nan-rows", "nan-strong-norm"])
+def test_picard_rejects_a_non_finite_iterate_at_its_first_step_call(edit, error, row):
+    # picard_window's own check used to let both through: NaN is not > cap
+    inst, inputs, outputs = _riccati_passing_rows_through(edit)
+    with pytest.raises(error) as exc:
+        picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.5, t_start=0.0, t_end=0.1),
+                      SolverConfig(substeps_per_window=16))
+    assert len(inputs) == len(outputs) == 1
+    assert str(exc.value).endswith(f"t={float(outputs[0].times[row])}")
+
+
+def test_picard_names_the_first_row_over_the_cap_of_a_step_that_ignores_it():
+    inst, _, outputs = _riccati_passing_rows_through(lambda seg: seg)
+    with pytest.raises(CapExceeded) as exc:
+        picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.5, t_start=0.0, t_end=0.9),
+                      SolverConfig(substeps_per_window=16))
+    over = outputs[-1].strong > 2.5 * (1.0 + 1e-9)
+    assert over.any()
+    k = int(over.argmax())  # the first row over the cap
+    assert str(exc.value).endswith(f"by t={float(outputs[-1].times[k])}")
 
 
 def test_picard_rejects_a_step_output_that_does_not_start_from_x0():
