@@ -25,6 +25,7 @@ BLOWUP_FACTOR = 1e6  # default blow-up threshold: this times the initial strong 
 
 _R0_FLOOR = 64.0 * np.finfo(np.float64).eps  # cap floor for zero initial data
 _CAP_SLACK = 1e-9  # relative slack when comparing strong norms against caps
+_RETRY_MARGIN = 0.9  # a failed attempt is retried at this share of its way to the crossing
 _RADIUS_SAMPLES = 32  # radii sampled per bound when planning a contraction window
 
 
@@ -45,7 +46,17 @@ class NoContractionWindow(SolverError):
 
 
 class WindowFailure(SolverError):
-    """A window attempt failed; the caller shrinks the window and retries."""
+    """A window attempt failed; the caller shrinks the window and retries.
+
+    t is the time of the row that failed, value its offending norm and
+    limit the cap it broke; each is None where the failure names no row
+    (reject_rows sets t and value, and limit for CapExceeded).
+    """
+
+    def __init__(self, *args, t: float | None = None, value: float | None = None,
+                 limit: float | None = None):
+        super().__init__(*args)
+        self.t, self.value, self.limit = t, value, limit
 
 
 class ContractionFailureError(WindowFailure):
@@ -399,8 +410,10 @@ def reject_rows(times, weak, strong, cap: float | None) -> None:
     times[k], weak[k] and strong[k] belong to row k. A weak norm that is
     not finite raises NonFiniteState; a strong norm that is not <= cap
     (NaN included) raises CapExceeded; a row that is both raises
-    NonFiniteState. Either message names the row's time. With cap None
-    only the weak norms are checked.
+    NonFiniteState. Either message names the row's time, and the failure
+    carries it as t, with the row's weak (NonFiniteState) or strong
+    (CapExceeded) norm as value and, for CapExceeded, cap as limit. With
+    cap None only the weak norms are checked.
     """
     finite = np.isfinite(weak)
     bad = ~finite if cap is None else ~(finite & (strong <= cap))
@@ -408,8 +421,12 @@ def reject_rows(times, weak, strong, cap: float | None) -> None:
         k = int(np.argmax(bad))
         t = float(times[k])
         if not finite[k]:
-            raise NonFiniteState(f"state overflowed at t={t}")
-        raise CapExceeded(f"strong norm {float(strong[k])} exceeds cap {cap} by t={t}")
+            w = float(weak[k])
+            what = "is not a number" if math.isnan(w) else "overflowed"
+            raise NonFiniteState(f"state {what} at t={t}", t=t, value=w)
+        s = float(strong[k])
+        raise CapExceeded(f"strong norm {s} exceeds cap {cap} by t={t}", t=t, value=s,
+                          limit=cap)
 
 
 def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
@@ -491,13 +508,13 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
 # -- continuation by gluing --------------------------------------------------
 
 def _plan_window(instance, cfg: SolverConfig, r0: float, k_cap: float, remaining: float,
-                 last_accepted: float) -> float | None:
-    """A round's first attempt: the analytic plan, or min(remaining, 2 * last_accepted).
+                 proposal: float) -> float | None:
+    """A round's first attempt: the analytic plan, or min(remaining, proposal).
 
     None when the a-priori window is 0 or there is no contraction window.
     """
     if instance.bounds is None or cfg.empirical_mode:
-        return min(remaining, 2.0 * last_accepted)
+        return min(remaining, proposal)
     apriori, stability = instance.bounds
     t1 = select_window(apriori, r0, k_cap, remaining)
     if not t1 > 0:
@@ -516,19 +533,22 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     Each round caps the strong norm at kappa times its current value and
     plans a first attempt from the instance's analytic bounds or, when
     there are none or cfg.empirical_mode is set, as min(remaining, 2 x the
-    last accepted window), the remaining horizon in the first round. In
-    both modes a failed attempt is multiplied by cfg.window_shrink and
-    retried; an accepted one is glued on and the next round restarts from
-    its exact end state. An analytic plan of length 0, or an attempt too
-    short for m + 1 distinct grid times, is a contraction failure. Blow-up
-    is declared once the strong norm passes the configured threshold (the
-    window is cut at the first stored time over it) or an attempt drops
-    below cfg.min_window. t_c is the end of the last accepted window (0.0
-    if none): the detection time, not a bound on either side of the true
-    critical time. A norm that grows without limit passes the threshold
-    before it (Riccati: t_c < 1), while a discrete norm that saturates on
-    a fixed grid passes it early or late (Burgers: 2.2 % early at n = 256,
-    0.63 % late at n = 1024).
+    last accepted window), the remaining horizon in the first round; after
+    a round that needed a retry the factor is 1, not 2. In both modes a
+    failed attempt is retried shorter: when its failure names a time t
+    past the window's start t0, at max(cfg.window_shrink x the attempt,
+    _RETRY_MARGIN x (t - t0)), just short of the crossing; otherwise at
+    cfg.window_shrink x the attempt. An accepted attempt is glued on and
+    the next round restarts from its exact end state. An analytic plan of
+    length 0, or an attempt too short for m + 1 distinct grid times, is a
+    contraction failure. Blow-up is declared once the strong norm passes
+    the configured threshold (the window is cut at the first stored time
+    over it) or an attempt drops below cfg.min_window. t_c is the end of
+    the last accepted window (0.0 if none): the detection time, not a
+    bound on either side of the true critical time. A norm that grows
+    without limit passes the threshold before it (Riccati: t_c < 1), while
+    a discrete norm that saturates on a fixed grid passes it early or late
+    (Burgers: 2.2 % early at n = 256, 0.66 % late at n = 1024).
     """
     if not math.isfinite(x0.strong_norm):
         raise ValueError("initial state must have a finite strong norm")
@@ -548,7 +568,8 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
 
     x_cur = x0
     t_cur = 0.0
-    last_accepted = math.inf
+    proposal = math.inf  # the next empirical round's first attempt, before the horizon cut
+    retried = False  # whether this round has failed an attempt
     window = None  # None: the next attempt opens a round
     while True:
         remaining = t_max - t_cur
@@ -561,7 +582,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
                 return finish(Termination.BUDGET_EXHAUSTED)
             k_cap = cfg.kappa * max(x_cur.strong_norm, _R0_FLOOR)
             window = _plan_window(instance, cfg, x_cur.strong_norm, k_cap, remaining,
-                                  last_accepted)
+                                  proposal)
             if window is None:
                 return finish(Termination.CONTRACTION_FAILURE)
 
@@ -574,8 +595,12 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
             return finish(Termination.CONTRACTION_FAILURE)
         try:
             seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)
-        except WindowFailure:
-            window *= cfg.window_shrink
+        except WindowFailure as exc:
+            retried = True
+            if exc.t is not None and exc.t > t_cur:
+                window = max(window * cfg.window_shrink, _RETRY_MARGIN * (exc.t - t_cur))
+            else:
+                window *= cfg.window_shrink
             if window < cfg.min_window:  # collapse is blow-up evidence
                 return finish(Termination.BLOW_UP_DETECTED, t_cur)
             continue
@@ -596,5 +621,6 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
         records.append(rec)
         x_cur = seg.end  # exact handle: junction states are identical
         t_cur = seg.t_end
-        last_accepted = seg.t_end - seg.t_start
+        proposal = (1.0 if retried else 2.0) * (seg.t_end - seg.t_start)
+        retried = False
         window = None

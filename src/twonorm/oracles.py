@@ -70,8 +70,11 @@ def burgers_characteristics(u0: SmoothProfile, t: float, x: float,
     Solves the implicit equation xi + t*u0(xi) = x for the departure
     point xi (periodic lift) with a derivative-based iteration guarded by
     bisection, then returns u0(xi). Raises PostShock when the map's slope
-    1 + t*u0'(xi) drops to zero or below, NoConvergence on a stuck search.
+    1 + t*u0'(xi) drops to zero or below, NoConvergence on a stuck search,
+    and ValueError when max_iters < 1.
     """
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     length = u0.length
     if t == 0.0:
         return float(u0.value(np.mod(x, length)))
@@ -141,6 +144,8 @@ def dense_reference(spec: OdeSpec, x0, t_final: float, h_fine: float):
 
     Integrates x' = f(t, x, x) (no freezing) with fixed step <= h_fine and
     returns (times, states) with states of shape (steps+1, dimension).
+    A state that leaves the finite range raises OracleError, without
+    numpy's overflow warnings first.
     """
     if not t_final > 0:
         raise ValueError("t_final must be positive")
@@ -152,18 +157,19 @@ def dense_reference(spec: OdeSpec, x0, t_final: float, h_fine: float):
     out = np.empty((steps + 1, len(x)))
     out[0] = x
     f = spec.f
-    for k in range(steps):
-        t_k = float(times[k])
-        h = float(times[k + 1] - times[k])
-        k1 = f(t_k, x, x)
-        x2 = x + 0.5 * h * k1
-        k2 = f(t_k + 0.5 * h, x2, x2)
-        x3 = x + 0.5 * h * k2
-        k3 = f(t_k + 0.5 * h, x3, x3)
-        x4 = x + h * k3
-        k4 = f(t_k + h, x4, x4)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise OracleError(f"reference solve overflowed at t={times[k + 1]}")
-        out[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            t_k = float(times[k])
+            h = float(times[k + 1] - times[k])
+            k1 = f(t_k, x, x)
+            x2 = x + 0.5 * h * k1
+            k2 = f(t_k + 0.5 * h, x2, x2)
+            x3 = x + 0.5 * h * k2
+            k3 = f(t_k + 0.5 * h, x3, x3)
+            x4 = x + h * k3
+            k4 = f(t_k + h, x4, x4)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                raise OracleError(f"reference solve overflowed at t={times[k + 1]}")
+            out[k + 1] = x
     return times, out

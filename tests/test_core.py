@@ -287,7 +287,8 @@ NAN, INF = math.nan, math.inf
     ([1.0, 1.0, NAN], [1.0, 3.0, NAN], 2.0, CapExceeded, 1),
     ([1.0, NAN, 1.0], [1.0, 3.0, 3.0], 2.0, NonFiniteState, 1),
     ([1.0, 1.0, INF], [1.0, 1.0, 1.0], 2.0, NonFiniteState, 2),
-], ids=["at-the-cap", "no-cap", "nan-strong", "earliest-row", "both", "inf-weak"])
+    ([1.0, 1.0, NAN], [1.0, 1.0, 1.0], 2.0, NonFiniteState, 2),
+], ids=["at-the-cap", "no-cap", "nan-strong", "earliest-row", "both", "inf-weak", "nan-weak"])
 def test_reject_rows_raises_for_the_earliest_bad_row(weak, strong, cap, error, row):
     times = np.array([0.0, 0.25, 0.5])
     if error is None:
@@ -296,6 +297,28 @@ def test_reject_rows_raises_for_the_earliest_bad_row(weak, strong, cap, error, r
     with pytest.raises(error) as exc:
         reject_rows(times, np.array(weak), np.array(strong), cap)
     assert str(exc.value).endswith(f"t={times[row]}")
+
+
+@pytest.mark.parametrize("weak,strong,cap,error,message,fields", [
+    ([1.0, 1.0, INF], [1.0, 1.0, 1.0], 2.0, NonFiniteState,
+     "state overflowed at t=0.5", (0.5, INF, None)),
+    ([1.0, -INF, 1.0], [1.0, 1.0, 1.0], None, NonFiniteState,
+     "state overflowed at t=0.25", (0.25, -INF, None)),
+    ([1.0, 1.0, NAN], [1.0, 1.0, 1.0], 2.0, NonFiniteState,
+     "state is not a number at t=0.5", (0.5, NAN, None)),
+    ([1.0, 1.0, 1.0], [1.0, 3.0, 4.0], 2.0, CapExceeded,
+     "strong norm 3.0 exceeds cap 2.0 by t=0.25", (0.25, 3.0, 2.0)),
+    ([1.0, 1.0, 1.0], [1.0, NAN, 1.0], 2.0, CapExceeded,
+     "strong norm nan exceeds cap 2.0 by t=0.25", (0.25, NAN, 2.0)),
+], ids=["inf-weak", "minus-inf-weak", "nan-weak", "over-cap", "nan-strong"])
+def test_reject_rows_failure_names_the_row_in_words_and_fields(weak, strong, cap, error,
+                                                              message, fields):
+    times = np.array([0.0, 0.25, 0.5])
+    with pytest.raises(error) as exc:
+        reject_rows(times, np.array(weak), np.array(strong), cap)
+    assert str(exc.value) == message
+    got = (exc.value.t, exc.value.value, exc.value.limit)
+    assert [repr(v) for v in got] == [repr(v) for v in fields]  # repr: nan equals nan
 
 
 # -- domain type validation ------------------------------------------------------

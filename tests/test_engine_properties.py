@@ -7,24 +7,28 @@ each accepted window under the strong-norm cap planned from its first
 state, end exactly at t_max when it reaches the horizon, report a
 blow-up at the end of its last window (a window over the blow-up
 threshold is cut at its first stored time over it), and reproduce its
-report exactly when run again.
+report exactly when run again. In empirical mode every retry after a
+failed attempt is shorter than it and at least window_shrink times it.
 """
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twonorm.core import _R0_FLOOR, SolverConfig, Termination, continuation_solve
+from twonorm import core
+from twonorm.core import _R0_FLOOR, SolverConfig, Termination, WindowFailure, continuation_solve
 from twonorm.grids import from_callable
 from twonorm.instances import (
     make_advect_instance,
     make_burgers_instance,
     make_element,
     make_linear_ode_instance,
+    make_riccati_instance,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -95,3 +99,59 @@ def test_small_transport_solves_keep_engine_invariants(make, n, scheme, amplitud
     inst = make(n, interpolation=scheme)
     x0 = make_element(inst, from_callable(lambda x: amplitude * np.sin(x), n, TWO_PI))
     _check_invariants(inst, x0, t_max, cfg, threshold)
+
+
+def _attempts(inst, x0, t_max, cfg):
+    """Run a solve and list its window attempts as (t_start, t_end, failure or None)."""
+    attempts = []
+    picard_window = core.picard_window
+
+    def recorded(instance, x, plan, config):
+        try:
+            out = picard_window(instance, x, plan, config)
+        except WindowFailure as exc:
+            attempts.append((plan.t_start, plan.t_end, exc))
+            raise
+        attempts.append((plan.t_start, plan.t_end, None))
+        return out
+
+    with mock.patch.object(core, "picard_window", recorded):
+        _, report = continuation_solve(inst, x0, t_max, cfg)
+    return attempts, report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+           st.tuples(st.just("linear"), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                     st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(0.05, 3.0)),
+           st.tuples(st.just("riccati"), st.floats(0.25, 4.0))),
+       st.floats(1.5, 4.0), st.integers(2, 16), st.floats(0.1, 0.9))
+def test_empirical_retries_land_between_shrink_and_the_failed_attempt(problem, kappa, substeps,
+                                                                     shrink):
+    # a failed attempt is retried at max(shrink x it, 0.9 x its way to the
+    # crossing), always shorter than it; a round that retried proposes its
+    # accepted length again, a round that did not proposes twice that
+    if problem[0] == "linear":
+        _, a, b, forcing, x, t_max = problem
+        inst = make_linear_ode_instance(a, b, forcing)
+    else:  # x' = x^2 blows up at 1 / x
+        _, x = problem
+        inst, t_max = make_riccati_instance(), 2.0 / x
+    cfg = SolverConfig(kappa=kappa, substeps_per_window=substeps, window_shrink=shrink,
+                       empirical_mode=True)
+    attempts, report = _attempts(inst, make_element(inst, np.array([x])), t_max, cfg)
+    assert isinstance(report.termination, Termination)
+    retried = False
+    for (t0, t_end, exc), (t1, t1_end, _) in zip(attempts, attempts[1:]):
+        prev, length = t_end - t0, t1_end - t1
+        if exc is not None:
+            assert t1 == t0
+            assert shrink * prev * (1.0 - 1e-9) <= length < prev
+            if isinstance(exc, core.CapExceeded):
+                assert t0 < exc.t <= t_end and exc.value > exc.limit
+            retried = True
+        else:
+            assert t1 == t_end
+            proposal = min(t_max - t1, (1.0 if retried else 2.0) * prev)
+            assert length == pytest.approx(proposal, rel=1e-9)
+            retried = False

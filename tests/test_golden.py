@@ -36,10 +36,10 @@ GOLDEN = {
         "windows.csv": "83e6617f06c799b1cab5f99b5e6cf4d5d09d370b849e6a32b11a75704a246651",
     },
     "riccati.json": {
-        "norms.csv": "7ad7bc7a8f9ce379ed1fc817e944749ebf362dfc65b48da6612a0d5ab789c9bb",
-        "report.json": "1fcb389feb5eded49e43ebc8f84bcfc51993f4ac1ce2737777a6b02819ef1351",
-        "trajectory.csv": "a14900ca76266dc8d822a233288700f1980a099ff44738cb7b9e0ccf1bfdb348",
-        "windows.csv": "bb561aef5ed478287fc240a0c902484ab059cebd650bdc4eb586403a50fc1d54",
+        "norms.csv": "2a4089bda16174fb321ce360012b542cd02e094d585fb1a91192a67b19038cb7",
+        "report.json": "a21654547a5336bb57331a21cc29b137bd2f8665b7411dc64c9bac45a2073820",
+        "trajectory.csv": "63c19795871141f5728a61cfaf095833d11b8b53022aa773e42a5766790fd902",
+        "windows.csv": "46a7e97424285db94dd45acd24455f81b49cb5b0fa6c31de96e0a63b26969cbc",
     },
     "advect.json": {
         "final_state.csv": "d343c1c9b556320380bee14b60bb0b76b245627a4bb7fa7358bffb977f678f38",
@@ -48,13 +48,13 @@ GOLDEN = {
         "windows.csv": "4b97f296864a5ae4103af83aa404892e5b9fe8af3111c7ffa6a635d910e77968",
     },
     "burgers.json": {
-        "final_state.csv": "61dbc58e6af20286efb2347d059d0ae1d2eaf838f2b109ae4bea7c722f391885",
-        "norms.csv": "9d39580316f840fbb7c812fe93ebe6ef620ab7ef385e52f5f5ab5c93f94256fb",
-        "report.json": "6c3138196e76db1549fdc495ac2575f4cc487f86106dbf2dd8f0115c55f645e6",
-        "windows.csv": "60dabf6b46fca899fc62dffb143099b4a3cf88a69e70a49fa994cc19c4f3892e",
+        "final_state.csv": "7e7139229399e93623dd96439930b070fe23a75722b688f996c000e0a68059a7",
+        "norms.csv": "e302058c7826418df08fd6d80b9637f24b2078009e358ef734d65a0133900e2a",
+        "report.json": "9cbfd0441d558249d9f27c7895bf5f08979b650d07319f6f801985c0a0d49442",
+        "windows.csv": "35de7670d106d14fe3819d3122c176577eb6bd91245f6af82c85e33b372dfff2",
     },
     "burgers_scan.json": {
-        "blowup.csv": "bd0df409844f63f624cea8c2c8f915a3a9881a7f40ba3666b637fc5cb50339a2",
+        "blowup.csv": "0d883769bc9dcad90433f745548270aac3b1d8cff16c6c918ff6da39109bb2b9",
     },
 }
 

@@ -78,15 +78,26 @@ def test_characteristics_post_shock_raises():
      NoConvergence, "bracket does not straddle"),
     (lambda: burgers_characteristics(sine_profile(), 0.5, 1.0, max_iters=1),
      NoConvergence, "no root within 1 iterations"),
+    (lambda: burgers_characteristics(sine_profile(), 0.5, 1.0, max_iters=0),
+     ValueError, "max_iters must be >= 1, got 0"),
     (lambda: dense_reference(OdeSpec(dimension=1, f=lambda t, y, x: -x), [1.0], 0.0, 1e-4),
      ValueError, "t_final must be positive"),
     (lambda: dense_reference(OdeSpec(dimension=1, f=lambda t, y, x: 1e200 * y * x), [1.0],
                              1.0, 1e-4),
      OracleError, "reference solve overflowed at t=0.0001"),
-], ids=["bracket-misses-root", "iteration-budget", "dense-t_final-0", "dense-overflow"])
+], ids=["bracket-misses-root", "iteration-budget", "no-iterations", "dense-t_final-0",
+        "dense-overflow"])
 def test_oracles_raise_when_they_have_no_answer(call, error, match):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
         call()
+
+
+def test_dense_reference_overflow_raises_oracle_error_without_a_warning():
+    # no errstate here: under filterwarnings = error a leaked RuntimeWarning
+    # would be raised in place of OracleError
+    spec = OdeSpec(dimension=1, f=lambda t, y, x: 1e200 * y * x)
+    with pytest.raises(OracleError, match="reference solve overflowed at t=0.0001"):
+        dense_reference(spec, [1.0], 1.0, 1e-4)
 
 
 def test_blowup_time_sine():

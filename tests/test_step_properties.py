@@ -80,7 +80,8 @@ def _reference_step(spec, v_traj, u0, window, substeps, t_start):
             else:
                 u_next = u_foot
             if not np.all(np.isfinite(u_next)):
-                raise NonFiniteState(f"state overflowed at t={times[k + 1]}")
+                what = "is not a number" if math.isnan(_sup(u_next)) else "overflowed"
+                raise NonFiniteState(f"state {what} at t={times[k + 1]}")
             u = np.asarray(u_next, dtype=np.float64)
             out.append((times[k + 1], u, _sup(u), _lip(u, length)))
     return out
@@ -205,6 +206,22 @@ def test_transport_cap_crossing_before_an_overflow_in_one_block_names_the_crossi
     assert str(err.value).endswith(f"by t={float(v.times[crossing])}")
 
 
+def test_transport_cap_failure_carries_the_crossing_row_not_the_block_end():
+    # u' = 1 raises every row's Lipschitz norm by t; with n = 16 one block
+    # holds all 256 substeps, so the block ends at the window's end
+    substeps, window = 256, 0.5
+    spec, v, x0 = _transport_case(16, substeps, window, 0.0, "cubic", "source", 0, 1.0)
+    free = transport_step(spec, v, x0, window, substeps, 0.0)
+    cap = float(0.5 * (free.strong[0] + free.strong[-1]))
+    crossing = int(np.argmax(free.strong > cap))
+    assert 0 < crossing < substeps
+    with pytest.raises(CapExceeded) as err:
+        transport_step(spec, v, x0, window, substeps, 0.0, cap=cap)
+    exc = err.value
+    assert (exc.t, exc.value, exc.limit) == (
+        float(free.times[crossing]), float(free.strong[crossing]), cap)
+
+
 ODE_SPECS = {
     "riccati": OdeSpec(dimension=1, f=lambda t, y, x: y * x),
     "linear": OdeSpec(dimension=2, f=lambda t, y, x: 0.7 * y - 1.3 * x + np.sin(t)),
@@ -265,3 +282,24 @@ def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, wi
         assert capped.values.tobytes() == uncapped.values.tobytes() == np.array(free).tobytes()
         assert capped.strong.tobytes() == uncapped.strong.tobytes()
         assert capped.strong.tolist() == free_norms
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(ODE_SPECS)), st.integers(1, 80), st.floats(1e-3, 2.0),
+       st.floats(0.0, 5.0), st.integers(0, 2**31 - 1), st.integers(0, 10**6))
+def test_ode_cap_failure_carries_the_crossing_row(name, substeps, window, t_start, seed, j):
+    # the reference scan's first row over the cap names t, value and limit
+    spec = ODE_SPECS[name]
+    rng = np.random.default_rng(seed)
+    times = np.linspace(t_start, t_start + window, substeps + 1)
+    rows = rng.uniform(-2.0, 2.0, size=(substeps + 1, spec.dimension))
+    norms = np.max(np.abs(rows), axis=1)
+    x0 = NormedPairElement(rows[0], _sup(rows[0]), _sup(rows[0]))
+    y = TrajectorySegment(times, rows, norms, norms, x0)
+    free_norms = [_sup(x) for x in _ode_rows_until_overflow(spec, rows, x0, times)]
+    cap = _cap_from(free_norms, j, 0.99)
+    crossing = next(k for k, v in enumerate(free_norms) if v > cap)
+    with pytest.raises(CapExceeded) as err:
+        ode_step(spec, y, x0, window, substeps, t_start, cap=cap)
+    exc = err.value
+    assert (exc.t, exc.value, exc.limit) == (float(times[crossing]), free_norms[crossing], cap)
