@@ -435,11 +435,15 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
 
     Starts from the constant-in-time trajectory at x0 (its row broadcast,
     not copied, over the uniform grid of cfg.substeps_per_window
-    substeps, which every step call reuses), repeatedly solves the frozen
-    problem with the previous iterate as input, and stops once the
-    a-posteriori bound theta/(1-theta) * d_n falls under cfg.tol, where
-    d_n = instance.weak_dist of the two iterates' stacked rows and theta
-    is cfg.theta_target (or the empirical estimate). Every returned
+    substeps, which every step call reuses). The first step call passes
+    coupled=True, so a step may return its solve of the coupled problem
+    on that grid (the ODE step's RK4 of x' = f(t, x, x)) as the first
+    iterate instead of the frozen solve from the constant input. Later
+    calls solve the frozen problem with the previous iterate as input.
+    The iteration stops once the a-posteriori bound theta/(1-theta) * d_n
+    falls under cfg.tol, where d_n = instance.weak_dist of the two
+    iterates' stacked rows (the first against the constant start) and
+    theta is cfg.theta_target (or the empirical estimate). Every returned
     iterate is judged by reject_rows against plan.K (with _CAP_SLACK),
     a cap the step operator also gets, to reject a doomed iterate early.
 
@@ -465,7 +469,8 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
     ratios: list[float] = []
     consecutive_bad = 0
     for iteration in range(1, cfg.max_picard_iters + 1):
-        cur = instance.step(prev, x0, plan.t_end - plan.t_start, m, plan.t_start, cap=cap)
+        cur = instance.step(prev, x0, plan.t_end - plan.t_start, m, plan.t_start, cap=cap,
+                            coupled=iteration == 1)
         if cur.start is not x0:
             raise SolverError("step operator must start its output from the x0 element")
         reject_rows(cur.times, cur.weak, cur.strong, cap)
@@ -549,11 +554,19 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     without limit passes the threshold before it (Riccati: t_c < 1), while
     a discrete norm that saturates on a fixed grid passes it early or late
     (Burgers: 2.2 % early at n = 256, 0.66 % late at n = 1024).
+
+    Raises ValueError when x0's strong norm is not finite, t_max is not
+    positive and finite, or 2 x kappa x the initial strong norm (the
+    largest radius window planning samples) overflows.
     """
     if not math.isfinite(x0.strong_norm):
         raise ValueError("initial state must have a finite strong norm")
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    # window planning samples radii up to 2K = 2 kappa max(r, _R0_FLOOR)
+    if not math.isfinite(2.0 * cfg.kappa * max(x0.strong_norm, _R0_FLOOR)):
+        raise ValueError(f"2 x kappa x the initial strong norm overflows: kappa {cfg.kappa:g}, "
+                         f"initial strong norm {x0.strong_norm:g}")
     blowup_cap = cfg.strong_norm_cap
     if blowup_cap is None:
         blowup_cap = BLOWUP_FACTOR * max(x0.strong_norm, _R0_FLOOR)

@@ -54,11 +54,15 @@ def make_element(instance: "ProblemInstance", state) -> NormedPairElement:
 class ProblemInstance:
     """A frozen-step operator together with its norm pair.
 
-    step(y_traj, x0, window, substeps, t_start, cap=None) solves the
-    frozen problem on the times of its input trajectory y_traj (the
-    window's uniform grid of substeps steps, read through its stacked rows
-    y_traj.values) and returns a TrajectorySegment whose start is the x0
-    element and whose row 0 is x0's raw state. picard_window rejects a
+    step(y_traj, x0, window, substeps, t_start, cap=None, coupled=False)
+    solves the frozen problem on the times of its input trajectory y_traj
+    (the window's uniform grid of substeps steps, read through its stacked
+    rows y_traj.values) and returns a TrajectorySegment whose start is the
+    x0 element and whose row 0 is x0's raw state. picard_window passes
+    coupled=True on a window's first call, where y_traj is only the
+    constant start: a step may then solve the coupled problem
+    x' = f(t, x, x) on y_traj.times instead (the ODE step does), or ignore
+    the hint (the transport step does). picard_window rejects a
     returned trajectory by core.reject_rows: its earliest row whose weak
     norm is not finite (NonFiniteState) or whose strong norm is not <= cap
     (CapExceeded). A step may call reject_rows itself to stop early, as
@@ -138,17 +142,20 @@ def _frozen_inputs(values: np.ndarray, k0: int, k1: int):
 
 def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
              window: float, substeps: int, t_start: float = 0.0,
-             cap: float | None = None) -> TrajectorySegment:
+             cap: float | None = None, coupled: bool = False) -> TrajectorySegment:
     """Classic 4-stage one-step solve of x' = f(t, y(t), x) with frozen y.
 
     x0 is an element with state shape (spec.dimension,); y_traj is sampled
     on the solve grid, and its midpoint value is the mean of two rows,
     0.5 (a + b). Once f reads the frozen slot, the step is therefore second
-    order in time, not fourth: the mean is a second-order midpoint. The
-    states fill one (substeps+1, dimension) buffer whose row 0 is x0's;
-    each row's max-abs norm serves as both its weak and strong norm. The
-    step finishes the window before it checks the rows, row 0 included,
-    with core.reject_rows.
+    order in time, not fourth: the mean is a second-order midpoint. With
+    coupled, y_traj only supplies the grid: each stage reads the frozen
+    slot from its own stage state, so the step is classic RK4 of the full
+    equation x' = f(t, x, x), fourth order. For an f that ignores y both
+    give the same bits. The states fill one (substeps+1, dimension)
+    buffer whose row 0 is x0's; each row's max-abs norm serves as both its
+    weak and strong norm. The step finishes the window before it checks
+    the rows, row 0 included, with core.reject_rows.
     """
     times = _solve_grid(y_traj, x0, window, substeps, t_start)
     if np.shape(x0.state) != (spec.dimension,):
@@ -163,11 +170,13 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
         for k in range(substeps):
             t_k = float(times[k])
             h = float(times[k + 1] - times[k])
-            y0, ym, y1 = y_ends[k], y_mids[k], y_ends[k + 1]
-            k1 = f(t_k, y0, x)
-            k2 = f(t_k + 0.5 * h, ym, x + 0.5 * h * k1)
-            k3 = f(t_k + 0.5 * h, ym, x + 0.5 * h * k2)
-            k4 = f(t_k + h, y1, x + h * k3)
+            k1 = f(t_k, x if coupled else y_ends[k], x)
+            x2 = x + 0.5 * h * k1
+            k2 = f(t_k + 0.5 * h, x2 if coupled else y_mids[k], x2)
+            x3 = x + 0.5 * h * k2
+            k3 = f(t_k + 0.5 * h, x3 if coupled else y_mids[k], x3)
+            x4 = x + h * k3
+            k4 = f(t_k + h, x4 if coupled else y_ends[k + 1], x4)
             xs[k + 1] = x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms = np.max(np.abs(xs), axis=1)
     reject_rows(times, norms, norms, cap)
@@ -275,7 +284,7 @@ _BLOCK_POINTS = 4096
 
 def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPairElement,
                    window: float, substeps: int, t_start: float = 0.0,
-                   cap: float | None = None) -> TrajectorySegment:
+                   cap: float | None = None, coupled: bool = False) -> TrajectorySegment:
     """Semi-Lagrangian solve of du/dt = G(x, v(t,x)) du/dx + g(x, u).
 
     u0 is an element on the spec's grid; v_traj is sampled on the solve
@@ -292,7 +301,8 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     Lipschitz norms of each row; a row reads as a state through
     GridFunction1D(spec.n, spec.length, row). Each block's rows are checked
     by core.reject_rows once it is filled, before the block may raise
-    CharacteristicBlowup.
+    CharacteristicBlowup. coupled is accepted and ignored: the first
+    iterate solves with the constant input like any other.
     """
     times = _solve_grid(v_traj, u0, window, substeps, t_start)
     grid0: GridFunction1D = u0.state

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -55,11 +56,12 @@ def test_riccati_blows_up_near_one():
 
 
 def test_riccati_from_the_largest_float_blows_up_at_once_without_warnings():
-    # every attempt overflows, frozen-input midpoints included
+    # every attempt overflows; 4e307 is near the largest x0 whose planning
+    # radius 2 x kappa x x0 is finite (from 1e308 the solve raises ValueError)
     inst = make_riccati_instance()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, rep = continuation_solve(inst, _scalar(inst, 1e308), 1.0, SolverConfig())
+        _, rep = continuation_solve(inst, _scalar(inst, 4e307), 1.0, SolverConfig())
     assert rep.termination is Termination.BLOW_UP_DETECTED
     assert rep.t_c_estimate == 0.0
 
@@ -239,6 +241,28 @@ def test_non_finite_t_max_rejected(t_max):
         continuation_solve(inst, make_element(inst, np.array([1.0])), t_max, SolverConfig())
 
 
+@pytest.mark.parametrize("make,x0,kappa", [
+    (make_decay_instance, 8.9e307, 2.0),
+    (make_decay_instance, 1e308, 2.0),
+    (make_decay_instance, 1.0, 1e308),
+    (make_riccati_instance, 1e308, 2.0),
+], ids=["decay-8.9e307", "decay-1e308", "kappa-1e308", "riccati-1e308"])
+def test_an_overflowing_planning_radius_is_a_value_error(make, x0, kappa):
+    # 2 x kappa x r0 is +inf: the decay runs used to end BlowUpDetected at
+    # t_c = 0, ContractionFailure, or leak numpy's "invalid value encountered
+    # in subtract", false verdicts for a solution that cannot blow up
+    inst = make()
+    with pytest.raises(ValueError, match=re.escape(f"kappa {kappa:g}, initial strong norm {x0:g}")):
+        continuation_solve(inst, _scalar(inst, x0), 5.0, SolverConfig(kappa=kappa))
+
+
+def test_decay_from_the_largest_x0_with_headroom_reaches_the_horizon():
+    inst = make_decay_instance()
+    segs, rep = continuation_solve(inst, _scalar(inst, 1.7e302), 5.0, SolverConfig())
+    assert rep.termination is Termination.HORIZON_REACHED
+    assert segs[-1].t_end == 5.0
+
+
 def test_decay_to_a_late_horizon_ends_on_a_short_last_window():
     # the last window is 4.3e-6 long at t = 1.7e5; its grid used to fail the
     # uniform-spacing check with a ValueError
@@ -303,10 +327,10 @@ def test_empirical_window_too_short_for_distinct_times_is_a_contraction_failure(
     # its 17 grid times repeat (1e-9 at 1e6), long before min_window = 1e-12
     inst = make_decay_instance()
 
-    def step(y, x0, window, substeps, t_start=0.0, cap=None):
+    def step(y, x0, window, substeps, t_start=0.0, cap=None, coupled=False):
         if t_start + window > 1e6:
             raise CapExceeded("refused past t = 1e6")
-        return inst.step(y, x0, window, substeps, t_start, cap)
+        return inst.step(y, x0, window, substeps, t_start, cap, coupled)
 
     cfg = SolverConfig(substeps_per_window=16, min_window=1e-12, empirical_mode=True)
     segs, rep = continuation_solve(replace(inst, step=step), _scalar(inst, 0.0), 2e6, cfg)

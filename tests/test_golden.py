@@ -6,10 +6,17 @@ here as a hash mismatch. Every solve emits all artifacts; the Burgers
 scan runs a reduced amplitude list to keep the suite fast. The hashes
 were recorded with Python 3.11 and numpy 2.4 on x86-64; another libm or
 numpy build may round `sin` differently and needs its own record.
+
+`python tests/test_golden.py` (with the package importable) prints the
+current hashes of every bundled config in the layout of GOLDEN and
+SWEEP_GOLDEN, to re-record them after a change that moves bytes.
 """
 
 import hashlib
 import json
+import os
+import pprint
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -36,10 +43,10 @@ GOLDEN = {
         "windows.csv": "83e6617f06c799b1cab5f99b5e6cf4d5d09d370b849e6a32b11a75704a246651",
     },
     "riccati.json": {
-        "norms.csv": "2a4089bda16174fb321ce360012b542cd02e094d585fb1a91192a67b19038cb7",
-        "report.json": "a21654547a5336bb57331a21cc29b137bd2f8665b7411dc64c9bac45a2073820",
-        "trajectory.csv": "63c19795871141f5728a61cfaf095833d11b8b53022aa773e42a5766790fd902",
-        "windows.csv": "46a7e97424285db94dd45acd24455f81b49cb5b0fa6c31de96e0a63b26969cbc",
+        "norms.csv": "80797d8ce157f728540338a6cc41bf4b715e77c048758944e26da65b04987830",
+        "report.json": "465125487bc9a69c2f7b001741186d96d25319d9a5d810ea71a3b43998f1a238",
+        "trajectory.csv": "7da69f97160c86efde075c03dce09af7ed3a6e940e239dafa88218d493ee7d52",
+        "windows.csv": "591c9d38e8b995dfa572a591fb703b95d9b6160ee068e122cfabec7bf791bfa2",
     },
     "advect.json": {
         "final_state.csv": "d343c1c9b556320380bee14b60bb0b76b245627a4bb7fa7358bffb977f678f38",
@@ -77,21 +84,45 @@ def _hashes(out_dir: Path) -> dict:
             for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+def _artifact_hashes(name, root: Path) -> dict:
+    """Run name's config with its outputs under root; hash what it wrote."""
     config = _config(name)
     if name == "burgers_scan.json":
         run_blowup_scan(config, list(SCAN_AMPLITUDES))
     else:
         run_solve(config)
-    assert _hashes(tmp_path / config.output_dir) == GOLDEN[name]
+    return _hashes(root / config.output_dir)
+
+
+def _sweep_hash(name, root: Path) -> str:
+    config = _config(name)
+    run_sweep(config, SWEEP_LEVELS)
+    sweep = root / config.output_dir / "sweep.csv"
+    return hashlib.sha256(sweep.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert _artifact_hashes(name, tmp_path) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
 def test_sweep_matches_golden_hash(name, tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    config = _config(name)
-    run_sweep(config, SWEEP_LEVELS)
-    sweep = tmp_path / config.output_dir / "sweep.csv"
-    assert hashlib.sha256(sweep.read_bytes()).hexdigest() == SWEEP_GOLDEN[name]
+    assert _sweep_hash(name, tmp_path) == SWEEP_GOLDEN[name]
+
+
+def _record(hasher, names) -> dict:
+    record = {}
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.environ[OUTPUT_ROOT_ENV] = tmp
+            record[name] = hasher(name, Path(tmp))
+    return record
+
+
+if __name__ == "__main__":
+    for label, hasher, names in (("GOLDEN", _artifact_hashes, GOLDEN),
+                                 ("SWEEP_GOLDEN", _sweep_hash, SWEEP_GOLDEN)):
+        print(f"{label} = " + pprint.pformat(_record(hasher, names), sort_dicts=False))

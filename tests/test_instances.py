@@ -101,6 +101,21 @@ def test_ode_step_riccati_frozen_input_is_moebius_exact():
     assert seg.states[-1].state[0] == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.5, 0.5)], ids=["y", "half-y-half-x"])
+def test_coupled_ode_step_is_fourth_order(a, b):
+    # with coupled, the stages read the frozen slot from their own states, so
+    # the step is RK4 of x' = x whichever slot f reads: the frozen solve's
+    # midpoint mean (second order) does not enter
+    spec = make_linear_ode_instance(a, b).spec
+    errs = []
+    for substeps in (16, 32, 64):
+        y = _const_segment([1.0], 0.0, 1.0, substeps + 1)
+        seg = ode_step(spec, y, _elem(np.array([1.0])), 1.0, substeps, coupled=True)
+        errs.append(abs(seg.values[-1, 0] - math.e))
+    orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+    assert min(orders) >= 3.8
+
+
 def test_ode_step_raises_on_overflow():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: x * x * 1e3 + 1e3)
     y = _const_segment([0.0], 0.0, 10.0, 11)

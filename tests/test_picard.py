@@ -36,6 +36,15 @@ def _scalar_element(x):
     return NormedPairElement(np.array([x]), abs(x), abs(x))
 
 
+def _constant_start(instance):
+    """instance whose step drops the coupled hint, so iteration starts from the constant one."""
+
+    def step(*args, coupled=False, **kwargs):
+        return instance.step(*args, **kwargs)
+
+    return dataclasses.replace(instance, step=step)
+
+
 def test_decay_window_reaches_exponential():
     # frozen slot unused, so the first corrected iterate is already exact
     inst = make_decay_instance()
@@ -81,16 +90,29 @@ def test_precondition_rejects_oversized_initial_norm():
         picard_window(inst, _scalar_element(1.5), plan, SolverConfig())
 
 
-def test_contraction_failure_on_expanding_map():
-    # f = 2y integrates the frozen input; over a window of length 2 the
-    # map expands and successive ratios stay above 1
+def _expander():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: 2.0 * y,
                    lipschitz_y=2.0, lipschitz_x=0.0, f00=0.0)
-    inst = make_ode_instance("ode.expander", spec)
+    return make_ode_instance("ode.expander", spec)
+
+
+def test_contraction_failure_on_expanding_map():
+    # f = 2y integrates the frozen input; over a window of length 2 the
+    # map expands from the constant start and successive ratios stay above 1
     plan = WindowPlan(K=1e9, t_start=0.0, t_end=2.0)
     with pytest.raises(ContractionFailureError):
-        picard_window(inst, _scalar_element(1.0), plan,
+        picard_window(_constant_start(_expander()), _scalar_element(1.0), plan,
                       SolverConfig(substeps_per_window=16, empirical_mode=True))
+
+
+def test_coupled_start_converges_on_expanding_map():
+    # the coupled start is RK4 of x' = 2x, close to the fixed point, so the
+    # map's expanding transient never shows and every ratio stays below 1
+    plan = WindowPlan(K=1e9, t_start=0.0, t_end=2.0)
+    seg, rec = picard_window(_expander(), _scalar_element(1.0), plan,
+                             SolverConfig(substeps_per_window=16, empirical_mode=True))
+    assert rec.picard_iters == 23
+    assert all(r < 1.0 for r in rec.observed_ratios)
 
 
 def test_iteration_budget_enforced():
@@ -101,17 +123,39 @@ def test_iteration_budget_enforced():
                       SolverConfig(max_picard_iters=1))
 
 
+def _residual_check(inst, K, t_end, empirical):
+    """Solve [0, t_end] from 1; return iterations, the drift of one more frozen solve, its bound.
+
+    The bound is tol (1+theta)/(1-theta), theta as the stopping rule used it.
+    """
+    x0 = _scalar_element(1.0)
+    cfg = SolverConfig(empirical_mode=empirical)
+    seg, rec = picard_window(inst, x0, WindowPlan(K=K, t_start=0.0, t_end=t_end), cfg)
+    theta = estimate_theta_empirical(rec.observed_ratios) if empirical else cfg.theta_target
+    extra = inst.step(seg, x0, t_end, cfg.substeps_per_window, 0.0)
+    drift = inst.weak_dist(extra.values, seg.values)
+    return rec.picard_iters, drift, cfg.tol * (1.0 + theta) / (1.0 - theta)
+
+
 def test_fixed_point_residual_bound():
     # one extra application of the frozen solve moves the converged
     # trajectory by at most tol (1+theta)/(1-theta)
-    inst = make_linear_ode_instance(a=1.0, b=0.5)
-    x0 = _scalar_element(1.0)
-    plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.25)
-    cfg = SolverConfig()
-    seg, rec = picard_window(inst, x0, plan, cfg)
-    extra = inst.step(seg, x0, 0.25, cfg.substeps_per_window, 0.0)
-    drift = inst.weak_dist(extra.values, seg.values)
-    assert drift <= cfg.tol * (1.0 + cfg.theta_target) / (1.0 - cfg.theta_target)
+    _, drift, bound = _residual_check(make_linear_ode_instance(a=1.0, b=0.5), 2.0, 0.25, False)
+    assert drift <= bound
+
+
+@pytest.mark.parametrize("inst,K,t_end", [
+    (make_riccati_instance(), 2.5, 0.05),
+    (make_riccati_instance(), 2.5, 0.4),
+    (make_linear_ode_instance(a=1.0, b=0.5), 2.0, 0.25),
+], ids=["riccati-0.05", "riccati-0.4", "linear"])
+def test_coupled_start_keeps_the_residual_bound_in_empirical_mode(inst, K, t_end):
+    # the coupled first iterate lies close to the fixed point, so d_1 is small
+    # and the empirical theta rests on few ratios (Riccati on [0, 0.05] stops
+    # after 2 iterations); one more frozen solve must still stay under the bound
+    picard_iters, drift, bound = _residual_check(inst, K, t_end, True)
+    assert drift <= bound
+    assert picard_iters == 2 or t_end != 0.05
 
 
 def test_one_weak_distance_per_returned_step():
@@ -134,16 +178,35 @@ def test_one_weak_distance_per_returned_step():
                              SolverConfig(substeps_per_window=16))
     assert counts == {"steps": rec.picard_iters, "weak_dist": rec.picard_iters}
     with pytest.raises(CapExceeded):  # x = 1/(1-t) passes 2.5 at t = 0.6
-        picard_window(inst, _scalar_element(1.0), WindowPlan(K=2.5, t_start=0.0, t_end=0.9),
+        picard_window(_constant_start(inst), _scalar_element(1.0),
+                      WindowPlan(K=2.5, t_start=0.0, t_end=0.9),
                       SolverConfig(substeps_per_window=16))
     assert counts["weak_dist"] == counts["steps"] > rec.picard_iters
+
+
+def test_coupled_start_raises_at_the_riccati_crossing_in_its_first_step_call():
+    # the first iterate is RK4 of x' = x^2, whose x = 1/(1-t) passes 2.5 at
+    # t = 0.6, so its first grid row past the crossing, 0.61875, is named
+    base = make_riccati_instance()
+    hints = []
+
+    def step(*args, **kwargs):
+        hints.append(kwargs["coupled"])
+        return base.step(*args, **kwargs)
+
+    with pytest.raises(CapExceeded) as exc:
+        picard_window(dataclasses.replace(base, step=step), _scalar_element(1.0),
+                      WindowPlan(K=2.5, t_start=0.0, t_end=0.9),
+                      SolverConfig(substeps_per_window=16))
+    assert hints == [True]
+    assert exc.value.t == 0.61875
 
 
 def test_picard_checks_the_cap_of_a_step_that_ignores_it():
     base = make_riccati_instance()
 
-    def step(y_traj, x0, window, substeps, t_start, cap=None):
-        return base.step(y_traj, x0, window, substeps, t_start)
+    def step(y_traj, x0, window, substeps, t_start, cap=None, coupled=False):
+        return base.step(y_traj, x0, window, substeps, t_start, coupled=coupled)
 
     inst = dataclasses.replace(base, step=step)
     with pytest.raises(CapExceeded, match="strong norm .* exceeds cap 2.5"):
@@ -156,9 +219,9 @@ def _riccati_passing_rows_through(edit):
     base = make_riccati_instance()
     inputs, outputs = [], []
 
-    def step(y_traj, x0, window, substeps, t_start, cap=None):
+    def step(y_traj, x0, window, substeps, t_start, cap=None, coupled=False):
         inputs.append(y_traj)
-        outputs.append(edit(base.step(y_traj, x0, window, substeps, t_start)))
+        outputs.append(edit(base.step(y_traj, x0, window, substeps, t_start, coupled=coupled)))
         return outputs[-1]
 
     return dataclasses.replace(base, step=step), inputs, outputs

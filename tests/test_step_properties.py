@@ -1,4 +1,4 @@
-"""Properties of the blocked transport step and of the step operators' cap.
+"""Properties of the blocked transport step, the steps' cap and the coupled ODE step.
 
 The reference below is the straightforward per-substep sweep: trace one
 substep's feet, interpolate, apply the source, then move on. The blocked
@@ -20,6 +20,7 @@ from twonorm.instances import (
     NonFiniteState,
     OdeSpec,
     TransportSpec,
+    make_linear_ode_instance,
     ode_step,
     transport_step,
 )
@@ -303,3 +304,23 @@ def test_ode_cap_failure_carries_the_crossing_row(name, substeps, window, t_star
         ode_step(spec, y, x0, window, substeps, t_start, cap=cap)
     exc = err.value
     assert (exc.t, exc.value, exc.limit) == (float(times[crossing]), free_norms[crossing], cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.integers(1, 3), st.integers(1, 80),
+       st.floats(1e-3, 2.0), st.floats(0.0, 5.0), st.integers(0, 2**31 - 1))
+def test_coupled_ode_step_is_the_frozen_step_when_f_ignores_y(b, forcing, dimension, substeps,
+                                                               window, t_start, seed):
+    # x' = b x + forcing: the coupled stages feed f the same x arguments as
+    # the frozen solve from the constant start, so decay's bytes stay as they are
+    spec = make_linear_ode_instance(0.0, b, forcing, dimension).spec
+    row = np.random.default_rng(seed).uniform(-2.0, 2.0, dimension)
+    x0 = NormedPairElement(row, _sup(row), _sup(row))
+    times = np.linspace(t_start, t_start + window, substeps + 1)
+    y = TrajectorySegment(times, np.broadcast_to(row, (substeps + 1, dimension)),
+                          np.full(substeps + 1, x0.weak_norm),
+                          np.full(substeps + 1, x0.strong_norm), x0)
+    coupled = ode_step(spec, y, x0, window, substeps, t_start, coupled=True)
+    frozen = ode_step(spec, y, x0, window, substeps, t_start)
+    for name in ("values", "weak", "strong"):
+        assert getattr(coupled, name).tobytes() == getattr(frozen, name).tobytes()
