@@ -149,9 +149,6 @@ class TrajectorySegment:
             for row, w, s in zip(self.values[1:-1], self.weak[1:-1].tolist(),
                                  self.strong[1:-1].tolist())) + (self.end,)
 
-    def sup_strong(self) -> float:
-        return float(np.max(self.strong))
-
 
 @dataclass(frozen=True)
 class AprioriBound:

@@ -50,7 +50,7 @@ def _check_invariants(inst, x0, t_max, cfg, threshold):
         assert not any(arr.flags.writeable for arr in (seg.values, seg.weak, seg.strong))
         assert (rec.t_start, rec.t_end) == (seg.t_start, seg.t_end)
         r0 = seg.states[0].strong_norm
-        assert seg.sup_strong() <= cfg.kappa * max(r0, _R0_FLOOR) * (1.0 + 1e-9)
+        assert float(np.max(seg.strong)) <= cfg.kappa * max(r0, _R0_FLOOR) * (1.0 + 1e-9)
     if report.termination is Termination.HORIZON_REACHED:
         assert segments[-1].t_end == t_max
     if report.termination is Termination.BLOW_UP_DETECTED:  # t_c ends the last window

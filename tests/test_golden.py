@@ -43,10 +43,10 @@ GOLDEN = {
         "windows.csv": "83e6617f06c799b1cab5f99b5e6cf4d5d09d370b849e6a32b11a75704a246651",
     },
     "riccati.json": {
-        "norms.csv": "80797d8ce157f728540338a6cc41bf4b715e77c048758944e26da65b04987830",
-        "report.json": "465125487bc9a69c2f7b001741186d96d25319d9a5d810ea71a3b43998f1a238",
-        "trajectory.csv": "7da69f97160c86efde075c03dce09af7ed3a6e940e239dafa88218d493ee7d52",
-        "windows.csv": "591c9d38e8b995dfa572a591fb703b95d9b6160ee068e122cfabec7bf791bfa2",
+        "norms.csv": "b8b3bd5682ad23804f7b5c7a6cac56197a93b90cb6b7e7b70264d1080320fd85",
+        "report.json": "d2975dffd7c3913e2e8af3350c4ccb7d4fa778553ef342c79a8096383ed36f5c",
+        "trajectory.csv": "1a03c1e2de2018572545d9f367b25e60eb651259af49780018393c07b39be498",
+        "windows.csv": "3ee8665ef5dda3f572ab21bc83b7af8436f7e4da1b67ed5caf471da0d498fbd9",
     },
     "advect.json": {
         "final_state.csv": "d343c1c9b556320380bee14b60bb0b76b245627a4bb7fa7358bffb977f678f38",

@@ -72,7 +72,7 @@ def test_cap_preserved_on_accepted_window():
     inst = make_linear_ode_instance(a=1.0, b=1.0)
     plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.25)
     seg, _ = picard_window(inst, _scalar_element(1.0), plan, SolverConfig())
-    assert seg.sup_strong() <= plan.K * (1.0 + 1e-9)
+    assert float(np.max(seg.strong)) <= plan.K * (1.0 + 1e-9)
 
 
 def test_initial_state_handle_reused():
@@ -111,7 +111,7 @@ def test_coupled_start_converges_on_expanding_map():
     plan = WindowPlan(K=1e9, t_start=0.0, t_end=2.0)
     seg, rec = picard_window(_expander(), _scalar_element(1.0), plan,
                              SolverConfig(substeps_per_window=16, empirical_mode=True))
-    assert rec.picard_iters == 23
+    assert rec.picard_iters == 17
     assert all(r < 1.0 for r in rec.observed_ratios)
 
 

@@ -20,6 +20,7 @@ from twonorm.instances import (
     NonFiniteState,
     OdeSpec,
     TransportSpec,
+    _ode_midpoints,
     make_linear_ode_instance,
     ode_step,
     transport_step,
@@ -179,7 +180,7 @@ def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, fac
     cap = _cap_from(free.strong, j, factor)
     capped, capped_err = _outcome(
         lambda: transport_step(spec, v_traj, x0, window, substeps, t_start, cap=cap))
-    if free.sup_strong() > cap:
+    if float(np.max(free.strong)) > cap:
         assert capped_err is not None and capped_err[0] is CapExceeded
         crossing = int(np.argmax(free.strong > cap))
         assert capped_err[1].endswith(f"by t={float(free.times[crossing])}")
@@ -232,14 +233,17 @@ ODE_SPECS = {
 
 
 def _ode_rows_until_overflow(spec, y_rows, x0, times):
-    """The 4-stage sweep one substep at a time, up to the last finite state."""
+    """The 4-stage sweep one substep at a time, up to the last finite state.
+
+    The frozen input's midpoints come from the step's own rule.
+    """
     x = np.array(x0.state, dtype=np.float64)
     out = [x]
+    y_mids = _ode_midpoints(y_rows)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(times) - 1):
             t, h = float(times[k]), float(times[k + 1] - times[k])
-            y0, y1 = y_rows[k], y_rows[k + 1]
-            ym = 0.5 * (y0 + y1)
+            y0, y1, ym = y_rows[k], y_rows[k + 1], y_mids[k]
             k1 = spec.f(t, y0, x)
             k2 = spec.f(t + 0.5 * h, ym, x + 0.5 * h * k1)
             k3 = spec.f(t + 0.5 * h, ym, x + 0.5 * h * k2)
@@ -324,3 +328,113 @@ def test_coupled_ode_step_is_the_frozen_step_when_f_ignores_y(b, forcing, dimens
     frozen = ode_step(spec, y, x0, window, substeps, t_start)
     for name in ("values", "weak", "strong"):
         assert getattr(coupled, name).tobytes() == getattr(frozen, name).tobytes()
+
+
+# -- frozen-input midpoints of the ODE step -------------------------------------
+
+FIRST_GAIN, GAIN = 139.0 / 64.0, 1.25  # sums of |weights|: first substep, any other
+K_LARGE = 8e307  # every row is at most K, and FIRST_GAIN * K is finite
+ROUNDING = 1.0 + 8.0 * np.finfo(float).eps  # five rounded products, four rounded sums
+
+
+def _gains(substeps):
+    if substeps < 4:  # the mean
+        return np.ones(substeps)
+    return np.array([FIRST_GAIN] + [GAIN] * (substeps - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(2, 41)).flatmap(lambda shape: st.tuples(
+    st.just(shape[0]),
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=shape[0] * shape[1],
+             max_size=shape[0] * shape[1]),
+    st.sampled_from([1.0, 0.999, 0.5, 0.0]))))
+def test_midpoints_of_rows_up_to_k_stay_within_their_gain(case):
+    # adversarial signs at |row| <= K: scaling each term before the sum keeps
+    # every midpoint finite, where summing the differences first overflows
+    dimension, signs, shrink = case
+    fractions = [1.0 if i % 3 else shrink for i in range(len(signs))]
+    rows = (K_LARGE * np.array(signs) * np.array(fractions)).reshape(-1, dimension)
+    mids = _ode_midpoints(rows)  # an overflow warning would fail the test
+    substeps = len(rows) - 1
+    assert mids.shape == (substeps, dimension)
+    assert np.all(np.isfinite(mids))
+    assert np.all(np.abs(mids) <= _gains(substeps)[:, None] * K_LARGE * ROUNDING)
+
+
+def test_midpoint_gains_are_attained():
+    k = K_LARGE
+    # signs that match the weights of the first, an inner and the last stencil
+    first = _ode_midpoints(np.array([[k], [k], [-k], [k], [-k]]))
+    assert first[0, 0] == pytest.approx(FIRST_GAIN * k, rel=1e-15)
+    inner = _ode_midpoints(np.array([[-k], [k], [k], [-k], [0.0]]))
+    assert inner[1, 0] == pytest.approx(GAIN * k, rel=1e-15)
+    last = _ode_midpoints(np.array([[0.0], [0.0], [-k], [k], [k]]))
+    assert last[-1, 0] == pytest.approx(GAIN * k, rel=1e-15)
+
+
+def test_ode_step_on_rows_up_to_k_stays_finite_without_warnings():
+    # x' = y / K integrates the frozen input; an infinite midpoint would
+    # end the solve in NonFiniteState
+    k = K_LARGE
+    spec = OdeSpec(dimension=1, f=lambda t, y, x: y * (1.0 / k))
+    substeps = 9
+    times = np.linspace(0.0, 1.0, substeps + 1)
+    rows = k * np.array([[1.0], [1.0], [-1.0], [1.0], [-1.0], [1.0], [-1.0], [-1.0], [1.0], [1.0]])
+    norms = np.max(np.abs(rows), axis=1)
+    x0 = NormedPairElement(np.array([0.0]), 0.0, 0.0)
+    seg = ode_step(spec, TrajectorySegment(times, rows, norms, norms, x0), x0, 1.0, substeps)
+    assert np.all(np.isfinite(seg.values))
+    assert np.all(np.abs(seg.values) <= FIRST_GAIN * ROUNDING)
+
+
+def _ode_fixed_point(spec, x0_value, window, substeps):
+    """Iterate the frozen ODE step from its coupled start to its discrete fixed point."""
+    x0 = NormedPairElement(np.array([x0_value]), abs(x0_value), abs(x0_value))
+    times = np.linspace(0.0, window, substeps + 1)
+    rows = np.full((substeps + 1, 1), x0_value)
+    norms = np.abs(rows[:, 0])
+    seg = ode_step(spec, TrajectorySegment(times, rows, norms, norms, x0), x0, window,
+                   substeps, coupled=True)
+    last = math.inf
+    for _ in range(100):
+        nxt = ode_step(spec, seg, x0, window, substeps)
+        dist = float(np.max(np.abs(nxt.values - seg.values)))
+        seg = nxt
+        if dist == 0.0 or dist >= last:  # converged to rounding
+            break
+        last = dist
+    assert dist <= 1e-13
+    return seg
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.5, 0.5), (2.0, -1.0)])
+def test_converged_frozen_solve_is_fourth_order(a, b):
+    # the fixed point of x' = a y + b x, not its first iterate: with the
+    # midpoint mean its observed order is 2
+    spec = make_linear_ode_instance(a, b).spec
+    errs = [abs(_ode_fixed_point(spec, 1.0, 1.0, m).values[-1, 0] - math.exp(a + b))
+            for m in (32, 64, 128)]
+    orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+    assert min(orders) >= 3.8
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit, _unit, _unit, st.floats(-2.0, 2.0), st.floats(0.01, 1.0), st.integers(4, 64))
+def test_converged_frozen_solve_matches_the_closed_form(a, b, c, x0, window, substeps):
+    # x' = a y + b x + c has the fixed point x' = lam x + c, lam = a + b; its
+    # error is bounded by h^4 times the derivatives that the step's RK4 stages
+    # (x^(5) ~ lam^4) and the midpoint stencils (a x''' ~ a lam^2) leave out
+    lam = a + b
+    seg = _ode_fixed_point(make_linear_ode_instance(a, b, c).spec, x0, window, substeps)
+    t = seg.times
+    # x0 e^(lam t) + c (e^(lam t) - 1) / lam, without cancellation at small lam
+    growth = np.expm1(lam * t) / lam if abs(lam) > 1e-9 else t * (1.0 + 0.5 * lam * t)
+    exact = x0 * np.exp(lam * t) + c * growth
+    h = window / substeps
+    bound = (20.0 * window * h ** 4 * math.exp(abs(lam) * window) * abs(lam * x0 + c)
+             * (lam ** 4 + abs(a) * lam ** 2) + 1e-11)
+    assert float(np.max(np.abs(seg.values[:, 0] - exact))) <= bound
