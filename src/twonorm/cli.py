@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -263,23 +262,18 @@ def resolve_output_dir(config: RunConfig) -> str:
     return out
 
 
-# mkstemp creates files as 0600; artifacts get the mode open() would give
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a fresh temp file next to path, then rename it onto path.
 
     The temp name is unique, so concurrent runs into one directory never
-    share or clobber a temp file; it is removed if anything fails.
+    share or clobber a temp file; it is removed if anything fails. The file
+    gets the mode open() would give, 0o666 less the umask in force.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", newline="") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -422,11 +416,11 @@ def run_sweep(config: RunConfig, levels: int):
     return EXIT_OK, errors
 
 
-def _oracle_t_star(config: RunConfig, amplitude: float) -> float:
-    if config.instance == "ode.riccati":
-        return 1.0 / amplitude if amplitude > 0 else math.inf
-    profile = _transport_profile(config, amplitude)
-    return oracles.blowup_time(profile)
+# each instance a blow-up scan accepts, with its oracle critical time at an amplitude
+_ORACLE_T_STAR = {
+    "transport.burgers": lambda config, amp: oracles.blowup_time(_transport_profile(config, amp)),
+    "ode.riccati": lambda config, amp: 1.0 / amp if amp > 0 else math.inf,
+}
 
 
 def run_blowup_scan(config: RunConfig, amplitudes):
@@ -436,8 +430,8 @@ def run_blowup_scan(config: RunConfig, amplitudes):
     base amplitude and rescaled per case, so the threshold tracks the
     data size (the auto cap already does).
     """
-    if config.instance not in ("transport.burgers", "ode.riccati"):
-        raise ConfigError("blow-up scans need instance transport.burgers or ode.riccati")
+    if config.instance not in _ORACLE_T_STAR:
+        raise ConfigError(f"blow-up scans need instance {' or '.join(_ORACLE_T_STAR)}")
     if not amplitudes:
         raise ConfigError("--amplitudes: must list at least one number")
     base_amp = float(config.params.get("amplitude", config.params.get("x0", 1.0)))
@@ -446,7 +440,11 @@ def run_blowup_scan(config: RunConfig, amplitudes):
         solver = config.solver
         cap = solver.strong_norm_cap
         if cap is not None and amp > 0 and base_amp > 0:
-            solver = replace(solver, strong_norm_cap=cap * (amp / base_amp))
+            cap *= amp / base_amp
+            if not 0 < cap < math.inf:
+                raise ConfigError(f"--amplitudes: at amplitude {amp:g} the rescaled "
+                                  f"solver.strong_norm_cap is {cap:g}, not finite and positive")
+            solver = replace(solver, strong_norm_cap=cap)
         cases.append((amp, solver, *_build_case(config, amplitude_override=amp)))
     out_dir = resolve_output_dir(config)
     rows = []
@@ -457,7 +455,7 @@ def run_blowup_scan(config: RunConfig, amplitudes):
             t_c = report.t_c_estimate
         else:
             t_c = math.inf
-        oracle = _oracle_t_star(config, amp)
+        oracle = _ORACLE_T_STAR[config.instance](config, amp)
         rows.append([repr(float(amp)), repr(t_c), repr(oracle)])
         results.append((amp, t_c, oracle, report.termination))
     _write_atomic(os.path.join(out_dir, "blowup.csv"),

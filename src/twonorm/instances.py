@@ -15,10 +15,8 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import (  # CapExceeded and NonFiniteState are re-exported for callers
+from .core import (
     AprioriBound,
-    CapExceeded,
-    NonFiniteState,
     NormedPairElement,
     StabilityBounds,
     TrajectorySegment,
@@ -26,6 +24,7 @@ from .core import (  # CapExceeded and NonFiniteState are re-exported for caller
     reject_rows,
 )
 from .grids import (
+    INTERP_SCHEMES,
     GridFunction1D,
     interp_stencil,
     interp_values,
@@ -62,9 +61,9 @@ class ProblemInstance:
     coupled=True on a window's first call, where y_traj is only the
     constant start: a step may then solve the coupled problem
     x' = f(t, x, x) on y_traj.times instead (the ODE step does), or ignore
-    the hint (the transport step does). At substep midpoints the ODE step
-    reads the frozen input by polynomial interpolation of its rows (4-point
-    cubic inside the window), the transport step as the mean of two rows.
+    the hint (the transport step does). At substep midpoints both steps read
+    the frozen input as _means of two rows, except that the ODE step on 4 or
+    more substeps interpolates its rows (4-point cubic inside the window).
     picard_window rejects a returned trajectory by core.reject_rows: its
     earliest row whose weak norm is not finite (NonFiniteState) or whose
     strong norm is not <= cap (CapExceeded). A step may call reject_rows
@@ -136,11 +135,11 @@ def _solve_grid(y_traj: TrajectorySegment, x0, window: float, substeps: int,
     return times
 
 
-def _frozen_inputs(values: np.ndarray, k0: int, k1: int):
-    """The transport step's frozen input of substeps k0..k1-1: rows at their
-    ends, means of two rows at their midpoints (second order in time)."""
-    ends = values[k0:k1 + 1]
-    return ends, 0.5 * (ends[:-1] + ends[1:])
+def _means(values: np.ndarray) -> np.ndarray:
+    """Means of neighbouring rows, halved first: finite for finite rows, and bitwise
+    0.5 * (a + b) where a + b is finite and no nonzero |value| is below 2**-1021."""
+    half = 0.5 * values
+    return half[:-1] + half[1:]
 
 
 def _ode_midpoints(values: np.ndarray) -> np.ndarray:
@@ -155,14 +154,14 @@ def _ode_midpoints(values: np.ndarray) -> np.ndarray:
     last substep reads the quadratic (3 y[m] + 6 y[m-1] - y[m-2]) / 8: with
     the mirrored one-sided cubic there, the fixed point's observed order
     nears 4 only slowly (3.80 against 4.00 for x' = 2y - x from m = 32 to
-    64). With m < 4 a midpoint is the mean of its two rows. Each term is
+    64). With m < 4 a midpoint is _means of its two rows. Each term is
     scaled before the sum, so a midpoint is at most 139/64 (first substep)
     or 1.25 (any other) times the largest |row| it reads, and finite
     whenever that multiple of the largest |row| is.
     """
     m = len(values) - 1
     if m < 4:
-        return 0.5 * values[:-1] + 0.5 * values[1:]
+        return _means(values)
     mids = np.empty_like(values[:-1])
     mids[0] = (0.2734375 * values[0] + 1.09375 * values[1] - 0.546875 * values[2]
                + 0.21875 * values[3] - 0.0390625 * values[4])
@@ -181,7 +180,7 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
     on the solve grid and read as its rows at the substep ends and by
     _ode_midpoints at the midpoints, so the discrete fixed point
     x = step(x) is fourth order in time like the coupled start (a window
-    of fewer than 4 substeps reads the mean of two rows, second order). A
+    of fewer than 4 substeps reads _means of two rows, second order). A
     midpoint may exceed every row it reads, by at most a factor 139/64;
     ode_bounds' A(t, r, M) stays a planning estimate, and core.reject_rows
     on the output rows is what enforces the cap. With coupled, y_traj
@@ -312,6 +311,8 @@ class TransportSpec:
             raise ValueError("grid needs at least 2 points")
         if not self.length > 0:
             raise ValueError("domain length must be positive")
+        if self.interpolation not in INTERP_SCHEMES:
+            raise ValueError(f"interpolation {self.interpolation!r} not in {INTERP_SCHEMES}")
 
 
 # query points traced per batched pass: larger blocks raise memory use
@@ -329,7 +330,7 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     backward (dX/ds = -G, 2-stage midpoint), interpolate the previous
     values at the foot, then advance du/ds = g(X(s), u) along the
     characteristic with a 2-stage step. v is interpolated spatially on
-    its grid; at a midpoint in time it is the mean of two rows.
+    its grid; at a midpoint in time it is _means of two neighbouring rows.
 
     The feet depend on v only, so they are traced for blocks of substeps
     at once (G must act pointwise on arrays of any shape); only the
@@ -368,9 +369,9 @@ def _transport_sweep(spec, times, v_values, u0, cap):
     for k0 in range(0, substeps, block):
         k1 = min(k0 + block, substeps)
         h = (times[k0 + 1:k1 + 1] - times[k0:k1])[:, None]
-        v_ends, v_mids = _frozen_inputs(v_values, k0, k1)
+        v_mids = _means(v_values[k0:k1 + 1])
         # backward trace over each substep: dX/ds = -G, 2-stage midpoint
-        g_end = spec.G(np.broadcast_to(nodes, v_mids.shape), v_ends[1:])
+        g_end = spec.G(np.broadcast_to(nodes, v_mids.shape), v_values[k0 + 1:k1 + 1])
         x_half = wrap_periodic(nodes + 0.5 * h * g_end, length)
         half_idx, half_frac = interp_stencil(x_half, length, n)
         v_half = np.empty_like(x_half)

@@ -356,6 +356,18 @@ def test_failed_final_state_write_leaves_no_file(tmp_path, monkeypatch):
         "norms.csv", "report.json", "windows.csv"]
 
 
+def test_artifacts_take_the_umask_in_force_when_they_are_written(tmp_path):
+    # set after twonorm.cli was imported, so only a mode taken at write time follows it
+    old = os.umask(0o077)
+    try:
+        run_solve(parse_config(_decay_config(tmp_path)))
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "out").iterdir()}
+    names = ["norms.csv", "report.json", "trajectory.csv", "windows.csv"]
+    assert modes == dict.fromkeys(names, 0o600)
+
+
 def test_output_root_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("TWONORM_OUTPUT_ROOT", str(tmp_path / "root"))
     cfg = _decay_config(tmp_path, output_dir="rel/decay")
@@ -615,6 +627,24 @@ def test_a_length_whose_initial_samples_are_not_finite_is_named(tmp_path, capsys
     assert "error: field 'params.length': the initial state is not finite" in err
     assert "Warning" not in err
     assert solves == [] and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("x0,cap,amplitudes,message", [
+    (1e100, 1e-300, "0.5,1", "at amplitude 0.5 the rescaled solver.strong_norm_cap is 0,"),
+    (1e-10, 1e300, "1e20", "at amplitude 1e+20 the rescaled solver.strong_norm_cap is inf,"),
+], ids=["underflow", "overflow"])
+def test_a_rescaled_cap_that_is_not_finite_and_positive_is_named_before_any_solve_or_directory(
+        tmp_path, capsys, monkeypatch, x0, cap, amplitudes, message):
+    # cap x amplitude / x0 underflowed into a traceback from SolverConfig, or
+    # overflowed into an infinite blow-up threshold
+    solves = []
+    monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
+    path = _write(tmp_path, "r.json", {"instance": "ode.riccati", "t_max": 2.0,
+                                       "output_dir": str(tmp_path / "o"), "params": {"x0": x0},
+                                       "solver": {"strong_norm_cap": cap}})
+    assert main(["blowup", path, "--amplitudes", amplitudes]) == EXIT_ERROR
+    assert f"error: --amplitudes: {message}" in capsys.readouterr().err
+    assert solves == [] and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -205,11 +205,13 @@ def test_ode_spec_rejects_half_declared_lipschitz_data(declared, missing):
     (lambda: make_decay_instance(rate=0.0), "rate must be positive"),
     (lambda: TransportSpec(n=1, length=1.0, G=lambda x, v: v), "at least 2 points"),
     (lambda: TransportSpec(n=16, length=0.0, G=lambda x, v: v), "length must be positive"),
+    (lambda: TransportSpec(n=32, length=TWO_PI, G=lambda x, v: -v, interpolation="quadratic"),
+     "interpolation 'quadratic' not in"),
     (lambda: ode_step(OdeSpec(dimension=1, f=lambda t, y, x: -x),
                       _const_segment([0.0], 0.0, 0.5, 9), _elem(np.array([1.0])), 0.5, 0),
      "substeps must be >= 1"),
 ], ids=["ode-dimension-0", "ode-negative-lipschitz", "decay-rate-0", "transport-n-1",
-        "transport-length-0", "ode-step-0-substeps"])
+        "transport-length-0", "transport-interpolation-quadratic", "ode-step-0-substeps"])
 def test_instance_inputs_are_checked(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -13,13 +13,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twonorm.core import CapExceeded, NormedPairElement, TrajectorySegment, WindowFailure
+from twonorm.core import (
+    CapExceeded,
+    NonFiniteState,
+    NormedPairElement,
+    TrajectorySegment,
+    WindowFailure,
+)
 from twonorm.grids import GridFunction1D, interp_values
 from twonorm.instances import (
     CharacteristicBlowup,
-    NonFiniteState,
     OdeSpec,
     TransportSpec,
+    _means,
     _ode_midpoints,
     make_linear_ode_instance,
     ode_step,
@@ -328,6 +334,38 @@ def test_coupled_ode_step_is_the_frozen_step_when_f_ignores_y(b, forcing, dimens
     frozen = ode_step(spec, y, x0, window, substeps, t_start)
     for name in ("values", "weak", "strong"):
         assert getattr(coupled, name).tobytes() == getattr(frozen, name).tobytes()
+
+
+# -- means of neighbouring rows --------------------------------------------------
+
+_EDGES = [np.finfo(float).max, 2.0**-1021, 2.0**-1022, 5e-324, 0.0, 1.0]
+_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGES + [-v for v in _EDGES]))
+
+
+@st.composite
+def _rows_with_cancellation(draw):
+    """Finite rows; about half are within a few ulps of minus the row before."""
+    rows = [draw(_VALUES)]
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(_VALUES)
+        if draw(st.booleans()):
+            row, ulps = -rows[-1], draw(st.integers(-3, 3))
+            for _ in range(abs(ulps)):
+                row = math.nextafter(row, math.copysign(math.inf, ulps))
+            row = row if math.isfinite(row) else -rows[-1]
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rows_with_cancellation())
+def test_means_are_the_plain_mean_bitwise_and_finite_for_finite_rows(rows):
+    means = _means(rows)  # an overflow warning would fail the test
+    assert np.all(np.isfinite(means))
+    for a, b, mean in zip(rows[:-1].tolist(), rows[1:].tolist(), means.tolist()):
+        if math.isfinite(a + b) and all(v == 0 or abs(v) >= 2.0**-1021 for v in (a, b)):
+            assert np.float64(mean).tobytes() == np.float64(0.5 * (a + b)).tobytes()
 
 
 # -- frozen-input midpoints of the ODE step -------------------------------------
