@@ -27,6 +27,8 @@ _R0_FLOOR = 64.0 * np.finfo(np.float64).eps  # cap floor for zero initial data
 _CAP_SLACK = 1e-9  # relative slack when comparing strong norms against caps
 _RETRY_MARGIN = 0.9  # a failed attempt is retried at this share of its way to the crossing
 _RADIUS_SAMPLES = 32  # radii sampled per bound when planning a contraction window
+_TOL_FLOOR = 1e-9  # the default stopping tolerance's floor, and its value at iteration 1
+_TOL_FRACTION = 0.1  # the default tolerance from iteration 2: this share of d_2
 
 
 class SolverError(Exception):
@@ -193,9 +195,12 @@ class WindowPlan:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings. tol None (the default) gives each window its own
+    stopping tolerance in picard_window; a positive tol is used as given."""
+
     kappa: float = 2.0              # cap margin: K = kappa * current strong norm
     theta_target: float = 0.5       # contraction factor aimed for by planning
-    tol: float = 1e-9               # weak-norm fixed-point tolerance
+    tol: float | None = None        # weak-norm fixed-point tolerance; None: per window
     max_picard_iters: int = 80
     max_windows: int = 64
     substeps_per_window: int = 64
@@ -212,9 +217,10 @@ class SolverConfig:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie in (0,1), got {v}")
-        for name in ("tol", "min_window"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if self.tol is not None and not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if not self.min_window > 0:
+            raise ValueError("min_window must be positive")
         for name in ("max_picard_iters", "max_windows", "substeps_per_window"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -236,6 +242,7 @@ class WindowRecord:
     picard_iters: int
     observed_ratios: tuple[float, ...]
     end_strong_norm: float
+    tol: float | None = None  # the tolerance the iteration stopped at (not serialised)
 
 
 @dataclass(frozen=True)
@@ -433,14 +440,21 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
     Starts from the constant-in-time trajectory at x0 (its row broadcast,
     not copied, over the uniform grid of cfg.substeps_per_window
     substeps, which every step call reuses). The first step call passes
-    coupled=True, so a step may return its solve of the coupled problem
-    on that grid (the ODE step's RK4 of x' = f(t, x, x)) as the first
+    coupled=True, so the step returns its solve of the coupled problem
+    on that grid (the ODE step's RK4 of x' = f(t, x, x), the transport
+    step's trace with v extrapolated from its own rows) as the first
     iterate instead of the frozen solve from the constant input. Later
     calls solve the frozen problem with the previous iterate as input.
     The iteration stops once the a-posteriori bound theta/(1-theta) * d_n
-    falls under cfg.tol, where d_n = instance.weak_dist of the two
+    falls under tol, where d_n = instance.weak_dist of the two
     iterates' stacked rows (the first against the constant start) and
-    theta is cfg.theta_target (or the empirical estimate). Every returned
+    theta is cfg.theta_target (or the empirical estimate). tol is cfg.tol
+    when set. Otherwise it is _TOL_FLOOR at iteration 1 and
+    max(_TOL_FLOOR, _TOL_FRACTION * d_2) from iteration 2 on: the coupled
+    first iterate and its first frozen correction are two discretizations
+    of one order, so d_2 estimates the discretization error, and the
+    iteration stops at a fraction of it. The record's tol is the value
+    the iteration stopped at. Every returned
     iterate is judged by reject_rows against plan.K (with _CAP_SLACK),
     a cap the step operator also gets, to reject a doomed iterate early.
 
@@ -463,6 +477,7 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
                              np.full(m + 1, x0.weak_norm), np.full(m + 1, x0.strong_norm),
                              x0, wrap=lambda _: x0.state)
     d_prev = None
+    tol = _TOL_FLOOR if cfg.tol is None else cfg.tol
     ratios: list[float] = []
     consecutive_bad = 0
     for iteration in range(1, cfg.max_picard_iters + 1):
@@ -472,6 +487,8 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
             raise SolverError("step operator must start its output from the x0 element")
         reject_rows(cur.times, cur.weak, cur.strong, cap)
         d = instance.weak_dist(cur.values, prev.values)
+        if iteration == 2 and cfg.tol is None:
+            tol = max(_TOL_FLOOR, _TOL_FRACTION * d)
         if d_prev is not None and d_prev > 0.0:
             ratio = d / d_prev
             ratios.append(ratio)
@@ -491,7 +508,7 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
             theta_stop = estimate_theta_empirical(ratios)
         else:
             continue  # no contraction evidence yet
-        if theta_stop < 1.0 and theta_stop / (1.0 - theta_stop) * d <= cfg.tol:
+        if theta_stop < 1.0 and theta_stop / (1.0 - theta_stop) * d <= tol:
             break
     else:
         raise IterBudgetExceeded(
@@ -503,6 +520,7 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
         picard_iters=iteration,
         observed_ratios=tuple(ratios),
         end_strong_norm=float(prev.strong[-1]),
+        tol=tol,
     )
     return prev, record
 
@@ -550,11 +568,13 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     bound on either side of the true critical time. A norm that grows
     without limit passes the threshold before it (Riccati: t_c < 1), while
     a discrete norm that saturates on a fixed grid passes it early or late
-    (Burgers: 2.2 % early at n = 256, 0.66 % late at n = 1024).
+    (Burgers: 2.2 % early at n = 256, 0.65 % late at n = 1024).
 
     Raises ValueError when x0's strong norm is not finite, t_max is not
-    positive and finite, or 2 x kappa x the initial strong norm (the
-    largest radius window planning samples) overflows.
+    positive and finite, 2 x kappa x the initial strong norm (the
+    largest radius window planning samples) overflows, or, with no
+    cfg.strong_norm_cap, the default blow-up threshold BLOWUP_FACTOR x the
+    initial strong norm overflows.
     """
     if not math.isfinite(x0.strong_norm):
         raise ValueError("initial state must have a finite strong norm")
@@ -566,7 +586,11 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
                          f"initial strong norm {x0.strong_norm:g}")
     blowup_cap = cfg.strong_norm_cap
     if blowup_cap is None:
-        blowup_cap = BLOWUP_FACTOR * max(x0.strong_norm, _R0_FLOOR)
+        blowup_cap = BLOWUP_FACTOR * float(max(x0.strong_norm, _R0_FLOOR))
+        if not math.isfinite(blowup_cap):
+            raise ValueError(f"the blow-up threshold {BLOWUP_FACTOR:g} x the initial strong "
+                             f"norm overflows: initial strong norm {x0.strong_norm:g}; "
+                             f"give a finite strong_norm_cap")
     horizon_slack = 1e-12 * max(1.0, abs(t_max))
 
     segments: list[TrajectorySegment] = []

@@ -59,11 +59,13 @@ class ProblemInstance:
     rows y_traj.values) and returns a TrajectorySegment whose start is the
     x0 element and whose row 0 is x0's raw state. picard_window passes
     coupled=True on a window's first call, where y_traj is only the
-    constant start: a step may then solve the coupled problem
-    x' = f(t, x, x) on y_traj.times instead (the ODE step does), or ignore
-    the hint (the transport step does). At substep midpoints both steps read
-    the frozen input as _means of two rows, except that the ODE step on 4 or
-    more substeps interpolates its rows (4-point cubic inside the window).
+    constant start: the step then solves the coupled problem
+    x' = f(t, x, x) on y_traj.times instead, as both bundled steps do.
+    Under the default SolverConfig.tol the window's tolerance is a tenth of
+    that solve's distance to its first frozen correction, so a step that
+    ignores the hint needs an explicit tol. At substep midpoints both steps
+    read the frozen input as _means of two rows, except that the ODE step on
+    4 or more substeps interpolates its rows (4-point cubic inside the window).
     picard_window rejects a returned trajectory by core.reject_rows: its
     earliest row whose weak norm is not finite (NonFiniteState) or whose
     strong norm is not <= cap (CapExceeded). A step may call reject_rows
@@ -339,8 +341,12 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     Lipschitz norms of each row; a row reads as a state through
     GridFunction1D(spec.n, spec.length, row). Each block's rows are checked
     by core.reject_rows once it is filled, before the block may raise
-    CharacteristicBlowup. coupled is accepted and ignored: the first
-    iterate solves with the constant input like any other.
+    CharacteristicBlowup. With coupled, v_traj only supplies the grid: the
+    step solves du/dt = G(x, u) du/dx + g(x, u) one substep per block,
+    tracing substep k with v = u_k at its start and 2 u_k - u_{k-1} (u_0 at
+    the first substep) at its end, so 1.5 u_k - 0.5 u_{k-1} at its
+    midpoint, which makes the solve second order in time. For a G that
+    ignores v both give the same bits.
     """
     times = _solve_grid(v_traj, u0, window, substeps, t_start)
     grid0: GridFunction1D = u0.state
@@ -348,17 +354,23 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
         raise ValueError("initial grid does not match the transport spec")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, sup, lip = _transport_sweep(spec, times, v_traj.values, u0, cap)
+        rows, sup, lip = _transport_sweep(spec, times, v_traj.values, u0, cap, coupled)
     # the segment makes rows read-only, so each GridFunction1D keeps its row uncopied
     return TrajectorySegment(times, rows, sup, lip, u0,
                              wrap=partial(GridFunction1D, spec.n, spec.length))
 
 
-def _transport_sweep(spec, times, v_values, u0, cap):
-    """All substeps of one step; returns the rows, u0's first, and their two norms."""
+def _transport_sweep(spec, times, v_values, u0, cap, coupled):
+    """All substeps of one step; returns the rows, u0's first, and their two norms.
+
+    Frozen, v is read from v_values a block of substeps at a time. Coupled,
+    each block is one substep k whose v comes from the rows already solved:
+    u_k at t_k and 2 u_k - u_{k-1} (u_0 at the first substep) at t_{k+1},
+    so _means gives 1.5 u_k - 0.5 u_{k-1} at the midpoint.
+    """
     n, length, scheme = spec.n, spec.length, spec.interpolation
     substeps = len(times) - 1
-    block = max(1, _BLOCK_POINTS // n)
+    block = 1 if coupled else max(1, _BLOCK_POINTS // n)
     nodes = u0.state.nodes()
     rows = np.empty((substeps + 1, n))
     sup = np.empty(substeps + 1)
@@ -369,9 +381,13 @@ def _transport_sweep(spec, times, v_values, u0, cap):
     for k0 in range(0, substeps, block):
         k1 = min(k0 + block, substeps)
         h = (times[k0 + 1:k1 + 1] - times[k0:k1])[:, None]
-        v_mids = _means(v_values[k0:k1 + 1])
+        if coupled:
+            v_rows = np.stack((u, 2.0 * u - rows[k0 - 1] if k0 else u))
+        else:
+            v_rows = v_values[k0:k1 + 1]
+        v_mids = _means(v_rows)
         # backward trace over each substep: dX/ds = -G, 2-stage midpoint
-        g_end = spec.G(np.broadcast_to(nodes, v_mids.shape), v_values[k0 + 1:k1 + 1])
+        g_end = spec.G(np.broadcast_to(nodes, v_mids.shape), v_rows[1:])
         x_half = wrap_periodic(nodes + 0.5 * h * g_end, length)
         half_idx, half_frac = interp_stencil(x_half, length, n)
         v_half = np.empty_like(x_half)

@@ -115,6 +115,18 @@ def test_null_strong_norm_cap_keeps_the_default(tmp_path):
     assert config.solver.strong_norm_cap is None
 
 
+def test_null_tol_keeps_the_per_window_default(tmp_path):
+    config = parse_config(_decay_config(tmp_path, solver={"tol": None}))
+    assert config.solver.tol is None
+    assert parse_config(_decay_config(tmp_path)).solver.tol is None
+
+
+def test_zero_tol_exits_1_naming_it(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", _decay_config(tmp_path, solver={"tol": 0}))
+    assert main(["solve", path]) == EXIT_ERROR
+    assert "field 'solver': tol must be positive" in capsys.readouterr().err
+
+
 def test_unknown_solver_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="solver"):
         parse_config(_decay_config(tmp_path, solver={"bogus": 1}))
@@ -268,7 +280,7 @@ def test_solve_riccati_exit_blowup(tmp_path):
     assert 0.85 <= report.t_c_estimate <= 1.0
 
 
-@pytest.mark.parametrize("n,t_c", [(256, 0.977640), (1024, 1.006636), (4096, 1.009282)])
+@pytest.mark.parametrize("n,t_c", [(256, 0.977516), (1024, 1.006544), (4096, 1.009130)])
 def test_burgers_t_c_falls_on_either_side_of_t_star(tmp_path, n, t_c):
     # T* = 1; the saturating grid norm makes the detection time depend on n:
     # early at n = 256, late at n = 1024 and 4096

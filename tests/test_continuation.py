@@ -57,11 +57,13 @@ def test_riccati_blows_up_near_one():
 
 def test_riccati_from_the_largest_float_blows_up_at_once_without_warnings():
     # every attempt overflows; 4e307 is near the largest x0 whose planning
-    # radius 2 x kappa x x0 is finite (from 1e308 the solve raises ValueError)
+    # radius 2 x kappa x x0 is finite (from 1e308 the solve raises ValueError),
+    # and the blow-up threshold is given, since the default one overflows here
     inst = make_riccati_instance()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, rep = continuation_solve(inst, _scalar(inst, 4e307), 1.0, SolverConfig())
+        _, rep = continuation_solve(inst, _scalar(inst, 4e307), 1.0,
+                                    SolverConfig(strong_norm_cap=1e308))
     assert rep.termination is Termination.BLOW_UP_DETECTED
     assert rep.t_c_estimate == 0.0
 
@@ -254,6 +256,18 @@ def test_an_overflowing_planning_radius_is_a_value_error(make, x0, kappa):
     inst = make()
     with pytest.raises(ValueError, match=re.escape(f"kappa {kappa:g}, initial strong norm {x0:g}")):
         continuation_solve(inst, _scalar(inst, x0), 5.0, SolverConfig(kappa=kappa))
+
+
+@pytest.mark.parametrize("make", [make_riccati_instance, make_decay_instance],
+                         ids=["riccati-1e303", "decay-1e303"])
+def test_an_overflowing_blowup_threshold_is_a_value_error(make):
+    # BLOWUP_FACTOR x 1e303 is +inf: Riccati used to end BlowUpDetected at
+    # t_c = 0 and decay to reach the horizon, both against no threshold at all
+    inst = make()
+    with pytest.raises(ValueError, match=re.escape("blow-up threshold 1e+06 x the initial "
+                                                   "strong norm overflows: initial strong "
+                                                   "norm 1e+303")):
+        continuation_solve(inst, _scalar(inst, 1e303), 5.0, SolverConfig())
 
 
 def test_decay_from_the_largest_x0_with_headroom_reaches_the_horizon():

@@ -8,8 +8,9 @@ were recorded with Python 3.11 and numpy 2.4 on x86-64; another libm or
 numpy build may round `sin` differently and needs its own record.
 
 `python tests/test_golden.py` (with the package importable) prints the
-current hashes of every bundled config in the layout of GOLDEN and
-SWEEP_GOLDEN, to re-record them after a change that moves bytes.
+current hashes of every bundled config in the layout of GOLDEN,
+EXPLICIT_TOL_GOLDEN and SWEEP_GOLDEN, to re-record them after a change
+that moves bytes.
 """
 
 import hashlib
@@ -43,10 +44,10 @@ GOLDEN = {
         "windows.csv": "83e6617f06c799b1cab5f99b5e6cf4d5d09d370b849e6a32b11a75704a246651",
     },
     "riccati.json": {
-        "norms.csv": "b8b3bd5682ad23804f7b5c7a6cac56197a93b90cb6b7e7b70264d1080320fd85",
-        "report.json": "d2975dffd7c3913e2e8af3350c4ccb7d4fa778553ef342c79a8096383ed36f5c",
-        "trajectory.csv": "1a03c1e2de2018572545d9f367b25e60eb651259af49780018393c07b39be498",
-        "windows.csv": "3ee8665ef5dda3f572ab21bc83b7af8436f7e4da1b67ed5caf471da0d498fbd9",
+        "norms.csv": "4aee23fafb7b6d33193d813b6a9b323ff96b723c9f5105392f9eb595bd01c42e",
+        "report.json": "da7bdf7cab1dd6bcd436984ca4f6cdf90b813bfcb2777a7259bf264160470ee3",
+        "trajectory.csv": "46798c0592cf1190f88e92ee7784f7428c21f285a50dd01823d9e9af4f163467",
+        "windows.csv": "9c5fa6f3505f91997a6c5977e20b1ccbe8df289cdf970112c0bc30daf622dd90",
     },
     "advect.json": {
         "final_state.csv": "d343c1c9b556320380bee14b60bb0b76b245627a4bb7fa7358bffb977f678f38",
@@ -55,13 +56,13 @@ GOLDEN = {
         "windows.csv": "4b97f296864a5ae4103af83aa404892e5b9fe8af3111c7ffa6a635d910e77968",
     },
     "burgers.json": {
-        "final_state.csv": "7e7139229399e93623dd96439930b070fe23a75722b688f996c000e0a68059a7",
-        "norms.csv": "e302058c7826418df08fd6d80b9637f24b2078009e358ef734d65a0133900e2a",
-        "report.json": "9cbfd0441d558249d9f27c7895bf5f08979b650d07319f6f801985c0a0d49442",
-        "windows.csv": "35de7670d106d14fe3819d3122c176577eb6bd91245f6af82c85e33b372dfff2",
+        "final_state.csv": "b5817aa49226a76ab5d7173e1e4ed028c5d8fd8e8a6d4272c3c09b384a29828d",
+        "norms.csv": "faab2c741a9164d78f75ec2f035f64cfb986b75c450dcd80f6f2e45c8cebd515",
+        "report.json": "94b190d0cabd46e5223b7e8c4dba38dc105b4762660b517d9d709fa548abf544",
+        "windows.csv": "da7167f8549e0401ad179a1362cc1f6b6e7b4399208d77890d6bccc3580263b8",
     },
     "burgers_scan.json": {
-        "blowup.csv": "0d883769bc9dcad90433f745548270aac3b1d8cff16c6c918ff6da39109bb2b9",
+        "blowup.csv": "519b9d9708e5bf45b98e251965701b5ef2b0ec1fd283c7dc782592502c762981",
     },
 }
 
@@ -73,9 +74,24 @@ SWEEP_GOLDEN = {
 }
 
 
-def _config(name):
+# riccati.json with solver.tol = 1e-9 set explicitly: the rule an explicit
+# tol gives is the one every window used before the per-window default, so
+# these are that rule's hashes and must not move with the default
+EXPLICIT_TOL = 1e-9
+EXPLICIT_TOL_GOLDEN = {
+    "riccati.json": {
+        "norms.csv": "b8b3bd5682ad23804f7b5c7a6cac56197a93b90cb6b7e7b70264d1080320fd85",
+        "report.json": "d2975dffd7c3913e2e8af3350c4ccb7d4fa778553ef342c79a8096383ed36f5c",
+        "trajectory.csv": "1a03c1e2de2018572545d9f367b25e60eb651259af49780018393c07b39be498",
+        "windows.csv": "3ee8665ef5dda3f572ab21bc83b7af8436f7e4da1b67ed5caf471da0d498fbd9",
+    },
+}
+
+
+def _config(name, **solver):
     raw = json.loads((CONFIGS / name).read_text())
     raw["emit"] = {"trajectory": True, "norms": True, "report": True}
+    raw["solver"] = {**raw.get("solver", {}), **solver}
     return parse_config(raw, source=name)
 
 
@@ -94,6 +110,12 @@ def _artifact_hashes(name, root: Path) -> dict:
     return _hashes(root / config.output_dir)
 
 
+def _explicit_tol_hashes(name, root: Path) -> dict:
+    config = _config(name, tol=EXPLICIT_TOL)
+    run_solve(config)
+    return _hashes(root / config.output_dir)
+
+
 def _sweep_hash(name, root: Path) -> str:
     config = _config(name)
     run_sweep(config, SWEEP_LEVELS)
@@ -105,6 +127,12 @@ def _sweep_hash(name, root: Path) -> str:
 def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert _artifact_hashes(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_TOL_GOLDEN))
+def test_explicit_tol_matches_golden_hashes(name, tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert _explicit_tol_hashes(name, tmp_path) == EXPLICIT_TOL_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
@@ -124,5 +152,7 @@ def _record(hasher, names) -> dict:
 
 if __name__ == "__main__":
     for label, hasher, names in (("GOLDEN", _artifact_hashes, GOLDEN),
+                                 ("EXPLICIT_TOL_GOLDEN", _explicit_tol_hashes,
+                                  EXPLICIT_TOL_GOLDEN),
                                  ("SWEEP_GOLDEN", _sweep_hash, SWEEP_GOLDEN)):
         print(f"{label} = " + pprint.pformat(_record(hasher, names), sort_dicts=False))

@@ -116,6 +116,26 @@ def test_coupled_ode_step_is_fourth_order(a, b):
     assert min(orders) >= 3.8
 
 
+def test_coupled_burgers_step_is_second_order_in_time():
+    # the coupled first call traces with v extrapolated from its own rows
+    # (1.5 u_k - 0.5 u_{k-1} at midpoints), so at n = 4096, where the cubic
+    # interpolation error is small, the error to t = 0.5 falls like h^2; the
+    # frozen solve from the constant start stays about 0.07 off at every m
+    n = 4096
+    prof = sine_profile()
+    u0 = from_callable(prof.value, n, TWO_PI)
+    step, x0 = make_burgers_instance(n).step, _elem(u0)
+    oracle = burgers_profile_at(prof, 0.5, u0.nodes())
+    errs = []
+    for substeps in (16, 32, 64):
+        y = _segment_from_samples(np.linspace(0.0, 0.5, substeps + 1),
+                                  [u0.values] * (substeps + 1))
+        seg = step(y, x0, 0.5, substeps, coupled=True)
+        errs.append(float(np.max(np.abs(seg.values[-1] - oracle))))
+    orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+    assert min(orders) >= 1.9
+
+
 def test_ode_step_raises_on_overflow():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: x * x * 1e3 + 1e3)
     y = _const_segment([0.0], 0.0, 10.0, 11)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twonorm.core import (
     CapExceeded,
@@ -110,9 +112,23 @@ def test_coupled_start_converges_on_expanding_map():
     # map's expanding transient never shows and every ratio stays below 1
     plan = WindowPlan(K=1e9, t_start=0.0, t_end=2.0)
     seg, rec = picard_window(_expander(), _scalar_element(1.0), plan,
-                             SolverConfig(substeps_per_window=16, empirical_mode=True))
+                             SolverConfig(substeps_per_window=16, empirical_mode=True, tol=1e-9))
     assert rec.picard_iters == 17
     assert all(r < 1.0 for r in rec.observed_ratios)
+
+
+def test_default_tol_stops_the_expanding_map_at_a_tenth_of_its_first_correction():
+    # with the default tol the window stops once the bound falls under
+    # 0.1 d_2, the distance between the coupled start and its frozen correction
+    inst, x0 = _expander(), _scalar_element(1.0)
+    plan = WindowPlan(K=1e9, t_start=0.0, t_end=2.0)
+    seg, rec = picard_window(inst, x0, plan,
+                             SolverConfig(substeps_per_window=16, empirical_mode=True))
+    assert rec.picard_iters == 3
+    assert all(r < 1.0 for r in rec.observed_ratios)
+    first = inst.step(seg, x0, 2.0, 16, 0.0, coupled=True)
+    d_2 = inst.weak_dist(inst.step(first, x0, 2.0, 16, 0.0).values, first.values)
+    assert rec.tol == 0.1 * d_2 > 1e-9
 
 
 def test_iteration_budget_enforced():
@@ -126,7 +142,8 @@ def test_iteration_budget_enforced():
 def _residual_check(inst, K, t_end, empirical):
     """Solve [0, t_end] from 1; return iterations, the drift of one more frozen solve, its bound.
 
-    The bound is tol (1+theta)/(1-theta), theta as the stopping rule used it.
+    The bound is rec.tol (1+theta)/(1-theta), with the tolerance and theta
+    the stopping rule used.
     """
     x0 = _scalar_element(1.0)
     cfg = SolverConfig(empirical_mode=empirical)
@@ -134,7 +151,7 @@ def _residual_check(inst, K, t_end, empirical):
     theta = estimate_theta_empirical(rec.observed_ratios) if empirical else cfg.theta_target
     extra = inst.step(seg, x0, t_end, cfg.substeps_per_window, 0.0)
     drift = inst.weak_dist(extra.values, seg.values)
-    return rec.picard_iters, drift, cfg.tol * (1.0 + theta) / (1.0 - theta)
+    return rec.picard_iters, drift, rec.tol * (1.0 + theta) / (1.0 - theta)
 
 
 def test_fixed_point_residual_bound():
@@ -156,6 +173,34 @@ def test_coupled_start_keeps_the_residual_bound_in_empirical_mode(inst, K, t_end
     picard_iters, drift, bound = _residual_check(inst, K, t_end, True)
     assert drift <= bound
     assert picard_iters == 2 or t_end != 0.05
+
+
+def _burgers_element(inst, n):
+    return make_element(inst, from_callable(sine_profile().value, n, TWO_PI))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["riccati", "linear", "linear-empirical", "burgers"]),
+       st.floats(0.02, 0.45), st.sampled_from([4, 8, 16, 32, 64]), st.sampled_from([64, 256]))
+def test_default_tol_keeps_the_residual_bound_of_the_tol_each_window_used(kind, t_end,
+                                                                          substeps, n):
+    # one more frozen solve moves the converged trajectory by at most
+    # rec.tol (1+theta)/(1-theta), with theta as the stopping rule used it
+    if kind == "burgers":
+        inst = make_burgers_instance(n)
+        x0, K, t_end = _burgers_element(inst, n), 4.0, min(t_end, 0.3)
+    elif kind == "riccati":
+        inst, x0, K = make_riccati_instance(), _scalar_element(1.0), 2.5
+    else:
+        inst, x0, K = make_linear_ode_instance(a=1.0, b=0.5), _scalar_element(1.0), 2.0
+        t_end = min(t_end, 0.3)
+    cfg = SolverConfig(substeps_per_window=substeps, empirical_mode=kind != "linear")
+    seg, rec = picard_window(inst, x0, WindowPlan(K=K, t_start=0.0, t_end=t_end), cfg)
+    theta = cfg.theta_target if kind == "linear" else estimate_theta_empirical(
+        rec.observed_ratios)
+    drift = inst.weak_dist(inst.step(seg, x0, t_end, substeps, 0.0).values, seg.values)
+    assert drift <= rec.tol * (1.0 + theta) / (1.0 - theta)
+    assert rec.tol >= 1e-9
 
 
 def test_one_weak_distance_per_returned_step():
@@ -200,6 +245,30 @@ def test_coupled_start_raises_at_the_riccati_crossing_in_its_first_step_call():
                       SolverConfig(substeps_per_window=16))
     assert hints == [True]
     assert exc.value.t == 0.61875
+
+
+def test_coupled_burgers_start_raises_at_the_first_row_over_the_cap():
+    # the coupled first iterate follows u_t + u u_x = 0, whose strong norm
+    # 1 + 1/(1-t) passes K = 4 at t = 2/3; the frozen solve from the constant
+    # start stays under 3.5 on [0, 0.9], so only a coupled first call raises
+    n = 256
+    base = make_burgers_instance(n)
+    x0 = _burgers_element(base, n)
+    hints = []
+
+    def step(*args, **kwargs):
+        hints.append(kwargs["coupled"])
+        return base.step(*args, **kwargs)
+
+    with pytest.raises(CapExceeded) as exc:
+        picard_window(dataclasses.replace(base, step=step), x0,
+                      WindowPlan(K=4.0, t_start=0.0, t_end=0.9),
+                      SolverConfig(substeps_per_window=16))
+    assert hints == [True]
+    times = np.linspace(0.0, 0.9, 17)
+    assert times[11] < 2.0 / 3.0 < times[12]
+    assert exc.value.t == float(times[12])
+    assert exc.value.value > exc.value.limit == 4.0 * (1.0 + 1e-9)
 
 
 def test_picard_checks_the_cap_of_a_step_that_ignores_it():
@@ -320,4 +389,4 @@ def test_burgers_frozen_step_consistency():
     theta_hat = estimate_theta_empirical(rec.observed_ratios)
     extra = inst.step(seg, x0, 0.2, cfg.substeps_per_window, 0.0)
     drift = inst.weak_dist(extra.values, seg.values)
-    assert drift <= cfg.tol * (1.0 + theta_hat) / (1.0 - theta_hat)
+    assert drift <= rec.tol * (1.0 + theta_hat) / (1.0 - theta_hat)

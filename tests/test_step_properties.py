@@ -1,4 +1,4 @@
-"""Properties of the blocked transport step, the steps' cap and the coupled ODE step.
+"""Properties of the blocked transport step, the steps' cap and the coupled steps.
 
 The reference below is the straightforward per-substep sweep: trace one
 substep's feet, interpolate, apply the source, then move on. The blocked
@@ -332,6 +332,19 @@ def test_coupled_ode_step_is_the_frozen_step_when_f_ignores_y(b, forcing, dimens
                           np.full(substeps + 1, x0.strong_norm), x0)
     coupled = ode_step(spec, y, x0, window, substeps, t_start, coupled=True)
     frozen = ode_step(spec, y, x0, window, substeps, t_start)
+    for name in ("values", "weak", "strong"):
+        assert getattr(coupled, name).tobytes() == getattr(frozen, name).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 40), st.floats(1e-3, 3.0), st.floats(0.0, 5.0),
+       st.sampled_from(["linear", "cubic"]), st.integers(0, 2**31 - 1))
+def test_coupled_advect_step_is_the_frozen_step(n, substeps, window, t_start, scheme, seed):
+    # G = 1 ignores v, so tracing with the coupled start's extrapolated rows,
+    # one substep per block, gives the frozen blocked sweep's bits
+    spec, v_traj, x0 = _transport_case(n, substeps, window, t_start, scheme, "advect", seed, 1.0)
+    coupled = transport_step(spec, v_traj, x0, window, substeps, t_start, coupled=True)
+    frozen = transport_step(spec, v_traj, x0, window, substeps, t_start)
     for name in ("values", "weak", "strong"):
         assert getattr(coupled, name).tobytes() == getattr(frozen, name).tobytes()
 
