@@ -527,15 +527,69 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
 
 # -- continuation by gluing --------------------------------------------------
 
-def _plan_window(instance, cfg: SolverConfig, r0: float, k_cap: float, remaining: float,
-                 proposal: float) -> float | None:
-    """A round's first attempt: the analytic plan, or min(remaining, proposal).
+def _cap_crossing_time(times, strong, kappa: float) -> float | None:
+    """Fitted time for a growing strong norm to go from its last row's value to kappa x it.
+
+    Needs a positive norm that rises from each row to the next (a norm
+    that dips between rows, as |x| does where x changes sign, is no
+    blow-up evidence) and reads it at the rows a = 0, m = len // 2 and
+    b = -1. With g1 = ln(r_m / r_a), g2 = ln(r_b / r_m) over the halves h1 =
+    t_m - t_a and h2 = t_b - t_m, a norm whose log-growth rate is larger
+    over the second half fits the power law r = c (T - t)^(-alpha), and
+    the time is (T - t_b)(1 - kappa^(-1/alpha)); otherwise it fits the
+    exponential limit r = c e^(lambda t) with lambda = g2 / h2, and the
+    time is ln(kappa) / lambda. None (no prediction) when the norm does
+    not rise from row to row, a log-growth is 0 or not finite, or the
+    fitted T - t_a leaves its bracket (t_b - t_a, inf).
+
+    With beta = 1/alpha the power law gives h1 = (T - t_a)(1 - e^(-g1 beta))
+    and h2 = (T - t_a) e^(-g1 beta)(1 - e^(-g2 beta)), so beta is the root
+    of G(beta) = ln(1 - e^(-g2 beta)) - ln(e^(g1 beta) - 1) - ln(h2 / h1),
+    evaluated as G(0+) = ln(g2 h1 / (g1 h2)) plus the logs of
+    (1 - e^(-x)) / x and (e^x - 1) / x, which stay near 1 for small x. G
+    falls from G(0+) > 0 and is convex (g2 > g1 as h2 >= h1), so secant
+    steps from 0+ (the first one along G'(0+) = -(g1 + g2) / 2) climb to
+    the root from below; it lies below ln(1 + h1 / h2) / g1, where
+    T - t_a = h1 + h2.
+    """
+    if not (strong[0] > 0.0 and np.all(strong[1:] > strong[:-1])):
+        return None
+    k = (len(times) - 1) // 2
+    r_a, r_m, r_b = float(strong[0]), float(strong[k]), float(strong[-1])
+    g1, g2 = math.log(r_m / r_a), math.log(r_b / r_m)
+    if not (0.0 < g1 < math.inf and 0.0 < g2 < math.inf):
+        return None
+    h1, h2 = float(times[k] - times[0]), float(times[-1] - times[k])
+    lead = math.log(g2 / g1 * (h1 / h2))  # G(0+)
+    if not lead > 0.0:
+        return math.log(kappa) * h2 / g2
+    top = math.log1p(h1 / h2) / g1
+
+    def gap(beta):
+        x1, x2 = g1 * beta, g2 * beta
+        return lead + math.log(-math.expm1(-x2) / x2) - math.log(math.expm1(x1) / x1)
+
+    lo, gap_lo, beta = 0.0, lead, 2.0 * lead / (g1 + g2)
+    for _ in range(100):  # a guard: the climb settles in a few steps
+        if not beta < top:
+            return None
+        gap_beta = gap(beta)
+        if not 0.0 < gap_beta < gap_lo:  # at the root to float precision
+            break
+        lo, gap_lo, beta = beta, gap_beta, beta + gap_beta * (beta - lo) / (gap_lo - gap_beta)
+    else:
+        return None
+    tail = h1 * math.exp(-(g1 + g2) * beta) / -math.expm1(-g1 * beta)  # T - t_b
+    return -tail * math.expm1(-beta * math.log(kappa))
+
+
+def _plan_window(bounds, cfg: SolverConfig, r0: float, k_cap: float,
+                 remaining: float) -> float | None:
+    """A round's first analytic attempt from the instance's bounds.
 
     None when the a-priori window is 0 or there is no contraction window.
     """
-    if instance.bounds is None or cfg.empirical_mode:
-        return min(remaining, proposal)
-    apriori, stability = instance.bounds
+    apriori, stability = bounds
     t1 = select_window(apriori, r0, k_cap, remaining)
     if not t1 > 0:
         return None
@@ -552,23 +606,29 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
 
     Each round caps the strong norm at kappa times its current value and
     plans a first attempt from the instance's analytic bounds or, when
-    there are none or cfg.empirical_mode is set, as min(remaining, 2 x the
-    last accepted window), the remaining horizon in the first round; after
-    a round that needed a retry the factor is 1, not 2. In both modes a
-    failed attempt is retried shorter: when its failure names a time t
-    past the window's start t0, at max(cfg.window_shrink x the attempt,
-    _RETRY_MARGIN x (t - t0)), just short of the crossing; otherwise at
-    cfg.window_shrink x the attempt. An accepted attempt is glued on and
-    the next round restarts from its exact end state. An analytic plan of
-    length 0, or an attempt too short for m + 1 distinct grid times, is a
-    contraction failure. Blow-up is declared once the strong norm passes
-    the configured threshold (the window is cut at the first stored time
-    over it) or an attempt drops below cfg.min_window. t_c is the end of
-    the last accepted window (0.0 if none): the detection time, not a
-    bound on either side of the true critical time. A norm that grows
-    without limit passes the threshold before it (Riccati: t_c < 1), while
-    a discrete norm that saturates on a fixed grid passes it early or late
-    (Burgers: 2.2 % early at n = 256, 0.65 % late at n = 1024).
+    there are none or cfg.empirical_mode is set, as min(remaining,
+    proposal), the remaining horizon in the first round. The proposal is
+    min(2 x the last accepted window, _RETRY_MARGIN x D), where D is the
+    time _cap_crossing_time fits from that window's strong norms for the
+    norm to reach kappa times its end value, just short of the next cap
+    crossing, but never below cfg.min_window; where the fit gives none, it
+    is 2 x the window, or 1 x after a round that needed a retry. In both
+    modes a failed attempt is retried shorter: when its failure names a
+    time t past the window's start t0, at max(cfg.window_shrink x the
+    attempt, _RETRY_MARGIN x (t - t0)), just short of the crossing;
+    otherwise at cfg.window_shrink x the attempt. An accepted attempt is
+    glued on and the next round restarts from its exact end state. An
+    analytic plan of length 0, or an attempt too short for m + 1 distinct
+    grid times, is a contraction failure. Blow-up is declared once the
+    strong norm passes the configured threshold (the window is cut at the
+    first stored time over it) or a retry drops below cfg.min_window. The
+    fit only proposes: a D below cfg.min_window ends the run only once
+    the min_window attempt it yields fails. t_c is the end of the last
+    accepted window (0.0 if none): the detection time, not a bound on either side of the
+    true critical time. A norm that grows without limit is detected
+    before it (Riccati: t_c < 1), while a discrete norm that saturates on
+    a fixed grid passes the threshold early or late (Burgers: 2.3 % early
+    at n = 256, 0.65 % late at n = 1024).
 
     Raises ValueError when x0's strong norm is not finite, t_max is not
     positive and finite, 2 x kappa x the initial strong norm (the
@@ -592,6 +652,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
                              f"norm overflows: initial strong norm {x0.strong_norm:g}; "
                              f"give a finite strong_norm_cap")
     horizon_slack = 1e-12 * max(1.0, abs(t_max))
+    empirical = instance.bounds is None or cfg.empirical_mode
 
     segments: list[TrajectorySegment] = []
     records: list[WindowRecord] = []
@@ -615,8 +676,10 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
             if len(records) >= cfg.max_windows:
                 return finish(Termination.BUDGET_EXHAUSTED)
             k_cap = cfg.kappa * max(x_cur.strong_norm, _R0_FLOOR)
-            window = _plan_window(instance, cfg, x_cur.strong_norm, k_cap, remaining,
-                                  proposal)
+            if empirical:
+                window = min(remaining, proposal)
+            else:
+                window = _plan_window(instance.bounds, cfg, x_cur.strong_norm, k_cap, remaining)
             if window is None:
                 return finish(Termination.CONTRACTION_FAILURE)
 
@@ -655,6 +718,11 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
         records.append(rec)
         x_cur = seg.end  # exact handle: junction states are identical
         t_cur = seg.t_end
-        proposal = (1.0 if retried else 2.0) * (seg.t_end - seg.t_start)
+        length = seg.t_end - seg.t_start
+        reach = _cap_crossing_time(seg.times, seg.strong, cfg.kappa) if empirical else None
+        if reach is None:
+            proposal = (1.0 if retried else 2.0) * length
+        else:  # never below min_window: a real blow-up fails it and collapses on retry
+            proposal = max(cfg.min_window, min(2.0 * length, _RETRY_MARGIN * reach))
         retried = False
         window = None

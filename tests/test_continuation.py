@@ -3,6 +3,7 @@ import re
 import time
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +56,37 @@ def test_riccati_blows_up_near_one():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("min_window", [1e-4, 1e-3])
+def test_riccati_ends_once_the_fitted_cap_crossing_drops_below_min_window(min_window):
+    # x' = x^2 from 1: the fit puts the next cap crossing (1 - t)(1 - 1/kappa)
+    # away, below min_window near t = 1 - 2 min_window; the proposal is held
+    # at min_window, that attempt exceeds the cap and its retry falls below
+    # min_window, long before the strong norm reaches the default 1e6
+    inst = make_riccati_instance()
+    cfg = SolverConfig(min_window=min_window)
+    failures = []
+    picard_window = core.picard_window
+
+    def recorded(instance, x0, plan, cfg):
+        try:
+            return picard_window(instance, x0, plan, cfg)
+        except core.WindowFailure as exc:
+            failures.append((plan.t_end - plan.t_start, exc))
+            raise
+
+    with mock.patch.object(core, "picard_window", recorded):
+        segs, rep = continuation_solve(inst, _scalar(inst, 1.0), 2.0, cfg)
+    assert rep.termination is Termination.BLOW_UP_DETECTED
+    assert failures[-1][0] == pytest.approx(min_window, rel=1e-9)
+    assert isinstance(failures[-1][1], CapExceeded)
+    assert rep.t_c_estimate == segs[-1].t_end
+    assert 1.0 - 3.0 * min_window < rep.t_c_estimate < 1.0
+    assert segs[-1].strong[-1] < 1e4
+    for seg in segs[:-1]:
+        assert core._cap_crossing_time(seg.times, seg.strong, cfg.kappa) >= min_window
+    assert core._cap_crossing_time(segs[-1].times, segs[-1].strong, cfg.kappa) < min_window
+
+
 def test_riccati_from_the_largest_float_blows_up_at_once_without_warnings():
     # every attempt overflows; 4e307 is near the largest x0 whose planning
     # radius 2 x kappa x x0 is finite (from 1e308 the solve raises ValueError),
@@ -88,6 +120,54 @@ def test_attempts_and_plans_go_through_the_core_globals(monkeypatch):
     _, rep = continuation_solve(inst, _scalar(inst, 1.0), 2.0, SolverConfig())
     assert calls["picard_window"] > len(rep.windows) > 0
     assert calls["select_window"] == calls["select_contraction_window"] == 0
+
+
+@pytest.mark.parametrize("a,b,forcing,t_max,calls", [
+    (0.0, 1.0, 0.0, 8.0, 30),  # x' = x: 35 step calls with the 2x proposal
+    (0.5, 0.5, 0.0, 8.0, 37),  # x' = 0.5 y + 0.5 x: 43
+    (1.0, 0.0, 1.0, 5.0, 28),  # x' = y + 1: 32
+], ids=["x", "half-y-half-x", "y-plus-one"])
+def test_empirical_growth_proposes_short_of_the_cap_crossing(a, b, forcing, t_max, calls):
+    # each window is proposed at 0.9 of the fitted time to the next cap,
+    # so fewer attempts overshoot it than when every window doubled
+    inst = make_linear_ode_instance(a, b, forcing)
+    count = [0]
+
+    def step(*args, **kwargs):
+        count[0] += 1
+        return inst.step(*args, **kwargs)
+
+    segs, rep = continuation_solve(replace(inst, step=step), _scalar(inst, 1.0), t_max,
+                                   SolverConfig(empirical_mode=True))
+    assert rep.termination is Termination.HORIZON_REACHED
+    assert segs[-1].t_end == t_max
+    assert count[0] == calls
+
+
+def test_a_fit_that_predicts_collapse_does_not_end_a_run_that_keeps_growing():
+    # x' = x - 1 from 1.0005 leaves its unstable equilibrium: the log-growth
+    # rate of x rises within the first window, so the power-law fit puts T
+    # about 1e-8 past its end, yet x is only about 2.4e5 by t = 20, below
+    # the default threshold of 1e6; the min_window attempt is accepted
+    inst = make_linear_ode_instance(0.0, 1.0, -1.0)
+    cfg = SolverConfig(empirical_mode=True)
+    segs, rep = continuation_solve(inst, _scalar(inst, 1.0005), 20.0, cfg)
+    assert core._cap_crossing_time(segs[0].times, segs[0].strong, cfg.kappa) < cfg.min_window
+    assert rep.termination is Termination.HORIZON_REACHED
+    assert segs[-1].t_end == 20.0
+    assert 1e5 < segs[-1].strong[-1] < 1e6
+
+
+@pytest.mark.parametrize("substeps", [14, 64])
+def test_a_forced_sign_change_inside_an_empirical_window_is_no_blow_up(substeps):
+    # x' = y + 1.775 x - 0.6 from 0.003 turns negative in the first window,
+    # so |x| dips to 0 and then climbs; read at three rows only, that climb
+    # looks like a power law a few 1e-5 from its T
+    inst = make_linear_ode_instance(1.0, 1.775, -0.6)
+    cfg = SolverConfig(kappa=3.6, substeps_per_window=substeps, empirical_mode=True)
+    segs, rep = continuation_solve(inst, _scalar(inst, 0.003), 1.3, cfg)
+    assert rep.termination is Termination.HORIZON_REACHED
+    assert segs[-1].t_end == 1.3
 
 
 def test_window_junctions_share_state_handles():

@@ -24,6 +24,7 @@ from twonorm.core import (
     WindowPlan,
     WindowRecord,
     _bisect,
+    _cap_crossing_time,
     continuation_solve,
     estimate_theta_empirical,
     reject_rows,
@@ -31,6 +32,8 @@ from twonorm.core import (
     select_window,
 )
 from twonorm.instances import make_decay_instance, make_element
+
+NAN, INF = math.nan, math.inf
 
 
 # -- select_window -------------------------------------------------------------
@@ -257,6 +260,58 @@ def test_contraction_window_b_check_stops_at_the_first_radius_over():
     assert all(calls[t] == _RADIUS_SAMPLES for t in calls if 1e-6 < t < 0.5 * (1.0 - 1e-9))
 
 
+# -- _cap_crossing_time ----------------------------------------------------------
+
+@pytest.mark.parametrize("kappa", [1.5, 2.0, 3.7])
+@pytest.mark.parametrize("m", [2, 4, 5, 7, 64])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t_a,t_b", [(0.0, 0.5), (0.9, 0.999), (0.99, 0.9999999)])
+def test_cap_crossing_time_is_exact_on_a_power_law(kappa, m, alpha, t_a, t_b):
+    # r = 3 (1 - t)^(-alpha) reaches kappa r(t_b) after (1 - t_b)(1 - kappa^(-1/alpha));
+    # odd m puts the middle row off centre, so the halves differ
+    times = np.linspace(t_a, t_b, m + 1)
+    strong = 3.0 * (1.0 - times) ** -alpha
+    expected = (1.0 - t_b) * (1.0 - kappa ** (-1.0 / alpha))
+    assert _cap_crossing_time(times, strong, kappa) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [1.5, 2.0, 3.7])
+@pytest.mark.parametrize("m", [2, 4, 5, 7, 64])
+@pytest.mark.parametrize("lam,t_a,t_b", [(0.7, 0.0, 1.0), (1.0, 5.0, 5.1), (40.0, 5.0, 5.1),
+                                         (1.0, 1e3, 1e3 + 8.0)])
+def test_cap_crossing_time_is_exact_on_an_exponential(kappa, m, lam, t_a, t_b):
+    times = np.linspace(t_a, t_b, m + 1)
+    strong = 2.0 * np.exp(lam * (times - t_a))
+    assert _cap_crossing_time(times, strong, kappa) == pytest.approx(math.log(kappa) / lam,
+                                                                     rel=1e-9)
+
+
+@pytest.mark.parametrize("strong", [
+    [1.0, 1.0, 1.0], [3.0, 2.0, 1.0], [1.0, 2.0, 1.5], [2.0, 1.0, 3.0], [1.0, 1.0, 2.0],
+    [0.0, 1.0, 2.0], [1.0, NAN, 3.0], [1.0, 2.0, INF], [NAN, 1.0, 2.0],
+    [1e-300, 1e-299, 1e300], [1.0, 1.0 + 1e-15, 1e10],
+], ids=["flat", "decaying", "rise-then-fall", "fall-then-rise", "flat-then-rise", "from-zero",
+        "nan", "inf", "nan-start", "log-growth-overflows", "root-leaves-its-bracket"])
+def test_cap_crossing_time_gives_no_prediction(strong):
+    assert _cap_crossing_time(np.array([0.0, 1.0, 2.0]), np.array(strong), 2.0) is None
+
+
+def test_cap_crossing_time_gives_no_prediction_where_the_norm_dips_between_its_rows():
+    # |x| of an x that changes sign: rows 0, 2 and 4 rise faster and faster,
+    # like a power law close to its T, but row 1 dips below row 0
+    times = np.linspace(0.0, 0.02, 5)
+    strong = np.array([0.003, 0.0001, 0.0034, 0.006, 0.0099])
+    assert _cap_crossing_time(times, strong, 3.6) is None
+    assert _cap_crossing_time(times[::2], strong[::2], 3.6) < 1e-3
+
+
+def test_cap_crossing_time_of_a_norm_that_jumps_after_a_flat_half_is_zero():
+    # a growth of 1e100 over the second half after 1e-15 over the first
+    # puts T at t_b to float precision
+    assert _cap_crossing_time(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0 + 1e-15, 1e100]),
+                              2.0) == 0.0
+
+
 # -- estimate_theta_empirical ----------------------------------------------------
 
 def test_theta_empirical_takes_max_of_last_three():
@@ -276,8 +331,6 @@ def test_theta_empirical_rejects_empty_and_negative():
 
 
 # -- reject_rows -----------------------------------------------------------------
-
-NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("weak,strong,cap,error,row", [

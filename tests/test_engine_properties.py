@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twonorm import core
@@ -83,6 +83,10 @@ thresholds = st.one_of(st.none(), st.floats(2.0, 20.0))  # times the initial str
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
        st.integers(1, 3), st.integers(0, 2**31 - 1),
        st.one_of(st.floats(0.05, 3.0), st.floats(1e3, 1e6)), solver_configs, thresholds)
+# a bisection form of the cap-crossing fit reached the end of its bracket
+# on this draw and divided by zero there
+@example(0.0, -0.875, -0.5, 1, 3599, 1875.0,
+         SolverConfig(kappa=1.5, substeps_per_window=4, max_windows=7, empirical_mode=True), None)
 def test_linear_ode_solves_keep_engine_invariants(a, b, forcing, dimension, seed, t_max, cfg,
                                                   threshold):
     inst = make_linear_ode_instance(a, b, forcing, dimension)
@@ -102,7 +106,7 @@ def test_small_transport_solves_keep_engine_invariants(make, n, scheme, amplitud
 
 
 def _attempts(inst, x0, t_max, cfg):
-    """Run a solve and list its window attempts as (t_start, t_end, failure or None)."""
+    """Run a solve and list its window attempts as (t_start, t_end, failure or segment)."""
     attempts = []
     picard_window = core.picard_window
 
@@ -112,7 +116,7 @@ def _attempts(inst, x0, t_max, cfg):
         except WindowFailure as exc:
             attempts.append((plan.t_start, plan.t_end, exc))
             raise
-        attempts.append((plan.t_start, plan.t_end, None))
+        attempts.append((plan.t_start, plan.t_end, out[0]))
         return out
 
     with mock.patch.object(core, "picard_window", recorded):
@@ -129,8 +133,10 @@ def _attempts(inst, x0, t_max, cfg):
 def test_empirical_retries_land_between_shrink_and_the_failed_attempt(problem, kappa, substeps,
                                                                      shrink):
     # a failed attempt is retried at max(shrink x it, 0.9 x its way to the
-    # crossing), always shorter than it; a round that retried proposes its
-    # accepted length again, a round that did not proposes twice that
+    # crossing), always shorter than it; after an accepted window the next
+    # round proposes min(2 x it, 0.9 x the fitted time to the next cap
+    # crossing), held at min_window or more, or without a fit its length
+    # again after a retry and twice it otherwise
     if problem[0] == "linear":
         _, a, b, forcing, x, t_max = problem
         inst = make_linear_ode_instance(a, b, forcing)
@@ -142,16 +148,20 @@ def test_empirical_retries_land_between_shrink_and_the_failed_attempt(problem, k
     attempts, report = _attempts(inst, make_element(inst, np.array([x])), t_max, cfg)
     assert isinstance(report.termination, Termination)
     retried = False
-    for (t0, t_end, exc), (t1, t1_end, _) in zip(attempts, attempts[1:]):
+    for (t0, t_end, out), (t1, t1_end, _) in zip(attempts, attempts[1:]):
         prev, length = t_end - t0, t1_end - t1
-        if exc is not None:
+        if isinstance(out, WindowFailure):
             assert t1 == t0
             assert shrink * prev * (1.0 - 1e-9) <= length < prev
-            if isinstance(exc, core.CapExceeded):
-                assert t0 < exc.t <= t_end and exc.value > exc.limit
+            if isinstance(out, core.CapExceeded):
+                assert t0 < out.t <= t_end and out.value > out.limit
             retried = True
         else:
             assert t1 == t_end
-            proposal = min(t_max - t1, (1.0 if retried else 2.0) * prev)
-            assert length == pytest.approx(proposal, rel=1e-9)
+            reach = core._cap_crossing_time(out.times, out.strong, kappa)
+            if reach is None:
+                proposal = (1.0 if retried else 2.0) * prev
+            else:
+                proposal = max(cfg.min_window, min(2.0 * prev, 0.9 * reach))
+            assert length == pytest.approx(min(t_max - t1, proposal), rel=1e-9)
             retried = False

@@ -7,21 +7,29 @@ scan runs a reduced amplitude list to keep the suite fast. The hashes
 were recorded with Python 3.11 and numpy 2.4 on x86-64; another libm or
 numpy build may round `sin` differently and needs its own record.
 
+WORK_GOLDEN holds the work behind two of those runs: window attempts,
+rejected attempts, step calls and accepted windows' Picard iterations,
+counted in process, so a change that brings back wasted attempts fails
+here even where it moves no byte.
+
 `python tests/test_golden.py` (with the package importable) prints the
 current hashes of every bundled config in the layout of GOLDEN,
-EXPLICIT_TOL_GOLDEN and SWEEP_GOLDEN, to re-record them after a change
-that moves bytes.
+EXPLICIT_TOL_GOLDEN and SWEEP_GOLDEN, and the counts of WORK_GOLDEN, to
+re-record them after a change that moves bytes or work.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 import pprint
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from twonorm import core
 from twonorm.cli import (
     OUTPUT_ROOT_ENV,
     parse_config,
@@ -44,10 +52,10 @@ GOLDEN = {
         "windows.csv": "83e6617f06c799b1cab5f99b5e6cf4d5d09d370b849e6a32b11a75704a246651",
     },
     "riccati.json": {
-        "norms.csv": "4aee23fafb7b6d33193d813b6a9b323ff96b723c9f5105392f9eb595bd01c42e",
-        "report.json": "da7bdf7cab1dd6bcd436984ca4f6cdf90b813bfcb2777a7259bf264160470ee3",
-        "trajectory.csv": "46798c0592cf1190f88e92ee7784f7428c21f285a50dd01823d9e9af4f163467",
-        "windows.csv": "9c5fa6f3505f91997a6c5977e20b1ccbe8df289cdf970112c0bc30daf622dd90",
+        "norms.csv": "c50ba30acc66bf80fb799f17c21535636924a5681f0e7ad1de26d29aeedd32af",
+        "report.json": "3829a53d1dde500b8ae3a7bb31a87c868e4294766d0c7e35bda8ca32137f962d",
+        "trajectory.csv": "d4d0c21488035a0d4ee776c97e8981bd9f8a355151c09bbb2d58379715ba3310",
+        "windows.csv": "d1bfc4620ba2a9dc20ae8ce4429ba6f670fe95ce8726ed4f8616aea620a03225",
     },
     "advect.json": {
         "final_state.csv": "d343c1c9b556320380bee14b60bb0b76b245627a4bb7fa7358bffb977f678f38",
@@ -56,13 +64,13 @@ GOLDEN = {
         "windows.csv": "4b97f296864a5ae4103af83aa404892e5b9fe8af3111c7ffa6a635d910e77968",
     },
     "burgers.json": {
-        "final_state.csv": "b5817aa49226a76ab5d7173e1e4ed028c5d8fd8e8a6d4272c3c09b384a29828d",
-        "norms.csv": "faab2c741a9164d78f75ec2f035f64cfb986b75c450dcd80f6f2e45c8cebd515",
-        "report.json": "94b190d0cabd46e5223b7e8c4dba38dc105b4762660b517d9d709fa548abf544",
-        "windows.csv": "da7167f8549e0401ad179a1362cc1f6b6e7b4399208d77890d6bccc3580263b8",
+        "final_state.csv": "a1dc25fa45292345269c8519b2b401642ec1352c9cd7833fdd605b7bb9583e94",
+        "norms.csv": "b663b6717a6bcaec38b088f8a81129ece9b82f30f642f191f7468f95ea1a5e4c",
+        "report.json": "ef281d75abe64835f207d81115a8b24c6c15af0aefc8340ee6b16ed05a2bbb27",
+        "windows.csv": "65993eb6686a8a2634f3eff5c82e5655e8b9f0382ad8385b336a451c140ef10b",
     },
     "burgers_scan.json": {
-        "blowup.csv": "519b9d9708e5bf45b98e251965701b5ef2b0ec1fd283c7dc782592502c762981",
+        "blowup.csv": "9fb24f483b6d9dd317d2910cfa6d9fefb42772009d74f70bfd214443e6ba4956",
     },
 }
 
@@ -80,11 +88,18 @@ SWEEP_GOLDEN = {
 EXPLICIT_TOL = 1e-9
 EXPLICIT_TOL_GOLDEN = {
     "riccati.json": {
-        "norms.csv": "b8b3bd5682ad23804f7b5c7a6cac56197a93b90cb6b7e7b70264d1080320fd85",
-        "report.json": "d2975dffd7c3913e2e8af3350c4ccb7d4fa778553ef342c79a8096383ed36f5c",
-        "trajectory.csv": "1a03c1e2de2018572545d9f367b25e60eb651259af49780018393c07b39be498",
-        "windows.csv": "3ee8665ef5dda3f572ab21bc83b7af8436f7e4da1b67ed5caf471da0d498fbd9",
+        "norms.csv": "aca1e1b771ba97a34460c68590d6aaf72c428b497f8f6eb091c6b6c7dccc62a4",
+        "report.json": "716efc03d4b3140bd8aaf210cbc275332ff15c1274c62beff1f4a3d703d2464a",
+        "trajectory.csv": "e1a7d7d459fa74008f829ad1983b56efc356bbc439b92379273d6e934bfef435",
+        "windows.csv": "845f6da3cb9b495b289f558edaeb2dc70d589f67a5b8a762aefc63fa8344a346",
     },
+}
+
+# window attempts, rejected attempts, step calls and Picard iterations of
+# the GOLDEN runs (burgers_scan.json at SCAN_AMPLITUDES)
+WORK_GOLDEN = {
+    "riccati.json": {"attempts": 19, "rejected": 4, "step_calls": 49, "picard_iters": 44},
+    "burgers_scan.json": {"attempts": 22, "rejected": 6, "step_calls": 70, "picard_iters": 64},
 }
 
 
@@ -141,6 +156,36 @@ def test_sweep_matches_golden_hash(name, tmp_path, monkeypatch):
     assert _sweep_hash(name, tmp_path) == SWEEP_GOLDEN[name]
 
 
+def _work_counts(name, root: Path) -> dict:
+    """Run name's config as _artifact_hashes does, counting its attempts and step calls."""
+    counts = {"attempts": 0, "rejected": 0, "step_calls": 0, "picard_iters": 0}
+    picard_window = core.picard_window
+
+    def counted(instance, x0, plan, cfg):
+        def step(*args, **kwargs):
+            counts["step_calls"] += 1
+            return instance.step(*args, **kwargs)
+
+        counts["attempts"] += 1
+        try:
+            seg, rec = picard_window(dataclasses.replace(instance, step=step), x0, plan, cfg)
+        except core.WindowFailure:
+            counts["rejected"] += 1
+            raise
+        counts["picard_iters"] += rec.picard_iters
+        return seg, rec
+
+    with mock.patch.object(core, "picard_window", counted):
+        _artifact_hashes(name, root)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(WORK_GOLDEN))
+def test_work_matches_golden_counts(name, tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert _work_counts(name, tmp_path) == WORK_GOLDEN[name]
+
+
 def _record(hasher, names) -> dict:
     record = {}
     for name in names:
@@ -154,5 +199,7 @@ if __name__ == "__main__":
     for label, hasher, names in (("GOLDEN", _artifact_hashes, GOLDEN),
                                  ("EXPLICIT_TOL_GOLDEN", _explicit_tol_hashes,
                                   EXPLICIT_TOL_GOLDEN),
-                                 ("SWEEP_GOLDEN", _sweep_hash, SWEEP_GOLDEN)):
+                                 ("SWEEP_GOLDEN", _sweep_hash, SWEEP_GOLDEN),
+                                 ("WORK_GOLDEN", _work_counts,
+                                  ("riccati.json", "burgers_scan.json"))):
         print(f"{label} = " + pprint.pformat(_record(hasher, names), sort_dicts=False))
