@@ -120,11 +120,24 @@ def pad_periodic(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[..., -1:], values, values[..., :3]), axis=-1)
 
 
-def wrap_periodic(x, length: float):
-    """Bitwise np.mod(x, length) for float64 x, without its floor division.
+def wrap_periodic(x: np.ndarray, length: float):
+    """Bitwise np.mod(x, length) for a float64 array x, without its floor division.
 
-    np.mod is the exact fmod shifted by length where negative; -0 + 0.0 is +0.
+    When every x lies in [-length, 2 length) (a NaN fails that check), the
+    result is x + 0.0 (which turns -0 into +0) with length taken off where
+    x >= length and added where x < 0. Both are exact or the one rounding
+    np.mod makes: x - length is exact on [length, 2 length] (Sterbenz), and
+    on [-length, 0) np.mod's fmod returns x itself before adding length. Both
+    masks come from x, not from the running result: a tiny negative x such
+    as -5e-324 becomes exactly length, as np.mod gives, and a mask taken
+    afterwards would subtract length again. Any other input takes the exact
+    fmod, shifted by length where negative, which is how np.mod rounds.
     """
+    if x.size and -length <= x.min() and x.max() < 2.0 * length:
+        m = x + 0.0
+        np.subtract(m, length, out=m, where=x >= length)
+        np.add(m, length, out=m, where=x < 0.0)
+        return m
     m = np.fmod(x, length)
     m += length * (m < 0.0)
     return m
@@ -140,16 +153,18 @@ def interp_stencil(x_wrapped: np.ndarray, length: float, n: int):
     jitter never leaks neighbour values into node queries. Positions must
     be wrapped exactly once, by wrap_periodic: it can return length for tiny
     negative x, and wrapping that again gives 0 and a different stencil.
+    idx is clamped to [0, n] when two reductions find an entry outside, so a
+    NaN or infinite position, whose frac is NaN, still gets a valid stencil
+    and a NaN result; wrapped finite positions skip the clamp.
     """
-    s = x_wrapped * (n / length)
-    floor = np.floor(s)
-    frac = s - floor
-    snap_hi = frac > 1.0 - _NODE_SNAP
+    frac = x_wrapped * (n / length)
+    floor = np.floor(frac)
     idx = floor.astype(np.int64)
+    frac -= floor
+    snap_hi = frac > 1.0 - _NODE_SNAP
     idx += snap_hi
-    # finite positions give idx in [0, n] already; NaN ones get a valid
-    # stencil here and still a NaN frac, so their result is NaN
-    np.minimum(np.maximum(idx, 0, out=idx), n, out=idx)
+    if idx.size and (idx.min() < 0 or idx.max() > n):
+        np.minimum(np.maximum(idx, 0, out=idx), n, out=idx)
     np.copyto(frac, 0.0, where=snap_hi | (frac < _NODE_SNAP))
     return idx, frac
 

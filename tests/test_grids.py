@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from twonorm.grids import (
     GridFunction1D,
     from_callable,
+    interp_stencil,
     interp_values,
     interpolate,
     lip_norm,
@@ -238,6 +239,11 @@ def test_ghost_padded_interpolation_is_bitwise_the_wrapped_index_formula(n, sche
     ])
     got = interp_values(values, length, x, scheme)
     assert got.tobytes() == _interp_four_mods(values, length, x, scheme).tobytes()
+    # every position in [-length, 2 length): the wrap is a shift, not an fmod
+    x = np.concatenate([rng.uniform(-length, 2 * length, size=200), x[200:]])
+    assert -length <= x.min() and x.max() < 2 * length
+    got = interp_values(values, length, x, scheme)
+    assert got.tobytes() == _interp_four_mods(values, length, x, scheme).tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["linear", "cubic"])
@@ -263,6 +269,63 @@ def test_wrap_periodic_is_bitwise_np_mod(x, length):
         x = np.concatenate([x, SPECIAL, SPECIAL * length, [length, -length, 2 * length],
                             [-2 * length]])
         assert wrap_periodic(x, length).tobytes() == np.mod(x, length).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LENGTHS), st.data())
+def test_wrap_periodic_around_its_shift_range_is_bitwise_np_mod(length, data):
+    # [-length, 2 length) is where wrap_periodic shifts instead of taking fmod
+    top = np.nextafter(2 * length, 0.0)
+    x = data.draw(arrays(np.float64, st.integers(0, 64),
+                         elements=st.floats(-length, top) | st.floats(-1e-300, 1e-300)))
+    edges = [-length, np.nextafter(-length, 0.0), -5e-324, -0.0, 0.0, 5e-324,
+             np.nextafter(length, 0.0), length, np.nextafter(length, 2 * length), top]
+    for x in (np.concatenate([x, edges]), np.array(edges)):
+        assert -length <= x.min() and x.max() < 2 * length
+        assert wrap_periodic(x, length).tobytes() == np.mod(x, length).tobytes()
+    # one position just outside sends them all through fmod
+    for outside in (2 * length, np.nextafter(-length, -np.inf)):
+        x = np.append(edges, outside)
+        assert wrap_periodic(x, length).tobytes() == np.mod(x, length).tobytes()
+
+
+def _floor_and_clamp(x_wrapped, length, n):
+    """interp_stencil's (idx, frac) with every step written out and idx always clamped."""
+    s = x_wrapped * (n / length)
+    floor = np.floor(s)
+    frac = s - floor
+    snap_hi = frac > 1.0 - 1e-12
+    idx = floor.astype(np.int64) + snap_hi
+    idx = np.minimum(np.maximum(idx, 0), n)
+    return idx, np.where(snap_hi | (frac < 1e-12), 0.0, frac)
+
+
+def _snap_edges(cells, n, length):
+    """Positions in the given cells whose offset from the cell's left node is at
+    or next to 1e-12 or 1 - 1e-12 cells."""
+    cells = np.asarray(cells, dtype=np.float64)[:, None]
+    offsets = np.array([1e-12, 1.0 - 1e-12, 0.5e-12, 2e-12, 1.0 - 0.5e-12, 1.0 - 2e-12])
+    x = ((cells + offsets) * (length / n)).ravel()
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 70), st.sampled_from(LENGTHS), st.data(), st.booleans())
+def test_interp_stencil_is_bitwise_the_floor_and_clamp_formula(n, length, data, stack):
+    wrapped = data.draw(arrays(np.float64, st.integers(0, 64), elements=st.floats(0.0, length)))
+    anywhere = data.draw(arrays(np.float64, st.integers(0, 16), elements=st.floats(width=64)))
+    edges = _snap_edges(range(n), n, length)
+    # cells -1 and n snap to stencils just outside [0, n], which the clamp mends
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (np.concatenate([wrapped, edges, [0.0, length]]),
+                  np.concatenate([wrapped, anywhere, [np.nan, np.inf, -np.inf]]),
+                  np.concatenate([edges, _snap_edges([-1], n, length)]),
+                  np.concatenate([edges, _snap_edges([n], n, length)]),
+                  np.concatenate([edges, [np.nan]])):
+            if stack:
+                x = np.stack([x, x[::-1]])
+            got, want = interp_stencil(x, length, n), _floor_and_clamp(x, length, n)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def _roll_and_divide(values, length):
