@@ -219,9 +219,9 @@ def build_initial_state(config: RunConfig, instance: ProblemInstance,
 def _build_case(config: RunConfig, amplitude_override: float | None = None):
     """Build the configured instance and an initial state with headroom.
 
-    The initial strong norm r0 must leave BLOWUP_FACTOR x r0 (the default
-    blow-up threshold) and 2 x kappa x r0 (the largest radius window
-    planning samples) finite.
+    The initial strong norm r0 must leave 2 x kappa x r0 (the largest
+    radius window planning samples) finite, and BLOWUP_FACTOR x r0 (the
+    default blow-up threshold) too when no solver.strong_norm_cap is set.
     """
     instance = build_instance(config)
     # a finite amplitude can give an overflowing slope, and a tiny length an
@@ -234,7 +234,7 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
             raise ConfigError(f"field 'params.length': the initial state is not finite at "
                               f"length {length:g}; use a larger length") from exc
     r0 = x0.strong_norm
-    if not math.isfinite(BLOWUP_FACTOR * r0):
+    if not math.isfinite(r0 if config.solver.strong_norm_cap is not None else BLOWUP_FACTOR * r0):
         if amplitude_override is not None:
             name, key, amp = "--amplitudes", "amplitude", amplitude_override
         else:

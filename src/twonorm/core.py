@@ -474,15 +474,13 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
 
     row = np.asarray(x0.state, dtype=np.float64)
     prev = TrajectorySegment(times, np.broadcast_to(row, (m + 1,) + row.shape),
-                             np.full(m + 1, x0.weak_norm), np.full(m + 1, x0.strong_norm),
-                             x0, wrap=lambda _: x0.state)
+                             np.full(m + 1, x0.weak_norm), np.full(m + 1, x0.strong_norm), x0)
     d_prev = None
     tol = _TOL_FLOOR if cfg.tol is None else cfg.tol
     ratios: list[float] = []
     consecutive_bad = 0
     for iteration in range(1, cfg.max_picard_iters + 1):
-        cur = instance.step(prev, x0, plan.t_end - plan.t_start, m, plan.t_start, cap=cap,
-                            coupled=iteration == 1)
+        cur = instance.step(prev, x0, substeps=m, cap=cap, coupled=iteration == 1)
         if cur.start is not x0:
             raise SolverError("step operator must start its output from the x0 element")
         reject_rows(cur.times, cur.weak, cur.strong, cap)

@@ -53,10 +53,10 @@ def make_element(instance: "ProblemInstance", state) -> NormedPairElement:
 class ProblemInstance:
     """A frozen-step operator together with its norm pair.
 
-    step(y_traj, x0, window, substeps, t_start, cap=None, coupled=False)
-    solves the frozen problem on the times of its input trajectory y_traj
-    (the window's uniform grid of substeps steps, read through its stacked
-    rows y_traj.values) and returns a TrajectorySegment whose start is the
+    step(y_traj, x0, substeps=m, cap=None, coupled=False), called with
+    keywords after x0, solves the frozen problem on the times of y_traj (a
+    uniform grid of m steps, read through its stacked rows y_traj.values)
+    and returns a TrajectorySegment whose start is the
     x0 element and whose row 0 is x0's raw state. picard_window passes
     coupled=True on a window's first call, where y_traj is only the
     constant start: the step then solves the coupled problem
@@ -117,23 +117,23 @@ class OdeSpec:
             raise ValueError(f"{missing} is missing: declare both Lipschitz constants or neither")
 
 
-def _solve_grid(y_traj: TrajectorySegment, x0, window: float, substeps: int,
-                t_start: float) -> np.ndarray:
+def _solve_grid(y_traj: TrajectorySegment, x0, substeps: int) -> np.ndarray:
     """Check the step operators' shared entry contract; return the solve grid.
 
-    The solve grid is the input's own times, which must lie within
-    1e-9 * window of the window's uniform grid of substeps steps.
+    The solve grid is the input's own times: substeps + 1 of them over a
+    finite positive span, each within 1e-9 * span of the uniform grid.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    if not (window > 0 and math.isfinite(window)):
-        raise ValueError(f"window must be a finite positive number, got {window}")
     if not isinstance(x0, NormedPairElement):
         raise TypeError(f"x0 must be a NormedPairElement from make_element, not {type(x0)}")
-    times, grid = y_traj.times, np.linspace(t_start, t_start + window, substeps + 1)
-    if len(times) != len(grid) or not np.all(np.abs(times - grid) <= 1e-9 * window):
-        raise ValueError(f"frozen input times must lie on the window's grid of {substeps} "
-                         f"uniform substeps over [{t_start}, {t_start + window}]")
+    times = y_traj.times
+    t0, t1 = float(times[0]), float(times[-1])
+    span = t1 - t0  # a Python float: an overflow gives inf without a warning
+    if not (len(times) == substeps + 1 and 0.0 < span < math.inf and np.all(
+            np.abs(times - np.linspace(t0, t1, substeps + 1)) <= 1e-9 * span)):
+        raise ValueError(f"frozen input times must lie on a grid of {substeps} uniform "
+                         f"substeps over a finite span, got {len(times)} over [{t0}, {t1}]")
     return times
 
 
@@ -173,8 +173,7 @@ def _ode_midpoints(values: np.ndarray) -> np.ndarray:
     return mids
 
 
-def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
-             window: float, substeps: int, t_start: float = 0.0,
+def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *, substeps: int,
              cap: float | None = None, coupled: bool = False) -> TrajectorySegment:
     """Classic 4-stage one-step solve of x' = f(t, y(t), x) with frozen y.
 
@@ -194,7 +193,7 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement,
     The step finishes the window before it checks the rows, row 0
     included, with core.reject_rows.
     """
-    times = _solve_grid(y_traj, x0, window, substeps, t_start)
+    times = _solve_grid(y_traj, x0, substeps)
     if np.shape(x0.state) != (spec.dimension,):
         raise ValueError(f"x0 has shape {np.shape(x0.state)}, spec dimension is {spec.dimension}")
 
@@ -322,9 +321,9 @@ class TransportSpec:
 _BLOCK_POINTS = 4096
 
 
-def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPairElement,
-                   window: float, substeps: int, t_start: float = 0.0,
-                   cap: float | None = None, coupled: bool = False) -> TrajectorySegment:
+def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPairElement, *,
+                   substeps: int, cap: float | None = None,
+                   coupled: bool = False) -> TrajectorySegment:
     """Semi-Lagrangian solve of du/dt = G(x, v(t,x)) du/dx + g(x, u).
 
     u0 is an element on the spec's grid; v_traj is sampled on the solve
@@ -348,7 +347,7 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     midpoint, which makes the solve second order in time. For a G that
     ignores v both give the same bits.
     """
-    times = _solve_grid(v_traj, u0, window, substeps, t_start)
+    times = _solve_grid(v_traj, u0, substeps)
     grid0: GridFunction1D = u0.state
     if grid0.n != spec.n or grid0.length != spec.length:
         raise ValueError("initial grid does not match the transport spec")

@@ -241,7 +241,8 @@ def test_solve_exposes_the_attribute_paths_the_benchmark_reads(tmp_path, monkeyp
         inst = build(config)
 
         def step(*args, **kwargs):
-            assert isinstance(args[1], NormedPairElement) and isinstance(args[3], int)
+            substeps = args[3] if len(args) > 3 else kwargs.get("substeps")  # as perfbench reads it
+            assert isinstance(args[1], NormedPairElement) and isinstance(substeps, int)
             seg = inst.step(*args, **kwargs)
             seen["step"] += 1  # steps that return
             return seg
@@ -582,8 +583,10 @@ def test_main_names_an_amplitude_whose_strong_norm_overflows(tmp_path, capsys, a
     ("ode.riccati", ["blowup", "--amplitudes", "1,1e303"], {}, {},
      "--amplitudes: the initial strong norm"),
     ("ode.decay", ["solve"], {}, {"kappa": 1e308}, "field 'solver.kappa': 2 x kappa x"),
+    ("transport.burgers", ["solve"], {"n": 64, "amplitude": 1e308}, {"strong_norm_cap": 1e300},
+     "field 'params.amplitude': the initial strong norm"),
 ], ids=["decay-1.8e302", "decay-4e307", "decay-8.9e307", "decay-1e308", "sweep-decay--1e308",
-        "riccati-scan-1e303", "kappa-1e308"])
+        "riccati-scan-1e303", "kappa-1e308", "burgers-capped-1e308"])
 def test_an_initial_norm_without_headroom_is_named_before_any_solve_or_directory(
         tmp_path, capsys, monkeypatch, instance, argv, params, solver, message):
     # 1e6 x the initial norm (the default blow-up threshold) or 2 x kappa x it (the
@@ -599,6 +602,19 @@ def test_an_initial_norm_without_headroom_is_named_before_any_solve_or_directory
     assert f"error: {message}" in err and "overflows" in err
     assert "Warning" not in err
     assert solves == [] and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("x0,cap", [(1e303, 1e305), (-1e303, 1e305)])
+def test_a_configured_cap_admits_an_initial_norm_whose_default_threshold_overflows(
+        tmp_path, x0, cap):
+    # 1e6 x 1e303 overflows, but that default threshold is not used when a
+    # cap is given: the CLI admits what continuation_solve admits
+    path = _write(tmp_path, "c.json", {"instance": "ode.decay", "t_max": 5.0,
+                                       "output_dir": str(tmp_path / "o"), "params": {"x0": x0},
+                                       "solver": {"strong_norm_cap": cap}})
+    assert main(["solve", path]) == EXIT_OK
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["termination"]["kind"] == Termination.HORIZON_REACHED.value
 
 
 def test_decay_from_the_largest_x0_with_headroom_reaches_the_horizon(tmp_path):

@@ -421,10 +421,10 @@ def test_empirical_window_too_short_for_distinct_times_is_a_contraction_failure(
     # its 17 grid times repeat (1e-9 at 1e6), long before min_window = 1e-12
     inst = make_decay_instance()
 
-    def step(y, x0, window, substeps, t_start=0.0, cap=None, coupled=False):
-        if t_start + window > 1e6:
+    def step(y, x0, *, substeps, cap=None, coupled=False):
+        if y.t_end > 1e6:
             raise CapExceeded("refused past t = 1e6")
-        return inst.step(y, x0, window, substeps, t_start, cap, coupled)
+        return inst.step(y, x0, substeps=substeps, cap=cap, coupled=coupled)
 
     cfg = SolverConfig(substeps_per_window=16, min_window=1e-12, empirical_mode=True)
     segs, rep = continuation_solve(replace(inst, step=step), _scalar(inst, 0.0), 2e6, cfg)

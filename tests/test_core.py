@@ -466,6 +466,9 @@ def test_solver_config_validation():
         SolverConfig(max_windows=0)
     with pytest.raises(ValueError):
         SolverConfig(strong_norm_cap=-1.0)
+    for min_window in (0.0, -1.0):
+        with pytest.raises(ValueError, match="min_window must be positive"):
+            SolverConfig(min_window=min_window)
 
 
 def test_solve_report_blowup_needs_t_c():

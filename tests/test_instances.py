@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_ode_step_decay():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: -x,
                    lipschitz_y=0.0, lipschitz_x=1.0)
     y = _const_segment([0.0], 0.0, 1.0, 1001)
-    seg = ode_step(spec, y, _elem(np.array([1.0])), 1.0, 1000)
+    seg = ode_step(spec, y, _elem(np.array([1.0])), substeps=1000)
     assert seg.states[-1].state[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
@@ -63,7 +64,7 @@ def test_ode_step_integrates_constant_input_exactly():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y,
                    lipschitz_y=1.0, lipschitz_x=0.0)
     y = _const_segment([2.0], 0.0, 1.0, 65)
-    seg = ode_step(spec, y, _elem(np.array([0.0])), 1.0, 64)
+    seg = ode_step(spec, y, _elem(np.array([0.0])), substeps=64)
     for t, s in zip(seg.times, seg.states):
         assert s.state[0] == pytest.approx(2.0 * t, abs=1e-12)
 
@@ -74,7 +75,7 @@ def test_ode_step_frozen_riccati_input():
     substeps = 500
     times = np.linspace(0.0, 0.5, substeps + 1)
     y = _segment_from_samples(times, 1.0 / (1.0 - times))
-    seg = ode_step(spec, y, _elem(np.array([1.0])), 0.5, substeps)
+    seg = ode_step(spec, y, _elem(np.array([1.0])), substeps=substeps)
     assert seg.states[-1].state[0] == pytest.approx(2.0, rel=1e-6)
 
 
@@ -86,7 +87,7 @@ def test_ode_step_fourth_order_with_stage_exact_input():
     errs = []
     for substeps in (8, 16):
         y = _const_segment([0.0], 0.0, 0.5, substeps + 1)
-        seg = ode_step(spec, y, _elem(np.array([1.0])), 0.5, substeps)
+        seg = ode_step(spec, y, _elem(np.array([1.0])), substeps=substeps)
         errs.append(abs(seg.states[-1].state[0] - exact))
     assert errs[0] / errs[1] >= 12.0
 
@@ -97,7 +98,7 @@ def test_ode_step_riccati_frozen_input_is_moebius_exact():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: x / (1.0 - t))
     times = np.linspace(0.0, 0.5, 9)
     y = _segment_from_samples(times, 1.0 / (1.0 - times))
-    seg = ode_step(spec, y, _elem(np.array([1.0])), 0.5, 8)
+    seg = ode_step(spec, y, _elem(np.array([1.0])), substeps=8)
     assert seg.states[-1].state[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -110,7 +111,7 @@ def test_coupled_ode_step_is_fourth_order(a, b):
     errs = []
     for substeps in (16, 32, 64):
         y = _const_segment([1.0], 0.0, 1.0, substeps + 1)
-        seg = ode_step(spec, y, _elem(np.array([1.0])), 1.0, substeps, coupled=True)
+        seg = ode_step(spec, y, _elem(np.array([1.0])), substeps=substeps, coupled=True)
         errs.append(abs(seg.values[-1, 0] - math.e))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     assert min(orders) >= 3.8
@@ -130,7 +131,7 @@ def test_coupled_burgers_step_is_second_order_in_time():
     for substeps in (16, 32, 64):
         y = _segment_from_samples(np.linspace(0.0, 0.5, substeps + 1),
                                   [u0.values] * (substeps + 1))
-        seg = step(y, x0, 0.5, substeps, coupled=True)
+        seg = step(y, x0, substeps=substeps, coupled=True)
         errs.append(float(np.max(np.abs(seg.values[-1] - oracle))))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     assert min(orders) >= 1.9
@@ -140,32 +141,37 @@ def test_ode_step_raises_on_overflow():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: x * x * 1e3 + 1e3)
     y = _const_segment([0.0], 0.0, 10.0, 11)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-        ode_step(spec, y, _elem(np.array([1.0])), 10.0, 10)
+        ode_step(spec, y, _elem(np.array([1.0])), substeps=10)
 
 
 ON_GRID = np.linspace(0.0, 0.5, 9)  # the grid of 8 substeps over [0, 0.5]
+OFF_GRID_MESSAGE = "frozen input times must lie on a grid of 8 uniform substeps over a finite span"
 
 
-def _ode_case(times, window=0.5):
+def _frozen_input(times, row):
+    """times and a constant row as a step reads them, without TrajectorySegment's checks."""
+    return SimpleNamespace(times=np.asarray(times, dtype=float),
+                           values=np.array([row] * len(times), dtype=float))
+
+
+def _ode_case(times):
     spec = OdeSpec(dimension=1, f=lambda t, y, x: -x)
-    y = _segment_from_samples(times, np.zeros(len(times)))
-    return lambda x0: ode_step(spec, y, x0, window, 8)
+    y = _frozen_input(times, [0.0])
+    return lambda x0: ode_step(spec, y, x0, substeps=8)
 
 
-def _burgers_case(times, window=0.5):
-    # a Burgers input sampled at times, solved over [0, window] in 8 substeps
+def _burgers_case(times):
+    # a Burgers input sampled at times, solved in 8 substeps
     spec = TransportSpec(n=64, length=TWO_PI, G=lambda x, v: -v)
-    u0 = from_callable(np.sin, 64, TWO_PI)
-    v = _grid_segment(64, TWO_PI, [u0.values] * len(times), times)
-    return lambda x0: transport_step(spec, v, x0, window, 8)
+    v = _frozen_input(times, from_callable(np.sin, 64, TWO_PI).values)
+    return lambda x0: transport_step(spec, v, x0, substeps=8)
 
 
 STEP_CASES = {"ode": (_ode_case, np.array([1.0])),
               "transport": (_burgers_case, from_callable(np.sin, 64, TWO_PI))}
 
 
-OFF_GRID = {"short": np.linspace(0.0, 0.1, 9),
-            "denser": np.linspace(0.0, 0.5, 17),
+OFF_GRID = {"denser": np.linspace(0.0, 0.5, 17),
             "non-uniform": 0.5 * np.linspace(0.0, 1.0, 9) ** 2}
 
 
@@ -173,8 +179,10 @@ OFF_GRID = {"short": np.linspace(0.0, 0.1, 9),
 def test_step_requires_input_on_the_window_grid(kind):
     make_case, state = STEP_CASES[kind]
     assert len(make_case(ON_GRID)(_elem(state)).states) == 9
+    # any uniform grid of 8 substeps will do: the step reads its span from the times
+    assert make_case(np.linspace(3.0, 3.1, 9))(_elem(state)).times[-1] == 3.1
     for times in OFF_GRID.values():
-        with pytest.raises(ValueError, match=r"grid of 8 uniform substeps over \[0.0, 0.5\]"):
+        with pytest.raises(ValueError, match=OFF_GRID_MESSAGE + r", got \d+ over \[0.0, 0.5\]"):
             make_case(times)(_elem(state))
 
 
@@ -188,27 +196,44 @@ def test_step_rejects_raw_state(kind):
 @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -0.5])
 @pytest.mark.parametrize("kind", sorted(STEP_CASES))
 def test_step_rejects_window_that_is_not_finite_positive(kind, window):
+    # the window is the span of the input's times: ON_GRID ending at `window`
     make_case, state = STEP_CASES[kind]
-    with pytest.raises(ValueError, match="window must be a finite positive number"):
-        make_case(ON_GRID, window)(_elem(state))
+    with pytest.raises(ValueError, match=OFF_GRID_MESSAGE):
+        make_case(np.append(ON_GRID[:-1], window))(_elem(state))
+
+
+@pytest.mark.parametrize("times", [np.append(-math.inf, ON_GRID[1:]),
+                                   np.linspace(-1.0, 1.0, 9) * 1e308],
+                         ids=["starts-at-minus-inf", "span-overflows"])
+@pytest.mark.parametrize("kind", sorted(STEP_CASES))
+def test_step_rejects_segment_times_whose_span_is_not_finite(kind, times):
+    # a TrajectorySegment admits these strictly increasing times; the step
+    # rejects them without a numpy warning (the suite makes warnings errors)
+    make_case, state = STEP_CASES[kind]
+    assert TrajectorySegment(times, np.zeros((9, 1)), np.zeros(9), np.zeros(9),
+                             _elem(np.array([0.0]))).t_end == times[-1]
+    with pytest.raises(ValueError, match=OFF_GRID_MESSAGE):
+        make_case(times)(_elem(state))
 
 
 def test_step_solves_on_input_times_that_end_within_float_spacing():
-    # t_start + (t_max - t_start) lands 7.3e-12 past t_max, one float spacing
-    # at 6e4 and more than an absolute 1e-12 coverage slack
+    # the uniform grid over [t_start, t_max] at 6e4 with its last time one
+    # float spacing (7.3e-12) late: within 1e-9 of the span, so the step
+    # solves on those times as given
     t_start, t_max = 19599.331575670392, 60722.396169771724
-    assert t_start + (t_max - t_start) > t_max
+    times = np.linspace(t_start, t_max, 65)
+    times[-1] = np.nextafter(t_max, math.inf)
     inst = make_linear_ode_instance(0.0, 0.0, forcing=1.0)
-    y = _const_segment([5.0], t_start, t_max, 65)
-    seg = inst.step(y, _elem(np.array([5.0])), t_max - t_start, 64, t_start)
-    assert seg.times is y.times
+    y = _segment_from_samples(times, [[5.0]] * 65)
+    seg = inst.step(y, _elem(np.array([5.0])), substeps=64)
+    assert seg.times is y.times and seg.t_end > t_max
 
 
 def test_ode_step_rejects_state_of_wrong_dimension():
     spec = OdeSpec(dimension=2, f=lambda t, y, x: -x)
     y = _const_segment([0.0, 0.0], 0.0, 0.5, 9)
     with pytest.raises(ValueError, match="spec dimension is 2"):
-        ode_step(spec, y, _elem(np.array([1.0])), 0.5, 8)
+        ode_step(spec, y, _elem(np.array([1.0])), substeps=8)
 
 
 @pytest.mark.parametrize("declared,missing", [({"lipschitz_y": 1.0}, "lipschitz_x"),
@@ -228,7 +253,7 @@ def test_ode_spec_rejects_half_declared_lipschitz_data(declared, missing):
     (lambda: TransportSpec(n=32, length=TWO_PI, G=lambda x, v: -v, interpolation="quadratic"),
      "interpolation 'quadratic' not in"),
     (lambda: ode_step(OdeSpec(dimension=1, f=lambda t, y, x: -x),
-                      _const_segment([0.0], 0.0, 0.5, 9), _elem(np.array([1.0])), 0.5, 0),
+                      _const_segment([0.0], 0.0, 0.5, 9), _elem(np.array([1.0])), substeps=0),
      "substeps must be >= 1"),
 ], ids=["ode-dimension-0", "ode-negative-lipschitz", "decay-rate-0", "transport-n-1",
         "transport-length-0", "transport-interpolation-quadratic", "ode-step-0-substeps"])
@@ -313,7 +338,7 @@ def test_ode_bounds_dominate_dense_solves():
         y_samples = m * np.sin(3.0 * times[:, None] + phase[None, :])
         y = _segment_from_samples(times, y_samples)
         x0 = rng.uniform(-1, 1, size=d)
-        seg = ode_step(spec, y, _elem(x0), t_final, 512)
+        seg = ode_step(spec, y, _elem(x0), substeps=512)
         r0 = float(np.max(np.abs(x0)))
         for t, s in zip(seg.times, seg.states):
             bound = apriori.eval(float(t), r0, m)
@@ -343,7 +368,7 @@ def test_transport_constant_advection_shifts():
     substeps = 100
     times = np.linspace(0.0, 0.5, substeps + 1)
     v = _grid_segment(n, TWO_PI, [u0.values] * (substeps + 1), times)
-    seg = transport_step(spec, v, _elem(u0), 0.5, substeps)
+    seg = transport_step(spec, v, _elem(u0), substeps=substeps)
     final = seg.states[-1].state
     exact = prof.value(final.nodes() + 0.5)
     assert np.max(np.abs(final.values - exact)) <= 1e-3
@@ -358,7 +383,7 @@ def test_transport_pure_source_exact():
     substeps = 20
     times = np.linspace(0.0, 0.7, substeps + 1)
     v = _grid_segment(n, TWO_PI, [u0.values] * (substeps + 1), times)
-    seg = transport_step(spec, v, _elem(u0), 0.7, substeps)
+    seg = transport_step(spec, v, _elem(u0), substeps=substeps)
     assert np.max(np.abs(seg.states[-1].state.values - (u0.values + 0.7))) < 1e-12
 
 
@@ -374,7 +399,7 @@ def test_transport_frozen_burgers_input_matches_oracle():
     xs = u0.nodes()
     v_arrays = [np.asarray(burgers_profile_at(prof, float(t), xs)) for t in times]
     v = _grid_segment(n, TWO_PI, v_arrays, times)
-    seg = transport_step(spec, v, _elem(u0), 0.2, substeps)
+    seg = transport_step(spec, v, _elem(u0), substeps=substeps)
     oracle = burgers_profile_at(prof, 0.2, xs)
     assert np.max(np.abs(seg.states[-1].state.values - oracle)) <= 5e-3
 
@@ -388,7 +413,7 @@ def test_transport_advection_preserves_sup_norm():
     substeps = 64
     times = np.linspace(0.0, 1.0, substeps + 1)
     v = _grid_segment(n, TWO_PI, [u0.values] * (substeps + 1), times)
-    seg = transport_step(inst_spec, v, _elem(u0), 1.0, substeps)
+    seg = transport_step(inst_spec, v, _elem(u0), substeps=substeps)
     for s in seg.states:
         assert abs(sup_norm(s.state) - sup_norm(u0)) <= 1e-4
 
@@ -400,7 +425,7 @@ def test_transport_characteristic_blowup_guard():
     times = np.linspace(0.0, 1.0, 3)
     v = _grid_segment(n, TWO_PI, [u0.values] * 3, times)
     with pytest.raises(CharacteristicBlowup):
-        transport_step(spec, v, _elem(u0), 1.0, 2)
+        transport_step(spec, v, _elem(u0), substeps=2)
 
 
 def test_transport_overflow_inside_a_block_names_the_first_non_finite_row():
@@ -411,9 +436,9 @@ def test_transport_overflow_inside_a_block_names_the_first_non_finite_row():
     spec, v, x0 = _transport_case(16, substeps, window, 0.0, "cubic", "overflow", 0, 1.0)
     message = f"state overflowed at t={np.linspace(0.0, window, substeps + 1)[90]}"
     with pytest.raises(NonFiniteState) as want:
-        _reference_step(spec, v, x0.state, window, substeps, 0.0)
+        _reference_step(spec, v, x0.state)
     with pytest.raises(NonFiniteState) as got:
-        transport_step(spec, v, x0, window, substeps, 0.0)
+        transport_step(spec, v, x0, substeps=substeps)
     assert str(got.value) == str(want.value) == message
 
 
@@ -423,7 +448,7 @@ def test_transport_grid_mismatch_rejected():
     times = np.linspace(0.0, 0.1, 3)
     v = _grid_segment(32, TWO_PI, [u0.values] * 3, times)
     with pytest.raises(ValueError):
-        transport_step(spec, v, _elem(u0), 0.1, 2)
+        transport_step(spec, v, _elem(u0), substeps=2)
 
 
 # -- bundled instances ----------------------------------------------------------

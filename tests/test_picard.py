@@ -126,8 +126,8 @@ def test_default_tol_stops_the_expanding_map_at_a_tenth_of_its_first_correction(
                              SolverConfig(substeps_per_window=16, empirical_mode=True))
     assert rec.picard_iters == 3
     assert all(r < 1.0 for r in rec.observed_ratios)
-    first = inst.step(seg, x0, 2.0, 16, 0.0, coupled=True)
-    d_2 = inst.weak_dist(inst.step(first, x0, 2.0, 16, 0.0).values, first.values)
+    first = inst.step(seg, x0, substeps=16, coupled=True)
+    d_2 = inst.weak_dist(inst.step(first, x0, substeps=16).values, first.values)
     assert rec.tol == 0.1 * d_2 > 1e-9
 
 
@@ -149,7 +149,7 @@ def _residual_check(inst, K, t_end, empirical):
     cfg = SolverConfig(empirical_mode=empirical)
     seg, rec = picard_window(inst, x0, WindowPlan(K=K, t_start=0.0, t_end=t_end), cfg)
     theta = estimate_theta_empirical(rec.observed_ratios) if empirical else cfg.theta_target
-    extra = inst.step(seg, x0, t_end, cfg.substeps_per_window, 0.0)
+    extra = inst.step(seg, x0, substeps=cfg.substeps_per_window)
     drift = inst.weak_dist(extra.values, seg.values)
     return rec.picard_iters, drift, rec.tol * (1.0 + theta) / (1.0 - theta)
 
@@ -198,7 +198,7 @@ def test_default_tol_keeps_the_residual_bound_of_the_tol_each_window_used(kind, 
     seg, rec = picard_window(inst, x0, WindowPlan(K=K, t_start=0.0, t_end=t_end), cfg)
     theta = cfg.theta_target if kind == "linear" else estimate_theta_empirical(
         rec.observed_ratios)
-    drift = inst.weak_dist(inst.step(seg, x0, t_end, substeps, 0.0).values, seg.values)
+    drift = inst.weak_dist(inst.step(seg, x0, substeps=substeps).values, seg.values)
     assert drift <= rec.tol * (1.0 + theta) / (1.0 - theta)
     assert rec.tol >= 1e-9
 
@@ -274,8 +274,8 @@ def test_coupled_burgers_start_raises_at_the_first_row_over_the_cap():
 def test_picard_checks_the_cap_of_a_step_that_ignores_it():
     base = make_riccati_instance()
 
-    def step(y_traj, x0, window, substeps, t_start, cap=None, coupled=False):
-        return base.step(y_traj, x0, window, substeps, t_start, coupled=coupled)
+    def step(y_traj, x0, *, substeps, cap=None, coupled=False):
+        return base.step(y_traj, x0, substeps=substeps, coupled=coupled)
 
     inst = dataclasses.replace(base, step=step)
     with pytest.raises(CapExceeded, match="strong norm .* exceeds cap 2.5"):
@@ -288,9 +288,9 @@ def _riccati_passing_rows_through(edit):
     base = make_riccati_instance()
     inputs, outputs = [], []
 
-    def step(y_traj, x0, window, substeps, t_start, cap=None, coupled=False):
+    def step(y_traj, x0, *, substeps, cap=None, coupled=False):
         inputs.append(y_traj)
-        outputs.append(edit(base.step(y_traj, x0, window, substeps, t_start, coupled=coupled)))
+        outputs.append(edit(base.step(y_traj, x0, substeps=substeps, coupled=coupled)))
         return outputs[-1]
 
     return dataclasses.replace(base, step=step), inputs, outputs
@@ -387,6 +387,6 @@ def test_burgers_frozen_step_consistency():
     cfg = SolverConfig(substeps_per_window=32)
     seg, rec = picard_window(inst, x0, plan, cfg)
     theta_hat = estimate_theta_empirical(rec.observed_ratios)
-    extra = inst.step(seg, x0, 0.2, cfg.substeps_per_window, 0.0)
+    extra = inst.step(seg, x0, substeps=cfg.substeps_per_window)
     drift = inst.weak_dist(extra.values, seg.values)
     assert drift <= rec.tol * (1.0 + theta_hat) / (1.0 - theta_hat)

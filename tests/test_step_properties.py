@@ -53,27 +53,17 @@ def _lip(u, length):
     return float(np.max(np.abs(u)) + np.max(np.abs(np.roll(u, -1) - u) / dx))
 
 
-def _reference_inputs(v_traj, times):
-    """Frozen-field rows at substep ends and midpoints, one substep at a time."""
-    v_times = v_traj.times
-    raw = list(v_traj.values)
-    assert len(v_times) == len(times) and np.allclose(v_times, times, rtol=1e-12, atol=1e-14)
-    return raw, [0.5 * (a + b) for a, b in zip(raw[:-1], raw[1:])]
-
-
-def _reference_step(spec, v_traj, u0, window, substeps, t_start):
-    """Per-substep semi-Lagrangian sweep, built on grids.interp_values."""
+def _reference_step(spec, v_traj, u0):
+    """Per-substep semi-Lagrangian sweep on v_traj's times, built on grids.interp_values."""
     length, scheme = spec.length, spec.interpolation
-    times = np.linspace(t_start, t_start + window, substeps + 1)
-    if len(v_traj.times) == len(times) and np.all(
-            np.abs(v_traj.times - times) <= 1e-9 * max(window, 1e-300)):
-        times = v_traj.times
-    v_ends, v_mids = _reference_inputs(v_traj, times)
+    times = v_traj.times
+    v_ends = list(v_traj.values)
+    v_mids = [0.5 * (a + b) for a, b in zip(v_ends[:-1], v_ends[1:])]
     nodes = u0.nodes()
     u = u0.values
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(substeps):
+        for k in range(len(times) - 1):
             h = float(times[k + 1] - times[k])
             x_half = nodes + 0.5 * h * spec.G(nodes, v_ends[k + 1])
             v_at_half = interp_values(v_mids[k], length, x_half, scheme)
@@ -134,11 +124,10 @@ transport_cases = st.tuples(
 @settings(max_examples=80, deadline=None)
 @given(transport_cases)
 def test_blocked_transport_step_matches_per_substep_sweep(case):
-    n, substeps, window, t_start = case[:4]
+    substeps = case[1]
     spec, v_traj, x0 = _transport_case(*case)
-    want, want_err = _outcome(
-        lambda: _reference_step(spec, v_traj, x0.state, window, substeps, t_start))
-    got, got_err = _outcome(lambda: transport_step(spec, v_traj, x0, window, substeps, t_start))
+    want, want_err = _outcome(lambda: _reference_step(spec, v_traj, x0.state))
+    got, got_err = _outcome(lambda: transport_step(spec, v_traj, x0, substeps=substeps))
     assert got_err == want_err
     if want_err is not None:
         return
@@ -154,8 +143,8 @@ def test_blocked_transport_step_matches_per_substep_sweep(case):
 def test_blocked_step_uneven_blocks(n, substeps):
     # 4096 // 300 = 13 rows per block, 80 = 6 * 13 + 2; n = 4096 gives one row per block
     spec, v_traj, x0 = _transport_case(n, substeps, 0.3, 0.25, "cubic", "burgers+source", 3, 1.0)
-    want = _reference_step(spec, v_traj, x0.state, 0.3, substeps, 0.25)
-    got = transport_step(spec, v_traj, x0, 0.3, substeps, 0.25)
+    want = _reference_step(spec, v_traj, x0.state)
+    got = transport_step(spec, v_traj, x0, substeps=substeps)
     for state, (_, u, sup, lip) in zip(got.states[1:], want):
         assert state.state.values.tobytes() == u.tobytes()
         assert (state.weak_norm, state.strong_norm) == (sup, lip)
@@ -163,7 +152,7 @@ def test_blocked_step_uneven_blocks(n, substeps):
 
 def test_transport_rows_are_shared_read_only():
     spec, v_traj, x0 = _transport_case(64, 12, 0.2, 0.0, "cubic", "burgers", 5, 1.0)
-    seg = transport_step(spec, v_traj, x0, 0.2, 12)
+    seg = transport_step(spec, v_traj, x0, substeps=12)
     for s in seg.states[1:]:
         assert not s.state.values.flags.writeable
         base = s.state.values.base
@@ -179,13 +168,13 @@ def _cap_from(strong, j, factor):
 @settings(max_examples=60, deadline=None)
 @given(transport_cases, st.integers(0, 10**6), st.sampled_from([0.5, 0.99, 1.0, 1.01]))
 def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, factor):
-    n, substeps, window, t_start = case[:4]
+    substeps = case[1]
     spec, v_traj, x0 = _transport_case(*case)
-    free, err = _outcome(lambda: transport_step(spec, v_traj, x0, window, substeps, t_start))
+    free, err = _outcome(lambda: transport_step(spec, v_traj, x0, substeps=substeps))
     assume(err is None)
     cap = _cap_from(free.strong, j, factor)
     capped, capped_err = _outcome(
-        lambda: transport_step(spec, v_traj, x0, window, substeps, t_start, cap=cap))
+        lambda: transport_step(spec, v_traj, x0, substeps=substeps, cap=cap))
     if float(np.max(free.strong)) > cap:
         assert capped_err is not None and capped_err[0] is CapExceeded
         crossing = int(np.argmax(free.strong > cap))
@@ -201,16 +190,16 @@ def test_transport_cap_crossing_before_an_overflow_in_one_block_names_the_crossi
     substeps, window = 256, 3e-150
     spec, v, x0 = _transport_case(16, substeps, window, 0.0, "cubic", "overflow", 0, 1.0)
     with pytest.raises(NonFiniteState) as err:
-        transport_step(spec, v, x0, window, substeps, 0.0)
+        transport_step(spec, v, x0, substeps=substeps)
     assert str(err.value) == f"state overflowed at t={float(v.times[90])}"
     # the first 89 substeps alone: the same rows, all finite
     head = TrajectorySegment(v.times[:90], v.values[:90], v.weak[:90], v.strong[:90], x0)
-    free = transport_step(spec, head, x0, float(v.times[89]), 89, 0.0)
+    free = transport_step(spec, head, x0, substeps=89)
     cap = 2.0 * x0.strong_norm
     crossing = int(np.argmax(free.strong > cap))
     assert 0 < crossing < 89
     with pytest.raises(CapExceeded) as err:
-        transport_step(spec, v, x0, window, substeps, 0.0, cap=cap)
+        transport_step(spec, v, x0, substeps=substeps, cap=cap)
     assert str(err.value).endswith(f"by t={float(v.times[crossing])}")
 
 
@@ -219,12 +208,12 @@ def test_transport_cap_failure_carries_the_crossing_row_not_the_block_end():
     # holds all 256 substeps, so the block ends at the window's end
     substeps, window = 256, 0.5
     spec, v, x0 = _transport_case(16, substeps, window, 0.0, "cubic", "source", 0, 1.0)
-    free = transport_step(spec, v, x0, window, substeps, 0.0)
+    free = transport_step(spec, v, x0, substeps=substeps)
     cap = float(0.5 * (free.strong[0] + free.strong[-1]))
     crossing = int(np.argmax(free.strong > cap))
     assert 0 < crossing < substeps
     with pytest.raises(CapExceeded) as err:
-        transport_step(spec, v, x0, window, substeps, 0.0, cap=cap)
+        transport_step(spec, v, x0, substeps=substeps, cap=cap)
     exc = err.value
     assert (exc.t, exc.value, exc.limit) == (
         float(free.times[crossing]), float(free.strong[crossing]), cap)
@@ -280,7 +269,7 @@ def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, wi
     # half the caps sit at the largest finite norm, so runs without a crossing are common
     cap = _cap_from(free_norms + [max(free_norms)] * len(free_norms), j, factor)
     capped, capped_err = _outcome(
-        lambda: ode_step(spec, y, x0, window, substeps, t_start, cap=cap))
+        lambda: ode_step(spec, y, x0, substeps=substeps, cap=cap))
     crossing = next((k for k, v in enumerate(free_norms) if v > cap), None)
     if crossing is not None:  # a finite state crosses the cap before any overflow
         assert capped_err[0] is CapExceeded
@@ -289,7 +278,7 @@ def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, wi
         assert capped_err == (NonFiniteState, f"state overflowed at t={float(times[len(free)])}")
     else:  # bitwise the uncapped run, which is the one-substep-at-a-time sweep
         assert capped_err is None
-        uncapped = ode_step(spec, y, x0, window, substeps, t_start)
+        uncapped = ode_step(spec, y, x0, substeps=substeps)
         assert capped.values.tobytes() == uncapped.values.tobytes() == np.array(free).tobytes()
         assert capped.strong.tobytes() == uncapped.strong.tobytes()
         assert capped.strong.tolist() == free_norms
@@ -311,7 +300,7 @@ def test_ode_cap_failure_carries_the_crossing_row(name, substeps, window, t_star
     cap = _cap_from(free_norms, j, 0.99)
     crossing = next(k for k, v in enumerate(free_norms) if v > cap)
     with pytest.raises(CapExceeded) as err:
-        ode_step(spec, y, x0, window, substeps, t_start, cap=cap)
+        ode_step(spec, y, x0, substeps=substeps, cap=cap)
     exc = err.value
     assert (exc.t, exc.value, exc.limit) == (float(times[crossing]), free_norms[crossing], cap)
 
@@ -330,8 +319,8 @@ def test_coupled_ode_step_is_the_frozen_step_when_f_ignores_y(b, forcing, dimens
     y = TrajectorySegment(times, np.broadcast_to(row, (substeps + 1, dimension)),
                           np.full(substeps + 1, x0.weak_norm),
                           np.full(substeps + 1, x0.strong_norm), x0)
-    coupled = ode_step(spec, y, x0, window, substeps, t_start, coupled=True)
-    frozen = ode_step(spec, y, x0, window, substeps, t_start)
+    coupled = ode_step(spec, y, x0, substeps=substeps, coupled=True)
+    frozen = ode_step(spec, y, x0, substeps=substeps)
     for name in ("values", "weak", "strong"):
         assert getattr(coupled, name).tobytes() == getattr(frozen, name).tobytes()
 
@@ -343,8 +332,8 @@ def test_coupled_advect_step_is_the_frozen_step(n, substeps, window, t_start, sc
     # G = 1 ignores v, so tracing with the coupled start's extrapolated rows,
     # one substep per block, gives the frozen blocked sweep's bits
     spec, v_traj, x0 = _transport_case(n, substeps, window, t_start, scheme, "advect", seed, 1.0)
-    coupled = transport_step(spec, v_traj, x0, window, substeps, t_start, coupled=True)
-    frozen = transport_step(spec, v_traj, x0, window, substeps, t_start)
+    coupled = transport_step(spec, v_traj, x0, substeps=substeps, coupled=True)
+    frozen = transport_step(spec, v_traj, x0, substeps=substeps)
     for name in ("values", "weak", "strong"):
         assert getattr(coupled, name).tobytes() == getattr(frozen, name).tobytes()
 
@@ -434,7 +423,7 @@ def test_ode_step_on_rows_up_to_k_stays_finite_without_warnings():
     rows = k * np.array([[1.0], [1.0], [-1.0], [1.0], [-1.0], [1.0], [-1.0], [-1.0], [1.0], [1.0]])
     norms = np.max(np.abs(rows), axis=1)
     x0 = NormedPairElement(np.array([0.0]), 0.0, 0.0)
-    seg = ode_step(spec, TrajectorySegment(times, rows, norms, norms, x0), x0, 1.0, substeps)
+    seg = ode_step(spec, TrajectorySegment(times, rows, norms, norms, x0), x0, substeps=substeps)
     assert np.all(np.isfinite(seg.values))
     assert np.all(np.abs(seg.values) <= FIRST_GAIN * ROUNDING)
 
@@ -445,11 +434,11 @@ def _ode_fixed_point(spec, x0_value, window, substeps):
     times = np.linspace(0.0, window, substeps + 1)
     rows = np.full((substeps + 1, 1), x0_value)
     norms = np.abs(rows[:, 0])
-    seg = ode_step(spec, TrajectorySegment(times, rows, norms, norms, x0), x0, window,
-                   substeps, coupled=True)
+    seg = ode_step(spec, TrajectorySegment(times, rows, norms, norms, x0), x0,
+                   substeps=substeps, coupled=True)
     last = math.inf
     for _ in range(100):
-        nxt = ode_step(spec, seg, x0, window, substeps)
+        nxt = ode_step(spec, seg, x0, substeps=substeps)
         dist = float(np.max(np.abs(nxt.values - seg.values)))
         seg = nxt
         if dist == 0.0 or dist >= last:  # converged to rounding
