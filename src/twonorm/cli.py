@@ -222,7 +222,17 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
     The initial strong norm r0 must leave 2 x kappa x r0 (the largest
     radius window planning samples) finite, and BLOWUP_FACTOR x r0 (the
     default blow-up threshold) too when no solver.strong_norm_cap is set.
+    Advection must be able to move its feet less than half the domain in
+    one substep of its shortest attempt, or every attempt fails.
     """
+    if config.instance == "transport.advect":
+        shortest = min(config.t_max, config.solver.min_window)
+        h = shortest / config.solver.substeps_per_window
+        length = config.params["length"]
+        if h > 0.5 * length:
+            raise ConfigError(f"field 'params.length': unit-speed advection moves every foot "
+                              f"{h:g} in one substep of the shortest window, more than half "
+                              f"the length {length:g}; use a length above {2.0 * h:g}")
     instance = build_instance(config)
     # a finite amplitude can give an overflowing slope, and a tiny length an
     # infinite wavenumber, whose samples the grid rejects with a ValueError

@@ -120,24 +120,34 @@ def pad_periodic(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[..., -1:], values, values[..., :3]), axis=-1)
 
 
+def wrap_by_shift(x: np.ndarray, length: float) -> np.ndarray:
+    """Bitwise np.mod(x, length) for a float64 array x whose entries lie in
+    [-length, 2 length) or are NaN, by one shift of length.
+
+    The result is x + 0.0 (which turns -0 into +0) with length taken off where
+    x >= length and added where x < 0; a NaN stays NaN, as np.mod gives. Both
+    shifts are exact or the one rounding np.mod makes: x - length is exact on
+    [length, 2 length] (Sterbenz), and on [-length, 0) np.mod's fmod returns x
+    itself before adding length. Both masks come from x, not from the running
+    result: a tiny negative x such as -5e-324 becomes exactly length, as
+    np.mod gives, and a mask taken afterwards would subtract length again.
+    The range is not checked: any other x, ±inf included, is wrapped wrongly.
+    """
+    m = x + 0.0
+    np.subtract(m, length, out=m, where=x >= length)
+    np.add(m, length, out=m, where=x < 0.0)
+    return m
+
+
 def wrap_periodic(x: np.ndarray, length: float):
     """Bitwise np.mod(x, length) for a float64 array x, without its floor division.
 
     When every x lies in [-length, 2 length) (a NaN fails that check), the
-    result is x + 0.0 (which turns -0 into +0) with length taken off where
-    x >= length and added where x < 0. Both are exact or the one rounding
-    np.mod makes: x - length is exact on [length, 2 length] (Sterbenz), and
-    on [-length, 0) np.mod's fmod returns x itself before adding length. Both
-    masks come from x, not from the running result: a tiny negative x such
-    as -5e-324 becomes exactly length, as np.mod gives, and a mask taken
-    afterwards would subtract length again. Any other input takes the exact
-    fmod, shifted by length where negative, which is how np.mod rounds.
+    result is wrap_by_shift's. Any other input takes the exact fmod, shifted
+    by length where negative, which is how np.mod rounds.
     """
     if x.size and -length <= x.min() and x.max() < 2.0 * length:
-        m = x + 0.0
-        np.subtract(m, length, out=m, where=x >= length)
-        np.add(m, length, out=m, where=x < 0.0)
-        return m
+        return wrap_by_shift(x, length)
     m = np.fmod(x, length)
     m += length * (m < 0.0)
     return m

@@ -31,6 +31,7 @@ from .grids import (
     lip_norm_values,
     sup_lip_norms,
     sup_norm_values,
+    wrap_by_shift,
     wrap_periodic,
 )
 
@@ -333,19 +334,20 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     characteristic with a 2-stage step. v is interpolated spatially on
     its grid; at a midpoint in time it is _means of two neighbouring rows.
 
-    The feet depend on v only, so they are traced for blocks of substeps
-    at once (G must act pointwise on arrays of any shape); only the
+    The substeps run in blocks of max(1, _BLOCK_POINTS // n). The feet of
+    the frozen problem depend on v only, so they are traced for a whole
+    block at once (G must act pointwise on arrays of any shape); only the
     update of u runs substep by substep. The states fill one
     (substeps+1, n) buffer whose row 0 is u0's, with the sup and
     Lipschitz norms of each row; a row reads as a state through
     GridFunction1D(spec.n, spec.length, row). Each block's rows are checked
     by core.reject_rows once it is filled, before the block may raise
     CharacteristicBlowup. With coupled, v_traj only supplies the grid: the
-    step solves du/dt = G(x, u) du/dx + g(x, u) one substep per block,
-    tracing substep k with v = u_k at its start and 2 u_k - u_{k-1} (u_0 at
-    the first substep) at its end, so 1.5 u_k - 0.5 u_{k-1} at its
-    midpoint, which makes the solve second order in time. For a G that
-    ignores v both give the same bits.
+    step solves du/dt = G(x, u) du/dx + g(x, u) in the same blocks, tracing
+    substep k inside its block from the rows already solved, with v = u_k
+    at its start and 2 u_k - u_{k-1} (u_0 at the first substep) at its end,
+    so 1.5 u_k - 0.5 u_{k-1} at its midpoint, which makes the solve second
+    order in time. For a G that ignores v both give the same bits.
     """
     times = _solve_grid(v_traj, u0, substeps)
     grid0: GridFunction1D = u0.state
@@ -362,61 +364,96 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
 def _transport_sweep(spec, times, v_values, u0, cap, coupled):
     """All substeps of one step; returns the rows, u0's first, and their two norms.
 
-    Frozen, v is read from v_values a block of substeps at a time. Coupled,
-    each block is one substep k whose v comes from the rows already solved:
-    u_k at t_k and 2 u_k - u_{k-1} (u_0 at the first substep) at t_{k+1},
-    so _means gives 1.5 u_k - 0.5 u_{k-1} at the midpoint.
+    One loop over blocks of max(1, _BLOCK_POINTS // n) substeps serves both
+    modes: _frozen_traces traces a block's feet at once from v_values,
+    _coupled_traces one substep at a time from the rows already solved.
+    Either yields each substep up to the first whose foot moved more than
+    half the domain, and each yielded substep updates u the same way. A
+    block's filled rows get one sup_lip_norms and one reject_rows, and only
+    then does a short block raise CharacteristicBlowup, so the failure is
+    always the earliest.
     """
     n, length, scheme = spec.n, spec.length, spec.interpolation
     substeps = len(times) - 1
-    block = 1 if coupled else max(1, _BLOCK_POINTS // n)
+    block = max(1, _BLOCK_POINTS // n)
     nodes = u0.state.nodes()
     rows = np.empty((substeps + 1, n))
     sup = np.empty(substeps + 1)
     lip = np.empty(substeps + 1)
     rows[0], sup[0], lip[0] = u0.state.values, u0.weak_norm, u0.strong_norm
     reject_rows(times[:1], sup[:1], lip[:1], cap)
-    u = rows[0]
+    traces, source = (_coupled_traces, rows) if coupled else (_frozen_traces, v_values)
     for k0 in range(0, substeps, block):
         k1 = min(k0 + block, substeps)
-        h = (times[k0 + 1:k1 + 1] - times[k0:k1])[:, None]
-        if coupled:
-            v_rows = np.stack((u, 2.0 * u - rows[k0 - 1] if k0 else u))
-        else:
-            v_rows = v_values[k0:k1 + 1]
-        v_mids = _means(v_rows)
-        # backward trace over each substep: dX/ds = -G, 2-stage midpoint
-        g_end = spec.G(np.broadcast_to(nodes, v_mids.shape), v_rows[1:])
-        x_half = wrap_periodic(nodes + 0.5 * h * g_end, length)
-        half_idx, half_frac = interp_stencil(x_half, length, n)
-        v_half = np.empty_like(x_half)
-        for i, v_mid in enumerate(v_mids):
-            v_half[i] = interp_values(v_mid, length, x_half[i], scheme,
-                                      stencil=(half_idx[i], half_frac[i]))
-        foot = nodes + h * spec.G(x_half, v_half)
-        blown = np.flatnonzero(np.max(np.abs(foot - nodes), axis=1) > 0.5 * length)
-        stop = k0 + int(blown[0]) if blown.size else k1
-        foot = wrap_periodic(foot, length)
-        foot_idx, foot_frac = interp_stencil(foot, length, n)
+        k = k0
         # the only sequential part: each substep interpolates the one before
-        for k in range(k0, stop):
-            i = k - k0
-            u_foot = interp_values(u, length, foot[i], scheme,
-                                   stencil=(foot_idx[i], foot_frac[i]))
+        for h, x_half, foot, stencil in traces(spec, nodes, times, source, k0, k1):
+            u_foot = interp_values(rows[k], length, foot, scheme, stencil=stencil)
             if spec.g is None:
-                u_next = u_foot
+                rows[k + 1] = u_foot
             else:
-                u_star = u_foot + 0.5 * h[i, 0] * spec.g(foot[i], u_foot)
-                u_next = u_foot + h[i, 0] * spec.g(x_half[i], u_star)
-            rows[k + 1] = u_next
-            u = rows[k + 1]
-        filled = slice(k0 + 1, stop + 1)
+                u_star = u_foot + 0.5 * h * spec.g(foot, u_foot)
+                rows[k + 1] = u_foot + h * spec.g(x_half, u_star)
+            k += 1
+        filled = slice(k0 + 1, k + 1)
         sup[filled], lip[filled] = sup_lip_norms(rows[filled], length)
         reject_rows(times[filled], sup[filled], lip[filled], cap)
-        if stop < k1:
+        if k < k1:
             raise CharacteristicBlowup(
                 "characteristic foot moved more than half the domain in one substep")
     return rows, sup, lip
+
+
+def _frozen_traces(spec, nodes, times, v_values, k0, k1):
+    """(h, x_half, foot, foot stencil) of substeps k0..k1-1, traced at once
+    from the frozen rows v_values[k0..k1], up to the first blown foot."""
+    h = (times[k0 + 1:k1 + 1] - times[k0:k1])[:, None]
+    v_rows = v_values[k0:k1 + 1]
+    x_half, foot = _trace(spec, np.broadcast_to(nodes, (k1 - k0, spec.n)), h,
+                          _means(v_rows), v_rows[1:])
+    blown = np.flatnonzero(np.max(np.abs(foot - nodes), axis=1) > 0.5 * spec.length)
+    foot = wrap_by_shift(foot[:blown[0]] if blown.size else foot, spec.length)
+    return zip(h[:, 0], x_half, foot, zip(*interp_stencil(foot, spec.length, spec.n)))
+
+
+def _coupled_traces(spec, nodes, times, rows, k0, k1):
+    """(h, x_half, foot, foot stencil) of substeps k0..k1-1, each traced from
+    rows[k] and rows[k - 1] when its turn comes, up to the first blown foot.
+
+    A generator: the sweep fills rows[k] before it asks for substep k.
+    """
+    for k in range(k0, k1):
+        u = rows[k]
+        w = 2.0 * u - rows[k - 1] if k else u
+        h = float(times[k + 1] - times[k])
+        x_half, foot = _trace(spec, nodes, h, 0.5 * u + 0.5 * w, w)
+        if np.max(np.abs(foot - nodes)) > 0.5 * spec.length:
+            return
+        foot = wrap_by_shift(foot, spec.length)
+        yield h, x_half, foot, interp_stencil(foot, spec.length, spec.n)
+
+
+def _trace(spec, x, h, v_mid, v_end):
+    """Backward trace over substeps of length h from the nodes x:
+    dX/ds = -G, 2-stage midpoint.
+
+    v_mid and v_end are the field at the substeps' midpoints and ends, one
+    row each (1-D for one substep with a float h; 2-D, with x the nodes
+    broadcast to their shape and h a column, for a block). Returns the
+    wrapped midpoint positions and the feet, unwrapped: only a foot within
+    half the domain of its node may take the unchecked wrap_by_shift.
+    """
+    length, scheme = spec.length, spec.interpolation
+    x_half = wrap_periodic(x + 0.5 * h * spec.G(x, v_end), length)
+    half_idx, half_frac = interp_stencil(x_half, length, spec.n)
+    if v_mid.ndim == 1:
+        v_half = interp_values(v_mid, length, x_half, scheme, stencil=(half_idx, half_frac))
+    else:
+        v_half = np.empty_like(x_half)
+        for i, row in enumerate(v_mid):
+            v_half[i] = interp_values(row, length, x_half[i], scheme,
+                                      stencil=(half_idx[i], half_frac[i]))
+    return x_half, x + h * spec.G(x_half, v_half)
 
 
 def _sup_dist(a: np.ndarray, b: np.ndarray) -> float:

@@ -11,6 +11,7 @@ import pytest
 from twonorm import cli
 from twonorm.cli import (
     EXIT_BLOWUP,
+    EXIT_BUDGET,
     EXIT_ERROR,
     EXIT_OK,
     ConfigError,
@@ -655,6 +656,35 @@ def test_a_length_whose_initial_samples_are_not_finite_is_named(tmp_path, capsys
     assert "error: field 'params.length': the initial state is not finite" in err
     assert "Warning" not in err
     assert solves == [] and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("argv,t_max,length,h", [
+    (["solve"], 1.0, 2e-6, "1.5625e-06"),
+    (["sweep", "--levels", "1"], 1.0, 2e-6, "1.5625e-06"),
+    (["solve"], 1e-5, 3e-7, "1.5625e-07"),
+], ids=["solve", "sweep", "t_max-under-min_window"])
+def test_an_advect_length_under_two_substeps_of_the_shortest_window_is_named(
+        tmp_path, capsys, monkeypatch, argv, t_max, length, h):
+    # no attempt is shorter than min(t_max, min_window) over 64 substeps, so unit
+    # speed moves every foot past half the domain in each; every attempt raised
+    # CharacteristicBlowup and the run exited 2 as a blow-up
+    solves = []
+    monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
+    path = _write(tmp_path, "a.json", {"instance": "transport.advect", "t_max": t_max,
+                                       "output_dir": str(tmp_path / "a"),
+                                       "params": {"n": 16, "length": length}})
+    assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: field 'params.length': unit-speed advection moves every foot {h} " in err
+    assert solves == [] and not (tmp_path / "a").exists()
+
+
+def test_an_advect_length_over_two_substeps_of_the_shortest_window_still_runs(tmp_path):
+    # 4e-6 / 2 exceeds 1e-4 / 64: the run gets going and ends on its window budget
+    code, report, _ = run_solve(parse_config({
+        "instance": "transport.advect", "t_max": 1.0, "output_dir": str(tmp_path / "a"),
+        "params": {"n": 16, "length": 4e-6}}))
+    assert code == EXIT_BUDGET and report.termination is Termination.BUDGET_EXHAUSTED
 
 
 @pytest.mark.parametrize("x0,cap,amplitudes,message", [

@@ -16,6 +16,7 @@ from twonorm.grids import (
     sup_distance,
     sup_lip_norms,
     sup_norm,
+    wrap_by_shift,
     wrap_periodic,
 )
 
@@ -287,6 +288,21 @@ def test_wrap_periodic_around_its_shift_range_is_bitwise_np_mod(length, data):
     for outside in (2 * length, np.nextafter(-length, -np.inf)):
         x = np.append(edges, outside)
         assert wrap_periodic(x, length).tobytes() == np.mod(x, length).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LENGTHS), st.integers(2, 300), st.data())
+def test_wrap_by_shift_is_bitwise_np_mod_on_feet_within_half_the_domain(length, n, data):
+    # the transport step's feet after its guard: nodes + d with |d| <= length / 2
+    nodes = np.arange(n) * (length / n)
+    half = 0.5 * length
+    d = data.draw(arrays(np.float64, n, elements=st.floats(-half, half)
+                         | st.sampled_from([-half, half, -0.0, 0.0, 5e-324, -5e-324])))
+    last = nodes[-1]
+    x = np.concatenate([nodes + d, [last + half, last - half, -half, half, 0.0, -0.0, np.nan]])
+    with np.errstate(invalid="ignore"):
+        want = np.mod(x, length)
+    assert wrap_by_shift(x, length).tobytes() == want.tobytes()
 
 
 def _floor_and_clamp(x_wrapped, length, n):

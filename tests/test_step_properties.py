@@ -1,11 +1,14 @@
 """Properties of the blocked transport step, the steps' cap and the coupled steps.
 
 The reference below is the straightforward per-substep sweep: trace one
-substep's feet, interpolate, apply the source, then move on. The blocked
-step must reproduce it bitwise, values and both norms, including the
-exception and the substep at which it is raised.
+substep's feet (from the frozen input, or from its own rows for the
+coupled start), interpolate, apply the source, check the row, then move
+on. The blocked step, in both modes, must reproduce it bitwise, values
+and both norms, including the exception and the substep at which it is
+raised.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -22,6 +25,7 @@ from twonorm.core import (
 )
 from twonorm.grids import GridFunction1D, interp_values
 from twonorm.instances import (
+    _BLOCK_POINTS,
     CharacteristicBlowup,
     OdeSpec,
     TransportSpec,
@@ -39,6 +43,7 @@ COEFFICIENTS = {
     "burgers": (lambda x, v: -v, None),
     "source": (lambda x, v: np.zeros_like(x), lambda x, u: np.ones_like(u)),
     "burgers+source": (lambda x, v: -v, lambda x, u: np.sin(x) - 0.5 * u),
+    "growth": (lambda x, v: -v, lambda x, u: 10.0 * u),  # caps crossed, then feet blown
     "overflow": (lambda x, v: -v, lambda x, u: 1e150 * u * u),  # NonFiniteState
     "overflow-G": (lambda x, v: -1e300 * (1e10 * v), None),  # NaN feet
 }
@@ -53,20 +58,39 @@ def _lip(u, length):
     return float(np.max(np.abs(u)) + np.max(np.abs(np.roll(u, -1) - u) / dx))
 
 
-def _reference_step(spec, v_traj, u0):
-    """Per-substep semi-Lagrangian sweep on v_traj's times, built on grids.interp_values."""
+def _checked(t, u, length, cap):
+    """u's sup and Lipschitz norms, after core.reject_rows' checks of the row at time t."""
+    sup, lip = _sup(u), _lip(u, length)
+    if not math.isfinite(sup):
+        what = "is not a number" if math.isnan(sup) else "overflowed"
+        raise NonFiniteState(f"state {what} at t={t}")
+    if cap is not None and not lip <= cap:
+        raise CapExceeded(f"strong norm {lip} exceeds cap {cap} by t={t}")
+    return sup, lip
+
+
+def _reference_sweep(spec, v_traj, u0, coupled=False, cap=None):
+    """Per-substep semi-Lagrangian sweep on v_traj's times, built on grids.interp_values.
+
+    Yields (t, u, sup, lip) for each row after the first. Coupled, v at a
+    substep's start and end comes from the rows solved so far: u_k and
+    2 u_k - u_{k-1} (u_k at the first substep). Each row is checked as soon
+    as it is made: finite first, then its Lipschitz norm against cap.
+    """
     length, scheme = spec.length, spec.interpolation
     times = v_traj.times
-    v_ends = list(v_traj.values)
-    v_mids = [0.5 * (a + b) for a, b in zip(v_ends[:-1], v_ends[1:])]
     nodes = u0.nodes()
-    u = u0.values
-    out = []
+    u = prev = u0.values
+    _checked(float(times[0]), u, length, cap)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(times) - 1):
             h = float(times[k + 1] - times[k])
-            x_half = nodes + 0.5 * h * spec.G(nodes, v_ends[k + 1])
-            v_at_half = interp_values(v_mids[k], length, x_half, scheme)
+            if coupled:
+                v_start, v_end = u, 2.0 * u - prev if k else u
+            else:
+                v_start, v_end = v_traj.values[k], v_traj.values[k + 1]
+            x_half = nodes + 0.5 * h * spec.G(nodes, v_end)
+            v_at_half = interp_values(0.5 * (v_start + v_end), length, x_half, scheme)
             foot = nodes + h * spec.G(np.mod(x_half, length), v_at_half)
             if np.max(np.abs(foot - nodes)) > 0.5 * length:
                 raise CharacteristicBlowup(
@@ -77,12 +101,13 @@ def _reference_step(spec, v_traj, u0):
                 u_next = u_foot + h * spec.g(np.mod(x_half, length), u_star)
             else:
                 u_next = u_foot
-            if not np.all(np.isfinite(u_next)):
-                what = "is not a number" if math.isnan(_sup(u_next)) else "overflowed"
-                raise NonFiniteState(f"state {what} at t={times[k + 1]}")
-            u = np.asarray(u_next, dtype=np.float64)
-            out.append((times[k + 1], u, _sup(u), _lip(u, length)))
-    return out
+            prev, u = u, np.asarray(u_next, dtype=np.float64)
+            t = float(times[k + 1])
+            yield (t, u, *_checked(t, u, length, cap))
+
+
+def _reference_step(spec, v_traj, u0, coupled=False, cap=None):
+    return list(_reference_sweep(spec, v_traj, u0, coupled, cap))
 
 
 def _transport_case(n, substeps, window, t_start, scheme, kind, seed, speed):
@@ -109,25 +134,28 @@ def _outcome(fn):
         return None, (type(exc), str(exc))
 
 
-transport_cases = st.tuples(
-    st.integers(16, 300),                       # n: blocks of max(1, 4096 // n) rows
-    st.integers(1, 80),                         # substeps
-    st.floats(1e-3, 2.0),                       # window
-    st.floats(0.0, 5.0),                        # t_start
-    st.sampled_from(["linear", "cubic"]),
-    st.sampled_from(sorted(COEFFICIENTS)),
-    st.integers(0, 2**31 - 1),                  # data seed
-    st.sampled_from([0.0, 1.0, 50.0]),          # frozen-field size; large trips the guard
-)
+def _transport_cases(kinds):
+    return st.tuples(
+        st.integers(16, 300),                   # n: blocks of max(1, 4096 // n) rows
+        st.integers(1, 80),                     # substeps
+        st.floats(1e-3, 2.0),                   # window
+        st.floats(0.0, 5.0),                    # t_start
+        st.sampled_from(["linear", "cubic"]),
+        st.sampled_from(kinds),
+        st.integers(0, 2**31 - 1),              # data seed
+        st.sampled_from([0.0, 1.0, 50.0]),      # frozen-field size; large trips the guard
+    )
 
 
-@settings(max_examples=80, deadline=None)
-@given(transport_cases)
-def test_blocked_transport_step_matches_per_substep_sweep(case):
+transport_cases = _transport_cases(sorted(COEFFICIENTS))
+
+
+def _assert_step_matches_reference(case, coupled):
     substeps = case[1]
     spec, v_traj, x0 = _transport_case(*case)
-    want, want_err = _outcome(lambda: _reference_step(spec, v_traj, x0.state))
-    got, got_err = _outcome(lambda: transport_step(spec, v_traj, x0, substeps=substeps))
+    want, want_err = _outcome(lambda: _reference_step(spec, v_traj, x0.state, coupled))
+    got, got_err = _outcome(
+        lambda: transport_step(spec, v_traj, x0, substeps=substeps, coupled=coupled))
     assert got_err == want_err
     if want_err is not None:
         return
@@ -137,6 +165,20 @@ def test_blocked_transport_step_matches_per_substep_sweep(case):
         assert t == t_ref
         assert state.state.values.tobytes() == u.tobytes()
         assert (state.weak_norm, state.strong_norm) == (sup, lip)
+
+
+@settings(max_examples=80, deadline=None)
+@given(transport_cases)
+def test_blocked_transport_step_matches_per_substep_sweep(case):
+    _assert_step_matches_reference(case, coupled=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(transport_cases)
+def test_coupled_transport_step_matches_per_substep_sweep(case):
+    # the coupled step traces each substep inside a block from its own rows
+    # and checks the block's rows once it is filled
+    _assert_step_matches_reference(case, coupled=True)
 
 
 @pytest.mark.parametrize("n,substeps", [(300, 80), (17, 1), (1024, 9), (4096, 3)])
@@ -182,6 +224,34 @@ def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, fac
     else:
         assert capped_err is None
         assert [s.strong_norm for s in capped.states] == [s.strong_norm for s in free.states]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transport_cases(["burgers", "burgers+source", "growth", "source"]),  # norms mostly grow
+       st.booleans(), st.integers(0, 10**6))
+def test_transport_cap_crossing_inside_a_block_matches_the_row_by_row_reference(case, coupled,
+                                                                               j):
+    # the cap is first crossed at a row that is not the last of its block, so
+    # the step goes on past it before it checks the block's rows
+    n, substeps = case[0], case[1]
+    spec, v_traj, x0 = _transport_case(*case)
+    strong = [x0.strong_norm]
+    with contextlib.suppress(WindowFailure):  # the rows before a failure still count
+        for *_, lip in _reference_sweep(spec, v_traj, x0.state, coupled):
+            strong.append(lip)
+    block = max(1, _BLOCK_POINTS // n)
+    running = np.maximum.accumulate(strong)
+    inside = [k for k in range(1, len(strong))
+              if k % block and k < substeps and strong[k] > running[k - 1]]
+    assume(inside)
+    k = inside[j % len(inside)]
+    cap = float(running[k - 1])
+    _, want_err = _outcome(lambda: _reference_step(spec, v_traj, x0.state, coupled, cap))
+    assert want_err == (CapExceeded,
+                        f"strong norm {strong[k]} exceeds cap {cap} by t={float(v_traj.times[k])}")
+    _, got_err = _outcome(lambda: transport_step(spec, v_traj, x0, substeps=substeps, cap=cap,
+                                                 coupled=coupled))
+    assert got_err == want_err
 
 
 def test_transport_cap_crossing_before_an_overflow_in_one_block_names_the_crossing_row():
@@ -330,7 +400,7 @@ def test_coupled_ode_step_is_the_frozen_step_when_f_ignores_y(b, forcing, dimens
        st.sampled_from(["linear", "cubic"]), st.integers(0, 2**31 - 1))
 def test_coupled_advect_step_is_the_frozen_step(n, substeps, window, t_start, scheme, seed):
     # G = 1 ignores v, so tracing with the coupled start's extrapolated rows,
-    # one substep per block, gives the frozen blocked sweep's bits
+    # substep by substep, gives the frozen blocked sweep's bits
     spec, v_traj, x0 = _transport_case(n, substeps, window, t_start, scheme, "advect", seed, 1.0)
     coupled = transport_step(spec, v_traj, x0, substeps=substeps, coupled=True)
     frozen = transport_step(spec, v_traj, x0, substeps=substeps)
