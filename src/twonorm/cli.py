@@ -223,15 +223,20 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
     radius window planning samples) finite, and BLOWUP_FACTOR x r0 (the
     default blow-up threshold) too when no solver.strong_norm_cap is set.
     Advection must be able to move its feet less than half the domain in
-    one substep of its shortest attempt, or every attempt fails.
+    one substep of its shortest attempt, or every attempt fails: the first
+    round tries t_max, then shrinks it by solver.window_shrink while the
+    attempt stays at least solver.min_window long.
     """
     if config.instance == "transport.advect":
-        shortest = min(config.t_max, config.solver.min_window)
-        h = shortest / config.solver.substeps_per_window
-        length = config.params["length"]
+        solver, length = config.solver, config.params["length"]
+        shortest = config.t_max  # the same products as continuation_solve's retries
+        while (shortest / solver.substeps_per_window > 0.5 * length
+               and shortest * solver.window_shrink >= solver.min_window):
+            shortest *= solver.window_shrink
+        h = shortest / solver.substeps_per_window
         if h > 0.5 * length:
             raise ConfigError(f"field 'params.length': unit-speed advection moves every foot "
-                              f"{h:g} in one substep of the shortest window, more than half "
+                              f"{h:g} in one substep of the shortest attempt, more than half "
                               f"the length {length:g}; use a length above {2.0 * h:g}")
     instance = build_instance(config)
     # a finite amplitude can give an overflowing slope, and a tiny length an

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -193,6 +194,13 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *,
     x0's; each row's max-abs norm serves as both its weak and strong norm.
     The step finishes the window before it checks the rows, row 0
     included, with core.reject_rows.
+
+    The times are read once per call: f gets the Python floats t_k,
+    t_k + 0.5 h and t_k + h with h = t_{k+1} - t_k, and the stage factors
+    0.5 h, h and h / 6 are (1,) rows of column arrays, so each stage update
+    is one array-by-array product, the same IEEE multiply as a float
+    factor's. k2 + k2 is exactly 2 k2, so for an f that returns float64
+    every substep keeps classic RK4's operation order and bits.
     """
     times = _solve_grid(y_traj, x0, substeps)
     if np.shape(x0.state) != (spec.dimension,):
@@ -202,20 +210,25 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *,
     xs[0] = x0.state
     x = xs[0]
     f = spec.f
+    ts = times.tolist()
+    h = (times[1:] - times[:-1])[:, None]  # row k is bitwise ts[k + 1] - ts[k]
     with np.errstate(over="ignore", invalid="ignore"):
-        y_ends = y_traj.values
-        y_mids = None if coupled else _ode_midpoints(y_ends)
-        for k in range(substeps):
-            t_k = float(times[k])
-            h = float(times[k + 1] - times[k])
-            k1 = f(t_k, x if coupled else y_ends[k], x)
-            x2 = x + 0.5 * h * k1
-            k2 = f(t_k + 0.5 * h, x2 if coupled else y_mids[k], x2)
-            x3 = x + 0.5 * h * k2
-            k3 = f(t_k + 0.5 * h, x3 if coupled else y_mids[k], x3)
-            x4 = x + h * k3
-            k4 = f(t_k + h, x4 if coupled else y_ends[k + 1], x4)
-            xs[k + 1] = x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y_ends = repeat(None) if coupled else iter(y_traj.values)
+        y_mids = repeat(None) if coupled else _ode_midpoints(y_traj.values)
+        y_k, t_k = next(y_ends), ts[0]
+        for row, t_e, half, step, sixth, y_m, y_e in zip(xs[1:], ts[1:], 0.5 * h, h, h / 6.0,
+                                                         y_mids, y_ends):
+            h_k = t_e - t_k
+            t_m = t_k + 0.5 * h_k
+            k1 = f(t_k, x if coupled else y_k, x)
+            x2 = x + half * k1
+            k2 = f(t_m, x2 if coupled else y_m, x2)
+            x3 = x + half * k2
+            k3 = f(t_m, x3 if coupled else y_m, x3)
+            x4 = x + step * k3
+            k4 = f(t_k + h_k, x4 if coupled else y_e, x4)
+            x = np.add(x, sixth * (k1 + (k2 + k2) + (k3 + k3) + k4), row)
+            y_k, t_k = y_e, t_e
         norms = np.max(np.abs(xs), axis=1)
     reject_rows(times, norms, norms, cap)
     return TrajectorySegment(times, xs, norms, norms, x0)

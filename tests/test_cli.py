@@ -658,21 +658,29 @@ def test_a_length_whose_initial_samples_are_not_finite_is_named(tmp_path, capsys
     assert solves == [] and not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("argv,t_max,length,h", [
-    (["solve"], 1.0, 2e-6, "1.5625e-06"),
-    (["sweep", "--levels", "1"], 1.0, 2e-6, "1.5625e-06"),
-    (["solve"], 1e-5, 3e-7, "1.5625e-07"),
-], ids=["solve", "sweep", "t_max-under-min_window"])
+@pytest.mark.parametrize("argv,t_max,length,solver,h", [
+    (["solve"], 1.0, 2e-6, {}, "1.90735e-06"),
+    (["sweep", "--levels", "1"], 1.0, 2e-6, {}, "1.90735e-06"),
+    (["solve"], 1e-5, 3e-7, {}, "1.5625e-07"),
+    (["solve"], 1.0, 3.13e-6, {}, "1.90735e-06"),
+    (["solve"], 1.0, 3.81e-6, {}, "1.90735e-06"),
+    (["solve"], 1.0, 6.8e-6, {"window_shrink": 0.3}, "3.41719e-06"),
+], ids=["solve", "sweep", "t_max-under-min_window", "3.13e-6", "3.81e-6", "shrink-0.3"])
 def test_an_advect_length_under_two_substeps_of_the_shortest_window_is_named(
-        tmp_path, capsys, monkeypatch, argv, t_max, length, h):
-    # no attempt is shorter than min(t_max, min_window) over 64 substeps, so unit
-    # speed moves every foot past half the domain in each; every attempt raised
-    # CharacteristicBlowup and the run exited 2 as a blow-up
+        tmp_path, capsys, monkeypatch, argv, t_max, length, solver, h):
+    # the first round tries t_max, then t_max x s, t_max x s^2, ... (s the
+    # window_shrink) down to the last one at least min_window long, or t_max
+    # alone when it is under min_window; where unit speed moves every foot
+    # past half the domain in one substep of even the shortest of them, every
+    # attempt raised CharacteristicBlowup and the run exited 2 as a blow-up.
+    # At t_max = 1 that is 2**-13 (0.3**7 at s = 0.3) over 64 substeps, and
+    # lengths 3.13e-6 and 3.81e-6 passed a check against min_window / 64
     solves = []
     monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
     path = _write(tmp_path, "a.json", {"instance": "transport.advect", "t_max": t_max,
                                        "output_dir": str(tmp_path / "a"),
-                                       "params": {"n": 16, "length": length}})
+                                       "params": {"n": 16, "length": length},
+                                       "solver": solver})
     assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert f"error: field 'params.length': unit-speed advection moves every foot {h} " in err
@@ -680,11 +688,14 @@ def test_an_advect_length_under_two_substeps_of_the_shortest_window_is_named(
 
 
 def test_an_advect_length_over_two_substeps_of_the_shortest_window_still_runs(tmp_path):
-    # 4e-6 / 2 exceeds 1e-4 / 64: the run gets going and ends on its window budget
-    code, report, _ = run_solve(parse_config({
-        "instance": "transport.advect", "t_max": 1.0, "output_dir": str(tmp_path / "a"),
-        "params": {"n": 16, "length": 4e-6}}))
-    assert code == EXIT_BUDGET and report.termination is Termination.BUDGET_EXHAUSTED
+    # the shortest attempt moves the feet less than half the domain: the run
+    # gets going and ends on its window budget (3.82e-6 / 2 is just over 2**-13 / 64)
+    for length in (4e-6, 3.82e-6):
+        code, report, _ = run_solve(parse_config({
+            "instance": "transport.advect", "t_max": 1.0, "output_dir": str(tmp_path / "a"),
+            "params": {"n": 16, "length": length}}))
+        assert (length, code, report.termination) == (
+            length, EXIT_BUDGET, Termination.BUDGET_EXHAUSTED)
 
 
 @pytest.mark.parametrize("x0,cap,amplitudes,message", [

@@ -1,15 +1,17 @@
-"""Properties of the blocked transport step, the steps' cap and the coupled steps.
+"""Properties of the blocked transport step, the ODE step, the steps' cap and the coupled steps.
 
-The reference below is the straightforward per-substep sweep: trace one
-substep's feet (from the frozen input, or from its own rows for the
-coupled start), interpolate, apply the source, check the row, then move
-on. The blocked step, in both modes, must reproduce it bitwise, values
-and both norms, including the exception and the substep at which it is
-raised.
+The transport reference below is the straightforward per-substep sweep:
+trace one substep's feet (from the frozen input, or from its own rows for
+the coupled start), interpolate, apply the source, check the row, then
+move on. The blocked step, in both modes, must reproduce it bitwise,
+values and both norms, including the exception and the substep at which
+it is raised. The ODE step must likewise reproduce _reference_ode_step,
+its loop with per-substep scalar times and float stage factors.
 """
 
 import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from twonorm.core import (
     NormedPairElement,
     TrajectorySegment,
     WindowFailure,
+    reject_rows,
 )
 from twonorm.grids import GridFunction1D, interp_values
 from twonorm.instances import (
@@ -373,6 +376,94 @@ def test_ode_cap_failure_carries_the_crossing_row(name, substeps, window, t_star
         ode_step(spec, y, x0, substeps=substeps, cap=cap)
     exc = err.value
     assert (exc.t, exc.value, exc.limit) == (float(times[crossing]), free_norms[crossing], cap)
+
+
+def _reference_ode_step(spec, y_traj, x0, substeps, cap=None, coupled=False):
+    """The ODE step's loop as it read before its stage factors became (1,) rows:
+    t and h read per substep as numpy scalars, float factors, 2.0 * k."""
+    times = y_traj.times
+    xs = np.empty((substeps + 1, spec.dimension))
+    xs[0] = x0.state
+    x = xs[0]
+    f = spec.f
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_ends = y_traj.values
+        y_mids = None if coupled else _ode_midpoints(y_ends)
+        for k in range(substeps):
+            t_k = float(times[k])
+            h = float(times[k + 1] - times[k])
+            k1 = f(t_k, x if coupled else y_ends[k], x)
+            x2 = x + 0.5 * h * k1
+            k2 = f(t_k + 0.5 * h, x2 if coupled else y_mids[k], x2)
+            x3 = x + 0.5 * h * k2
+            k3 = f(t_k + 0.5 * h, x3 if coupled else y_mids[k], x3)
+            x4 = x + h * k3
+            k4 = f(t_k + h, x4 if coupled else y_ends[k + 1], x4)
+            xs[k + 1] = x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norms = np.max(np.abs(xs), axis=1)
+    reject_rows(times, norms, norms, cap)
+    return TrajectorySegment(times, xs, norms, norms, x0)
+
+
+# right-hand sides that read t, so the times each stage passes to f show in the bits
+ODE_RHS = {
+    "poly+forcing": lambda a, b, c, w: lambda t, y, x: a * y + b * x * x + c * np.sin(w * t),
+    "time-coefficient": lambda a, b, c, w: lambda t, y, x: (a * t) * y + b * x + c * np.cos(w * t),
+    "riccati-forced": lambda a, b, c, w: lambda t, y, x: y * x + c * np.sin(w * t),
+}
+
+
+def _failure(fn):
+    try:
+        return fn(), None
+    except WindowFailure as exc:
+        return None, (type(exc), str(exc), exc.t, exc.value, exc.limit)
+
+
+def _recording(spec, calls):
+    """spec with an f that first appends its call's t (type and bits), y and x to calls."""
+    def f(t, y, x):
+        calls.append((type(t), float.hex(t), np.asarray(y).tobytes(), np.asarray(x).tobytes()))
+        return spec.f(t, y, x)
+    return replace(spec, f=f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ODE_RHS)), st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       st.floats(-20.0, 20.0), st.integers(1, 3),
+       st.one_of(st.integers(1, 3), st.integers(4, 80)),
+       st.one_of(st.floats(-100.0, 100.0), st.floats(-1.0, 0.0)),  # the latter: span x it
+       st.floats(1e-6, 4.0), st.booleans(), st.one_of(st.none(), st.floats(1.0, 50.0)),
+       st.integers(0, 2**31 - 1))
+def test_ode_step_is_bitwise_the_per_substep_reference(kind, abc, w, dimension, substeps,
+                                                       start, span, coupled, cap_factor, seed):
+    # every call of f (t's type and bits, y, x), the values, the norms and any
+    # failure (class, message, t, value, limit) are the reference's. The inner
+    # times are jittered by up to 1e-10 x span, within what the step accepts,
+    # and a start in [-1, 0] starts the window at start x span, so it spans
+    # t = 0: there t_k + h may differ from the next time. A cap_factor sets the
+    # cap at that multiple of |x0|.
+    spec = OdeSpec(dimension=dimension, f=ODE_RHS[kind](*abc, w))
+    t_start = start * span if -1.0 <= start <= 0.0 else start
+    rng = np.random.default_rng(seed)
+    times = np.linspace(t_start, t_start + span, substeps + 1)
+    times[1:-1] += rng.uniform(-1e-10, 1e-10, substeps - 1) * span
+    assume(np.all(times[1:] > times[:-1]))
+    rows = rng.uniform(-2.0, 2.0, size=(substeps + 1, dimension))
+    norms = np.max(np.abs(rows), axis=1)
+    x0 = NormedPairElement(rows[0], norms[0], norms[0])
+    y = TrajectorySegment(times, rows, norms, norms, x0)
+    cap = None if cap_factor is None else cap_factor * float(norms[0])
+    want_calls, got_calls = [], []
+    want, want_err = _failure(lambda: _reference_ode_step(
+        _recording(spec, want_calls), y, x0, substeps, cap=cap, coupled=coupled))
+    got, got_err = _failure(lambda: ode_step(
+        _recording(spec, got_calls), y, x0, substeps=substeps, cap=cap, coupled=coupled))
+    assert got_calls == want_calls
+    assert repr(got_err) == repr(want_err)  # repr: a NaN value equals itself
+    if want_err is None:
+        for name in ("times", "values", "weak", "strong"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
