@@ -27,6 +27,7 @@ _R0_FLOOR = 64.0 * np.finfo(np.float64).eps  # cap floor for zero initial data
 _CAP_SLACK = 1e-9  # relative slack when comparing strong norms against caps
 _RETRY_MARGIN = 0.9  # a failed attempt is retried at this share of its way to the crossing
 _RADIUS_SAMPLES = 32  # radii sampled per bound when planning a contraction window
+_TOL_T = 1e-10  # bracket width at which select_window's bisection stops
 _TOL_FLOOR = 1e-9  # the default stopping tolerance's floor, and its value at iteration 1
 _TOL_FRACTION = 0.1  # the default tolerance from iteration 2: this share of d_2
 
@@ -153,19 +154,6 @@ class TrajectorySegment:
 
 
 @dataclass(frozen=True)
-class AprioriBound:
-    """Bound on the strong norm of a frozen solve: (t, r0, M) -> bound.
-
-    Non-decreasing in each argument, with eval(0, r0, M) = r0.
-    """
-
-    eval: Callable[[float, float, float], float]
-
-    def __call__(self, t: float, r0: float, m: float) -> float:
-        return self.eval(t, r0, m)
-
-
-@dataclass(frozen=True)
 class StabilityBounds:
     """Weak-norm sensitivity bounds of the frozen solve.
 
@@ -189,8 +177,8 @@ class WindowPlan:
     def __post_init__(self):
         if not self.K > 0:
             raise ValueError("cap K must be positive")
-        if not self.t_start < self.t_end:
-            raise ValueError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
+        if not -math.inf < self.t_start < self.t_end < math.inf:
+            raise ValueError(f"need finite t_start < t_end, got [{self.t_start}, {self.t_end}]")
 
 
 @dataclass(frozen=True)
@@ -282,29 +270,32 @@ class SolveReport:
 # -- window planning --------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")
-def select_window(apriori: AprioriBound, r0: float, k_cap: float, t_max: float,
-                  tol_t: float = 1e-10) -> float:
+def select_window(apriori: Callable[[float, float, float], float], r0: float, k_cap: float,
+                  t_max: float) -> float:
     """Largest t <= t_max keeping the a-priori strong-norm bound under k_cap.
 
-    Bisects the monotone map t -> apriori(t, r0, k_cap) - k_cap until the
-    bracket is tol_t wide or holds no float strictly inside. Raises
-    InvalidCap if k_cap <= r0 and NonMonotone if sampled values decrease.
-    The bound may overflow to +inf on long horizons, a valid value over
-    the cap, so numpy's overflow and inf - inf warnings are silenced.
+    apriori(t, r0, M) bounds the frozen solve's strong norm; it must be
+    non-decreasing in each argument, with apriori(0, r0, M) = r0. Bisects
+    t -> apriori(t, r0, k_cap) - k_cap until the bracket is _TOL_T wide or
+    holds no float strictly inside. Raises InvalidCap if k_cap <= r0,
+    NonMonotone if sampled values decrease and ValueError unless t_max is
+    positive and finite. The bound may overflow to +inf on long horizons,
+    a valid value over the cap, so numpy's overflow and inf - inf warnings
+    are silenced.
     """
     if not k_cap > r0:
         raise InvalidCap(f"cap {k_cap} must exceed initial strong norm {r0}")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     probes = np.linspace(0.0, t_max, 17)
-    sampled = [apriori.eval(float(t), r0, k_cap) for t in probes]
+    sampled = [apriori(float(t), r0, k_cap) for t in probes]
     for a, b in zip(sampled, sampled[1:]):
         if b < a - 1e-12 * max(1.0, abs(a)):
             raise NonMonotone("a-priori bound decreases in t on sampled probes")
     if sampled[-1] <= k_cap:
         return t_max
     # apriori(0) = r0 < k_cap, apriori(t_max) > k_cap
-    return _bisect(lambda t: apriori.eval(t, r0, k_cap) <= k_cap, 0.0, t_max, tol_t)
+    return _bisect(lambda t: apriori(t, r0, k_cap) <= k_cap, 0.0, t_max, _TOL_T)
 
 
 def _bisect(ok, lo: float, hi: float, tol: float) -> float:
@@ -320,24 +311,21 @@ def _bisect(ok, lo: float, hi: float, tol: float) -> float:
     return lo
 
 
-def _sup_ratio(fn, t: float, radii: list[float]) -> float:
-    return max([fn(t, r) / r for r in radii])
-
-
-def _sup_ratio_over(fn, t: float, radii: list[float], level: float) -> bool:
-    """_sup_ratio(fn, t, radii) > level, stopping once the running max is over.
+def _sup_ratio(fn, t: float, radii: list[float], level: float = math.inf) -> float:
+    """Running max of fn(t, r) / r over radii, stopping once it exceeds level.
 
     A running max only grows, and a NaN first ratio is never replaced (as
-    in max), so the verdict is that of the full max.
+    in max), so a verdict `> level` or `<= level` on the result is that of
+    the full max.
     """
     peak = fn(t, radii[0]) / radii[0]
     for r in radii[1:]:
         if peak > level:
-            return True
+            break
         ratio = fn(t, r) / r
         if ratio > peak:
             peak = ratio
-    return peak > level
+    return peak
 
 
 def select_contraction_window(bounds: StabilityBounds, k_cap: float,
@@ -356,8 +344,8 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float,
     Raises NoContractionWindow when no t >= min_t works, which signals
     invalid stability bounds.
     """
-    if not t1 > 0:
-        raise ValueError("t1 must be positive")
+    if not 0 < t1 < math.inf:
+        raise ValueError(f"t1 must be positive and finite, got {t1}")
     b_fn, c_fn = (bounds.c, bounds.b) if swap_roles else (bounds.b, bounds.c)
     # geometric radius samples; sup over them stands in for the true sup
     radii_b = np.geomspace(2.0 * k_cap * 1e-6, 2.0 * k_cap, _RADIUS_SAMPLES).tolist()
@@ -372,19 +360,16 @@ def select_contraction_window(bounds: StabilityBounds, k_cap: float,
         theta1_candidates = [0.0]
     else:
         first = max(theta_target, beta_tiny)
-        theta1_candidates = [first] if first < 1.0 else []
-        blend = 0.5 * (max(theta_target, beta_tiny) + 1.0)
-        if blend < 1.0:
-            theta1_candidates.append(blend)
+        theta1_candidates = [th for th in (first, 0.5 * (first + 1.0)) if th < 1.0]
     if not theta1_candidates:
         raise NoContractionWindow("b(t,R)/R does not drop below 1 for small t")
 
     for theta1 in theta1_candidates:
         def feasible(t: float) -> bool:
-            if _sup_ratio_over(b_fn, t, radii_b, theta1):
+            if _sup_ratio(b_fn, t, radii_b, theta1) > theta1:
                 return False
-            # a full max: a NaN sup is not <= the level, though it is not over it
-            return _sup_ratio(c_fn, t, radii_c) <= theta_target * (1.0 - theta1)
+            level = theta_target * (1.0 - theta1)
+            return _sup_ratio(c_fn, t, radii_c, level) <= level
 
         if feasible(t1):
             return t1
@@ -400,8 +385,8 @@ def estimate_theta_empirical(ratios) -> float:
     """Contraction factor estimate: max of the last three ratios, floored at THETA_FLOOR."""
     if len(ratios) == 0:
         raise ValueError("need at least one observed ratio")
-    if any(r < 0 for r in ratios):
-        raise ValueError("ratios must be nonnegative")
+    if not all(r >= 0 for r in ratios):
+        raise ValueError("ratios must be nonnegative numbers")
     tail = list(ratios)[-min(3, len(ratios)):]
     return max(THETA_FLOOR, max(tail))
 

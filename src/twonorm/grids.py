@@ -101,12 +101,6 @@ def lip_norm(u: GridFunction1D) -> float:
     return lip_norm_values(u.values, u.length)
 
 
-def sup_distance(u: GridFunction1D, v: GridFunction1D) -> float:
-    if u.n != v.n or u.length != v.length:
-        raise ValueError("grid functions live on different grids")
-    return float(np.max(np.abs(u.values - v.values)))
-
-
 def pad_periodic(values: np.ndarray) -> np.ndarray:
     """Rows (last axis) of values with periodic ghost samples.
 

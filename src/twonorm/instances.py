@@ -17,7 +17,6 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .core import (
-    AprioriBound,
     NormedPairElement,
     StabilityBounds,
     TrajectorySegment,
@@ -42,7 +41,10 @@ class CharacteristicBlowup(WindowFailure):
 
 
 class InstanceBounds(NamedTuple):
-    apriori: AprioriBound
+    """Analytic planning data: the a-priori strong-norm bound apriori(t, r0, M)
+    that core.select_window bisects, and the weak-norm sensitivities."""
+
+    apriori: Callable[[float, float, float], float]
     stability: StabilityBounds
 
 
@@ -249,7 +251,7 @@ def ode_bounds(spec: OdeSpec) -> InstanceBounds:
         return (r + t * (l1 * m + f00)) * np.exp(l2 * t)
 
     return InstanceBounds(
-        apriori=AprioriBound(eval=apriori),
+        apriori=apriori,
         stability=StabilityBounds(
             b=lambda t, r: t * l2 * r,
             c=lambda t, r: t * l1 * r,
@@ -363,8 +365,9 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     order in time. For a G that ignores v both give the same bits.
     """
     times = _solve_grid(v_traj, u0, substeps)
-    grid0: GridFunction1D = u0.state
-    if grid0.n != spec.n or grid0.length != spec.length:
+    grid0 = u0.state
+    if not (isinstance(grid0, GridFunction1D) and grid0.n == spec.n
+            and grid0.length == spec.length):
         raise ValueError("initial grid does not match the transport spec")
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,7 +13,6 @@ import pytest
 
 from twonorm.cli import EXIT_BLOWUP, EXIT_OK, parse_config, run_blowup_scan, run_solve, run_sweep
 from twonorm.core import (
-    AprioriBound,
     SolverConfig,
     StabilityBounds,
     Termination,
@@ -21,7 +20,7 @@ from twonorm.core import (
     select_contraction_window,
     select_window,
 )
-from twonorm.grids import GridFunction1D, from_callable, lip_norm, sup_distance, sup_norm
+from twonorm.grids import GridFunction1D, from_callable, lip_norm, sup_norm, sup_norm_values
 from twonorm.instances import (
     make_advect_instance,
     make_burgers_instance,
@@ -81,10 +80,10 @@ def test_criterion_2_contraction_evidence():
 
 
 def test_criterion_3_window_selection_values():
-    a_lin = AprioriBound(eval=lambda t, r, m: r + t * m)
-    t1 = select_window(a_lin, 1.0, 2.0, 10.0, tol_t=1e-10)
+    a_lin = lambda t, r, m: r + t * m
+    t1 = select_window(a_lin, 1.0, 2.0, 10.0)
     assert abs(t1 - 0.5) <= 1e-10
-    a_exp = AprioriBound(eval=lambda t, r, m: r * math.exp(m * t))
+    a_exp = lambda t, r, m: r * math.exp(m * t)
     t1e = select_window(a_exp, 1.0, math.e, 10.0)
     assert abs(t1e - 1.0 / math.e) <= 1e-8
     _report("3 window selection",
@@ -165,7 +164,7 @@ def test_criterion_7_discrete_fatou():
         # Lipschitz-in-sup bound against a random perturbation
         v = u + rng.normal(size=n) * rng.uniform(0.0, 0.5)
         gv = GridFunction1D(n=n, length=length, values=v)
-        bound = (1.0 + 2.0 / dx) * sup_distance(gu, gv)
+        bound = (1.0 + 2.0 / dx) * sup_norm_values(gu.values - gv.values)
         assert abs(lip_norm(gu) - lip_norm(gv)) <= bound + 1e-9
         # sup-convergent sequence with bounded strong norms
         lims = [lip_norm(GridFunction1D(n=n, length=length,

@@ -10,7 +10,6 @@ import pytest
 
 from twonorm import core
 from twonorm.core import (
-    AprioriBound,
     CapExceeded,
     SolverConfig,
     StabilityBounds,
@@ -256,7 +255,7 @@ def test_planning_failure_gives_contraction_failure_verdict():
         strong_norm=base.strong_norm,
         weak_dist=base.weak_dist,
         bounds=InstanceBounds(
-            apriori=AprioriBound(eval=lambda t, r, m: r),
+            apriori=lambda t, r, m: r,
             stability=StabilityBounds(b=lambda t, r: 0.0, c=lambda t, r: r),
         ),
     )

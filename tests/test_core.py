@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from twonorm.core import (
     _RADIUS_SAMPLES,
-    AprioriBound,
     CapExceeded,
     InvalidCap,
     NoContractionWindow,
@@ -39,27 +38,27 @@ NAN, INF = math.nan, math.inf
 # -- select_window -------------------------------------------------------------
 
 def test_select_window_linear_growth():
-    a = AprioriBound(eval=lambda t, r, m: r + t * m)
-    t1 = select_window(a, 1.0, 2.0, 10.0, tol_t=1e-10)
+    a = lambda t, r, m: r + t * m
+    t1 = select_window(a, 1.0, 2.0, 10.0)
     assert t1 == pytest.approx(0.5, abs=1e-10)
-    assert a.eval(t1, 1.0, 2.0) <= 2.0
-    assert a.eval(t1 + 1e-10, 1.0, 2.0) > 2.0
+    assert a(t1, 1.0, 2.0) <= 2.0
+    assert a(t1 + 1e-10, 1.0, 2.0) > 2.0
 
 
 def test_select_window_exponential_growth():
-    a = AprioriBound(eval=lambda t, r, m: r * math.exp(m * t))
+    a = lambda t, r, m: r * math.exp(m * t)
     t1 = select_window(a, 1.0, math.e, 10.0)
     assert t1 == pytest.approx(1.0 / math.e, abs=1e-8)
 
 
 def test_select_window_bound_never_binds():
-    a = AprioriBound(eval=lambda t, r, m: r)
+    a = lambda t, r, m: r
     assert select_window(a, 1.0, 2.0, 10.0) == 10.0
 
 
 def test_select_window_stops_when_no_float_is_left_to_bisect():
     # x' = -1e-9 x with cap 2: the bound crosses near t = 6.9e8, where
-    # adjacent floats lie about 1.2e-7 apart, wider than tol_t
+    # adjacent floats lie about 1.2e-7 apart, wider than the bisection's 1e-10
     inner = make_decay_instance(rate=1e-9).bounds.apriori
     calls = 0
 
@@ -70,13 +69,13 @@ def test_select_window_stops_when_no_float_is_left_to_bisect():
             raise RuntimeError("bisection did not terminate")
         return inner(t, r, m)
 
-    t1 = select_window(AprioriBound(eval=counted), 1.0, 2.0, 1e9)
+    t1 = select_window(counted, 1.0, 2.0, 1e9)
     assert 0.0 < t1 < 1e9
     assert inner(t1, 1.0, 2.0) <= 2.0
 
 
 def test_select_window_invalid_cap():
-    a = AprioriBound(eval=lambda t, r, m: r + t * m)
+    a = lambda t, r, m: r + t * m
     with pytest.raises(InvalidCap):
         select_window(a, 1.0, 1.0, 10.0)
     with pytest.raises(InvalidCap):
@@ -84,22 +83,33 @@ def test_select_window_invalid_cap():
 
 
 def test_select_window_detects_decreasing_bound():
-    a = AprioriBound(eval=lambda t, r, m: r + (10.0 - t) * m)
+    a = lambda t, r, m: r + (10.0 - t) * m
     with pytest.raises(NonMonotone):
         select_window(a, 1.0, 20.0, 10.0)
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: select_window(AprioriBound(eval=lambda t, r, m: r + t * m), 1.0, 2.0, 0.0),
+    (lambda: select_window(lambda t, r, m: r + t * m, 1.0, 2.0, 0.0),
      "t_max must be positive"),
     (lambda: select_contraction_window(
         StabilityBounds(b=lambda t, r: t * r, c=lambda t, r: t * r), 1.0, 0.0, 0.5),
      "t1 must be positive"),
+    (lambda: select_window(lambda t, r, m: r * math.exp(t), 1.0, 2.0, INF),
+     "t_max must be positive and finite, got inf"),
+    (lambda: select_window(lambda t, r, m: r * math.exp(t), 1.0, 2.0, NAN),
+     "t_max must be positive and finite, got nan"),
+    (lambda: select_contraction_window(
+        StabilityBounds(b=lambda t, r: t * r, c=lambda t, r: t * r), 1.0, INF, 0.5),
+     "t1 must be positive and finite, got inf"),
+    (lambda: WindowPlan(2.0, 0.0, INF), r"need finite t_start < t_end, got \[0.0, inf\]"),
+    (lambda: WindowPlan(2.0, -INF, 0.0), r"need finite t_start < t_end, got \[-inf, 0.0\]"),
     (lambda: continuation_solve(make_decay_instance(),
                                 NormedPairElement(np.array([1.0]), 1.0, math.inf), 1.0,
                                 SolverConfig()),
      "initial state must have a finite strong norm"),
-], ids=["select_window-t_max-0", "select_contraction_window-t1-0", "solve-from-inf-strong-norm"])
+], ids=["select_window-t_max-0", "select_contraction_window-t1-0", "select_window-t_max-inf",
+        "select_window-t_max-nan", "select_contraction_window-t1-inf", "window_plan-t_end-inf",
+        "window_plan-t_start-minus-inf", "solve-from-inf-strong-norm"])
 def test_engine_entry_points_reject_degenerate_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -326,8 +336,9 @@ def test_theta_empirical_floor_binds():
 def test_theta_empirical_rejects_empty_and_negative():
     with pytest.raises(ValueError):
         estimate_theta_empirical([])
-    with pytest.raises(ValueError):
-        estimate_theta_empirical([-0.1])
+    for ratios in ([-0.1], [NAN], [0.5, NAN, 0.2]):
+        with pytest.raises(ValueError, match="ratios must be nonnegative numbers"):
+            estimate_theta_empirical(ratios)
 
 
 # -- reject_rows -----------------------------------------------------------------

@@ -269,7 +269,7 @@ def test_ode_bounds_constant_rhs():
                    lipschitz_y=0.0, lipschitz_x=0.0, f00=0.0)
     apriori, stab = ode_bounds(spec)
     for t in (0.0, 0.5, 3.0):
-        assert apriori.eval(t, 1.5, 7.0) == 1.5
+        assert apriori(t, 1.5, 7.0) == 1.5
         assert stab.b(t, 2.0) == 0.0
         assert stab.c(t, 2.0) == 0.0
 
@@ -278,14 +278,14 @@ def test_ode_bounds_recover_linear_growth():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y,
                    lipschitz_y=1.0, lipschitz_x=0.0, f00=0.0)
     apriori, _ = ode_bounds(spec)
-    assert apriori.eval(0.5, 1.0, 2.0) == pytest.approx(2.0)  # r + t M
+    assert apriori(0.5, 1.0, 2.0) == pytest.approx(2.0)  # r + t M
 
 
 def test_ode_bounds_gronwall_value():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y + x,
                    lipschitz_y=1.0, lipschitz_x=1.0, f00=0.0)
     apriori, _ = ode_bounds(spec)
-    assert apriori.eval(0.5, 1.0, 2.0) == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
+    assert apriori(0.5, 1.0, 2.0) == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
 
 
 def test_ode_bounds_apriori_invariants_sampled():
@@ -296,11 +296,11 @@ def test_ode_bounds_apriori_invariants_sampled():
     for _ in range(200):
         t, r, m = rng.uniform(0, 3), rng.uniform(0, 5), rng.uniform(0, 5)
         dt, dr, dm = rng.uniform(0, 1, 3)
-        base = apriori.eval(t, r, m)
-        assert apriori.eval(t + dt, r, m) >= base - 1e-12
-        assert apriori.eval(t, r + dr, m) >= base - 1e-12
-        assert apriori.eval(t, r, m + dm) >= base - 1e-12
-        assert apriori.eval(0.0, r, m) == r
+        base = apriori(t, r, m)
+        assert apriori(t + dt, r, m) >= base - 1e-12
+        assert apriori(t, r + dr, m) >= base - 1e-12
+        assert apriori(t, r, m + dm) >= base - 1e-12
+        assert apriori(0.0, r, m) == r
 
 
 def test_ode_bounds_small_time_limits():
@@ -341,7 +341,7 @@ def test_ode_bounds_dominate_dense_solves():
         seg = ode_step(spec, y, _elem(x0), substeps=512)
         r0 = float(np.max(np.abs(x0)))
         for t, s in zip(seg.times, seg.states):
-            bound = apriori.eval(float(t), r0, m)
+            bound = apriori(float(t), r0, m)
             assert s.strong_norm <= bound * (1.0 + 1e-8) + 1e-12
 
 
@@ -444,11 +444,13 @@ def test_transport_overflow_inside_a_block_names_the_first_non_finite_row():
 
 def test_transport_grid_mismatch_rejected():
     spec = TransportSpec(n=64, length=TWO_PI, G=lambda x, v: -v)
-    u0 = from_callable(np.sin, 32, TWO_PI)
     times = np.linspace(0.0, 0.1, 3)
-    v = _grid_segment(32, TWO_PI, [u0.values] * 3, times)
-    with pytest.raises(ValueError):
-        transport_step(spec, v, _elem(u0), substeps=2)
+    u32, u64 = from_callable(np.sin, 32, TWO_PI), from_callable(np.sin, 64, TWO_PI)
+    # a state on another grid, and the spec's own samples as a bare array
+    for u, x0 in ((u32, _elem(u32)), (u64, NormedPairElement(u64.values, 1.0, 1.0))):
+        v = _grid_segment(u.n, TWO_PI, [u.values] * 3, times)
+        with pytest.raises(ValueError, match="initial grid does not match the transport spec"):
+            transport_step(spec, v, x0, substeps=2)
 
 
 # -- bundled instances ----------------------------------------------------------
