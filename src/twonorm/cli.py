@@ -507,6 +507,13 @@ def main(argv=None) -> int:
             print(f"{config.instance}: {report.termination.value}"
                   + (f" (t_c ~ {report.t_c_estimate:.6g})"
                      if report.t_c_estimate is not None else ""))
+            if report.termination is Termination.CONTRACTION_FAILURE:
+                t_stop = report.windows[-1].t_end if report.windows else 0.0
+                solver = config.solver
+                print(f"error: the solve stopped at t={t_stop!r}: no window could be planned "
+                      f"that is at least solver.min_window ({solver.min_window!r}) long and "
+                      f"holds solver.substeps_per_window ({solver.substeps_per_window}) "
+                      f"distinct substeps", file=sys.stderr)
             return code
         if args.command == "sweep":
             code, errors = run_sweep(config, args.levels)

@@ -119,7 +119,7 @@ class TrajectorySegment:
     def __post_init__(self):
         for name in ("times", "values", "weak", "strong"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         times = self.times
         if times.ndim != 1 or len(times) < 2:
@@ -127,7 +127,8 @@ class TrajectorySegment:
         if len(self.values) != len(times) or not (
                 self.weak.shape == self.strong.shape == times.shape):
             raise ValueError("times, values and norms length mismatch")
-        if not np.all(np.diff(times) > 0):
+        # b > a is exactly b - a > 0 for floats, NaN and inf included
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
 
     @property
@@ -535,7 +536,7 @@ def _cap_crossing_time(times, strong, kappa: float) -> float | None:
     the root from below; it lies below ln(1 + h1 / h2) / g1, where
     T - t_a = h1 + h2.
     """
-    if not (strong[0] > 0.0 and np.all(strong[1:] > strong[:-1])):
+    if not (strong[0] > 0.0 and (strong[1:] > strong[:-1]).all()):
         return None
     k = (len(times) - 1) // 2
     r_a, r_m, r_b = float(strong[0]), float(strong[k]), float(strong[-1])
@@ -671,7 +672,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
         else:  # a window within float jitter of the remaining horizon ends on it
             window, t_end = remaining, t_max
         times = np.linspace(t_cur, t_end, cfg.substeps_per_window + 1)
-        if not np.all(times[1:] > times[:-1]):
+        if not (times[1:] > times[:-1]).all():
             return finish(Termination.CONTRACTION_FAILURE)
         try:
             seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)

@@ -134,8 +134,8 @@ def _solve_grid(y_traj: TrajectorySegment, x0, substeps: int) -> np.ndarray:
     times = y_traj.times
     t0, t1 = float(times[0]), float(times[-1])
     span = t1 - t0  # a Python float: an overflow gives inf without a warning
-    if not (len(times) == substeps + 1 and 0.0 < span < math.inf and np.all(
-            np.abs(times - np.linspace(t0, t1, substeps + 1)) <= 1e-9 * span)):
+    if not (len(times) == substeps + 1 and 0.0 < span < math.inf
+            and (np.abs(times - np.linspace(t0, t1, substeps + 1)) <= 1e-9 * span).all()):
         raise ValueError(f"frozen input times must lie on a grid of {substeps} uniform "
                          f"substeps over a finite span, got {len(times)} over [{t0}, {t1}]")
     return times
@@ -231,7 +231,7 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *,
             k4 = f(t_k + h_k, x4 if coupled else y_e, x4)
             x = np.add(x, sixth * (k1 + (k2 + k2) + (k3 + k3) + k4), row)
             y_k, t_k = y_e, t_e
-        norms = np.max(np.abs(xs), axis=1)
+        norms = np.abs(xs).max(axis=1)
     reject_rows(times, norms, norms, cap)
     return TrajectorySegment(times, xs, norms, norms, x0)
 
@@ -475,8 +475,12 @@ def _trace(spec, x, h, v_mid, v_end):
 def _sup_dist(a: np.ndarray, b: np.ndarray) -> float:
     """Largest |a - b| over two row stacks, reduced a block of rows at a time."""
     block = max(1, _BLOCK_POINTS // a.shape[-1])
-    return max(float(np.max(np.abs(a[k:k + block] - b[k:k + block])))
-               for k in range(0, len(a), block))
+    peak = np.abs(a[:block] - b[:block]).max()
+    for k in range(block, len(a), block):
+        dist = np.abs(a[k:k + block] - b[k:k + block]).max()
+        if dist > peak:  # a NaN first block stays, a NaN block after it is passed over
+            peak = dist
+    return float(peak)
 
 
 def make_transport_instance(name: str, spec: TransportSpec) -> ProblemInstance:

@@ -528,6 +528,22 @@ def test_main_solve_and_errors(tmp_path, capsys):
     assert "instance" in err
 
 
+def test_a_solve_that_ends_in_contraction_failure_says_why_on_stderr(tmp_path, capsys):
+    # the norm decays to about 7e-15, the cap sits on its floor, and no
+    # contraction window of solver.min_window is left
+    path = _write(tmp_path, "cfg.json", _decay_config(tmp_path, t_max=1.0,
+                                                      params={"x0": 1.0, "rate": 1e4}))
+    assert main(["solve", path]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "ode.decay: ContractionFailure\n"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    t_stop = report["windows"][-1]["t_end"]
+    assert 0.003 < t_stop < 0.0035
+    assert err == (f"error: the solve stopped at t={t_stop!r}: no window could be planned "
+                   "that is at least solver.min_window (0.0001) long and holds "
+                   "solver.substeps_per_window (64) distinct substeps\n")
+
+
 @pytest.mark.parametrize("solver_json,field", [('{"kappa": Infinity}', "solver.kappa"),
                                                ('{"swap_roles": "no"}', "solver.swap_roles")])
 def test_main_solve_names_the_bad_solver_field(tmp_path, capsys, solver_json, field):

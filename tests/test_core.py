@@ -409,6 +409,10 @@ def test_trajectory_segment_validation():
     _zero_segment(np.array([0.0, 1.0, 1.5]))  # non-uniform
     with pytest.raises(ValueError):
         _zero_segment(np.array([0.0, 1.0, 0.5]))
+    for times in ([0.0, 1.0, 1.0], [0.0, NAN, 1.0], [NAN, 0.5, 1.0]):  # repeated, not a number
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _zero_segment(np.array(times))
+    assert _zero_segment(np.array([0.0, 1.0, INF])).t_end == INF  # an infinite end still rises
     with pytest.raises(ValueError):
         _zero_segment(np.linspace(0, 1, 5), rows=4)
     with pytest.raises(ValueError):

@@ -34,6 +34,7 @@ from twonorm.instances import (
     TransportSpec,
     _means,
     _ode_midpoints,
+    _sup_dist,
     make_linear_ode_instance,
     ode_step,
     transport_step,
@@ -572,6 +573,24 @@ def test_midpoint_gains_are_attained():
     assert inner[1, 0] == pytest.approx(GAIN * k, rel=1e-15)
     last = _ode_midpoints(np.array([[0.0], [0.0], [-k], [k], [k]]))
     assert last[-1, 0] == pytest.approx(GAIN * k, rel=1e-15)
+
+
+def _sup_dist_of_blocks(a, b):
+    """_sup_dist as the max of its blocks' maxima, the builtin max's NaN handling included."""
+    block = max(1, _BLOCK_POINTS // a.shape[-1])
+    return max(float(np.max(np.abs(a[k:k + block] - b[k:k + block])))
+               for k in range(0, len(a), block))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([1, 3, 1024, 2048, _BLOCK_POINTS]),
+       st.integers(0, 2**32 - 1), st.lists(st.integers(0, 11), max_size=3))
+def test_sup_dist_is_the_max_of_its_blocks(rows, n, seed, nan_rows):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, rows, n))
+    for r in nan_rows:  # NaN in the first block stays, in a later one is passed over
+        a[r % rows, r % n] = math.nan
+    assert repr(_sup_dist(a, b)) == repr(_sup_dist_of_blocks(a, b))
 
 
 def test_ode_step_on_rows_up_to_k_stays_finite_without_warnings():
