@@ -225,16 +225,22 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
     Advection must be able to move its feet less than half the domain in
     one substep of its shortest attempt, or every attempt fails: the first
     round tries t_max, then shrinks it by solver.window_shrink while the
-    attempt stays at least solver.min_window long.
+    attempt stays at least solver.min_window long. The min_window attempt
+    the retries end on is left out, so the check is stricter than it need be.
+    A substep within 1e-9 of half the length is refused too: the feet are
+    traced in floats over grid times whose spacing carries rounding, and at
+    exactly half the length (window_shrink 0.1, length 3.125000000000001e-06)
+    every attempt failed.
     """
     if config.instance == "transport.advect":
         solver, length = config.solver, config.params["length"]
+        half = 0.5 * length * (1.0 - 1e-9)
         shortest = config.t_max  # the same products as continuation_solve's retries
-        while (shortest / solver.substeps_per_window > 0.5 * length
+        while (shortest / solver.substeps_per_window > half
                and shortest * solver.window_shrink >= solver.min_window):
             shortest *= solver.window_shrink
         h = shortest / solver.substeps_per_window
-        if h > 0.5 * length:
+        if h > half:
             raise ConfigError(f"field 'params.length': unit-speed advection moves every foot "
                               f"{h:g} in one substep of the shortest attempt, more than half "
                               f"the length {length:g}; use a length above {2.0 * h:g}")
@@ -306,17 +312,30 @@ def write_report_json(path: str, report: SolveReport) -> None:
     _write_atomic(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _segment_rows(segments, columns) -> list:
-    """CSV rows of the 1-d arrays columns(seg) of every segment, formatted a column at a time."""
+def _reprs(col: np.ndarray, formatted: dict) -> list[str]:
+    """repr of each float of col, formatted once per array: formatted maps id(col)
+    to (col, its reprs), and holding col keeps its id from being reused."""
+    entry = formatted.get(id(col))
+    if entry is None:
+        entry = formatted[id(col)] = (col, list(map(repr, col.tolist())))
+    return entry[1]
+
+
+def _segment_rows(segments, columns, formatted: dict | None) -> list:
+    """CSV rows of the 1-d arrays columns(seg) of every segment, formatted a column at a time.
+
+    formatted, when given, is shared with the solve's other writers (see _reprs).
+    """
+    formatted = {} if formatted is None else formatted
     rows = []
     for si, seg in enumerate(segments):
         start = 1 if si > 0 else 0  # junction states are shared with the previous window
-        rows.extend(zip(*(map(repr, col[start:].tolist()) for col in columns(seg))))
+        rows.extend(zip(*(_reprs(col, formatted)[start:] for col in columns(seg))))
     return rows
 
 
-def write_norms_csv(path: str, segments) -> None:
-    rows = _segment_rows(segments, lambda seg: (seg.times, seg.weak, seg.strong))
+def write_norms_csv(path: str, segments, formatted: dict | None = None) -> None:
+    rows = _segment_rows(segments, lambda seg: (seg.times, seg.weak, seg.strong), formatted)
     _write_atomic(path, _csv_text(["t", "weak_norm", "strong_norm"], rows))
 
 
@@ -328,10 +347,11 @@ def write_windows_csv(path: str, report: SolveReport) -> None:
     _write_atomic(path, _csv_text(["t_start", "t_end", "iters", "max_ratio"], rows))
 
 
-def write_trajectory(out_dir: str, config: RunConfig, segments) -> None:
+def write_trajectory(out_dir: str, config: RunConfig, segments,
+                     formatted: dict | None = None) -> None:
     if config.instance.startswith("ode."):
         header = ["t"] + [f"x{i}" for i in range(segments[0].values.shape[1])]
-        rows = _segment_rows(segments, lambda seg: (seg.times, *seg.values.T))
+        rows = _segment_rows(segments, lambda seg: (seg.times, *seg.values.T), formatted)
         _write_atomic(os.path.join(out_dir, "trajectory.csv"), _csv_text(header, rows))
     else:
         final = segments[-1].end.state
@@ -350,13 +370,14 @@ def run_solve(config: RunConfig):
     instance, x0 = _build_case(config)
     out_dir = resolve_output_dir(config)
     segments, report = continuation_solve(instance, x0, config.t_max, config.solver)
+    formatted = {}  # this solve's float arrays, each formatted once: times, and an ODE's norms
     if config.emit_report:
         write_report_json(os.path.join(out_dir, "report.json"), report)
         write_windows_csv(os.path.join(out_dir, "windows.csv"), report)
     if config.emit_norms:
-        write_norms_csv(os.path.join(out_dir, "norms.csv"), segments)
+        write_norms_csv(os.path.join(out_dir, "norms.csv"), segments, formatted)
     if config.emit_trajectory and segments:
-        write_trajectory(out_dir, config, segments)
+        write_trajectory(out_dir, config, segments, formatted)
     return _EXIT_BY_TERMINATION[report.termination], report, segments
 
 

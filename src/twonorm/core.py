@@ -194,7 +194,7 @@ class SolverConfig:
     max_windows: int = 64
     substeps_per_window: int = 64
     strong_norm_cap: float | None = None  # None: BLOWUP_FACTOR x initial strong norm
-    min_window: float = 1e-4        # below this, declare blow-up
+    min_window: float = 1e-4        # a failed attempt this short declares blow-up
     window_shrink: float = 0.5
     empirical_mode: bool = False
     swap_roles: bool = False
@@ -600,14 +600,17 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     modes a failed attempt is retried shorter: when its failure names a
     time t past the window's start t0, at max(cfg.window_shrink x the
     attempt, _RETRY_MARGIN x (t - t0)), just short of the crossing;
-    otherwise at cfg.window_shrink x the attempt. An accepted attempt is
-    glued on and the next round restarts from its exact end state. An
-    analytic plan of length 0, or an attempt too short for m + 1 distinct
-    grid times, is a contraction failure. Blow-up is declared once the
-    strong norm passes the configured threshold (the window is cut at the
-    first stored time over it) or a retry drops below cfg.min_window. The
-    fit only proposes: a D below cfg.min_window ends the run only once
-    the min_window attempt it yields fails. t_c is the end of the last
+    otherwise at cfg.window_shrink x the attempt, and never below
+    cfg.min_window. An accepted attempt is glued on and the next round
+    restarts from its exact end state. An analytic plan of length 0, or
+    an attempt too short for m + 1 distinct grid times, is a contraction
+    failure. Blow-up is declared once the strong norm passes the
+    configured threshold (the window is cut at the first stored time over
+    it) or an attempt at most cfg.min_window long fails: a failure of a
+    longer attempt says nothing about blow-up, so the retries try
+    cfg.min_window once before they give up. The fit only proposes: a D
+    below cfg.min_window ends the run only once the min_window attempt it
+    yields fails. t_c is the end of the last
     accepted window (0.0 if none): the detection time, not a bound on either side of the
     true critical time. A norm that grows without limit is detected
     before it (Riccati: t_c < 1), while a discrete norm that saturates on
@@ -677,13 +680,14 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
         try:
             seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)
         except WindowFailure as exc:
+            if window <= cfg.min_window:  # collapse is blow-up evidence
+                return finish(Termination.BLOW_UP_DETECTED, t_cur)
             retried = True
             if exc.t is not None and exc.t > t_cur:
                 window = max(window * cfg.window_shrink, _RETRY_MARGIN * (exc.t - t_cur))
             else:
                 window *= cfg.window_shrink
-            if window < cfg.min_window:  # collapse is blow-up evidence
-                return finish(Termination.BLOW_UP_DETECTED, t_cur)
+            window = max(window, cfg.min_window)  # the shortest admissible attempt, tried once
             continue
 
         # substep-resolution blow-up detection: cut the window at the first
@@ -706,7 +710,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
         reach = _cap_crossing_time(seg.times, seg.strong, cfg.kappa) if empirical else None
         if reach is None:
             proposal = (1.0 if retried else 2.0) * length
-        else:  # never below min_window: a real blow-up fails it and collapses on retry
+        else:  # never below min_window: a real blow-up fails it, and that failure collapses
             proposal = max(cfg.min_window, min(2.0 * length, _RETRY_MARGIN * reach))
         retried = False
         window = None

@@ -274,12 +274,17 @@ def make_ode_instance(name: str, spec: OdeSpec) -> ProblemInstance:
 
 
 def make_decay_instance(rate: float = 1.0) -> ProblemInstance:
-    """x' = -rate * x, frozen argument unused. Analytic bounds included."""
+    """x' = -rate * x, frozen argument unused. Analytic bounds included.
+
+    -rate is a (1,) row, so f is one array-by-array product, bitwise the
+    float-by-array -rate * x (the idiom of ode_step's stage factors).
+    """
     if not rate > 0:
         raise ValueError("rate must be positive")
+    neg_rate = np.array([-rate])
     spec = OdeSpec(
         dimension=1,
-        f=lambda t, y, x: -rate * x,
+        f=lambda t, y, x: neg_rate * x,
         lipschitz_y=0.0,
         lipschitz_x=rate,
         f00=0.0,

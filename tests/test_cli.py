@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twonorm import cli
 from twonorm.cli import (
@@ -22,8 +24,9 @@ from twonorm.cli import (
     run_solve,
     run_sweep,
 )
-from twonorm.core import NormedPairElement, Termination
+from twonorm.core import NormedPairElement, SolverConfig, Termination, continuation_solve
 from twonorm.grids import GridFunction1D
+from twonorm.instances import make_decay_instance, make_element, make_linear_ode_instance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -253,18 +256,39 @@ def test_solve_exposes_the_attribute_paths_the_benchmark_reads(tmp_path, monkeyp
             return inst.weak_dist(*args)
         return dataclasses.replace(inst, step=step, weak_dist=weak_dist)
 
+    # the writers are reached through the module attributes, the path first,
+    # since the benchmark counts the bytes written at args[0]
+    written = []
+    for name in ("write_norms_csv", "write_trajectory"):
+        def writer(*args, _write=getattr(cli, name), _name=name, **kwargs):
+            written.append((_name, args[0]))
+            return _write(*args, **kwargs)
+        monkeypatch.setattr(cli, name, writer)
+
     monkeypatch.setattr(cli, "build_instance", traced)
     params = {"x0": 1.0} if instance == "ode.decay" else {"n": 32}
+    out = str(tmp_path / "o")
     config = parse_config({"instance": instance, "t_max": 0.25, "params": params,
-                           "output_dir": str(tmp_path / "o"),
+                           "output_dir": out, "emit": {"trajectory": True},
                            "solver": {"substeps_per_window": 8, "empirical_mode": True}})
     _, report, segments = run_solve(config)
     assert report.termination is Termination.HORIZON_REACHED
     assert seen["step"] == seen["weak_dist"] > 0
+    assert written == [("write_norms_csv", os.path.join(out, "norms.csv")),
+                       ("write_trajectory", out)]
     final = segments[-1].states[-1].state
     if instance == "ode.decay":
         assert isinstance(final, np.ndarray) and final.shape == (1,)
         assert float(final[0]) == pytest.approx(math.exp(-0.25), rel=1e-6)
+        # f is bitwise -rate * x, the sign of zero and an overflow included
+        for rate in (1.0, 1e-3, 1e4):
+            f = make_decay_instance(rate).spec.f
+            for state in (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300):
+                x = np.array([state])
+                with np.errstate(over="ignore"):
+                    got, want = f(0.0, x, x), -rate * x
+                assert got.shape == (1,) and got.dtype == np.float64
+                assert got.view(np.int64)[0] == want.view(np.int64)[0], (rate, state)
     else:
         assert isinstance(final, GridFunction1D) and final.n == 32
         assert final.nodes().shape == final.values.shape == (32,)
@@ -311,18 +335,34 @@ def test_solve_burgers_writes_final_state_grid(tmp_path):
 
 
 def test_final_state_csv_round_trip(tmp_path):
+    # every number in an artifact is the shortest repr that reads back as the
+    # stored float64: final_state.csv, and norms.csv and trajectory.csv of an ODE
     cfg = {"instance": "transport.burgers", "t_max": 0.2, "output_dir": str(tmp_path / "o"),
            "params": {"n": 32}, "solver": {"substeps_per_window": 16},
            "emit": {"trajectory": True}}
     _, _, segments = run_solve(parse_config(cfg))
     final = segments[-1].end.state
-    path = tmp_path / "o" / "final_state.csv"
-    assert path.read_bytes().count(b"\r\n") == 33  # CRLF line ends
-    with open(path, newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == ["x", "value"]
-    assert np.array_equal([float(x) for x, _ in rows], final.nodes())
-    assert np.array_equal([float(v) for _, v in rows], final.values)
+    final_csv = tmp_path / "o" / "final_state.csv"
+    assert final_csv.read_bytes().count(b"\r\n") == 33  # CRLF line ends
+    _, _, ode = run_solve(parse_config(_decay_config(tmp_path, t_max=3.0,
+                                                     params={"x0": 0.3, "rate": 1.7})))
+
+    def stacked(columns):
+        return [np.concatenate([col[1 if si else 0:] for si, col in enumerate(cols)])
+                for cols in zip(*map(columns, ode))]
+
+    for path, header, stored in (
+            (final_csv, ["x", "value"], [final.nodes(), final.values]),
+            (tmp_path / "out" / "norms.csv", ["t", "weak_norm", "strong_norm"],
+             stacked(lambda seg: (seg.times, seg.weak, seg.strong))),
+            (tmp_path / "out" / "trajectory.csv", ["t", "x0"],
+             stacked(lambda seg: (seg.times, seg.values[:, 0])))):
+        with open(path, newline="") as fh:
+            got_header, *rows = list(csv.reader(fh))
+        assert got_header == header
+        for column, fields in zip(stored, zip(*rows)):
+            assert np.array_equal([float(v) for v in fields], column), path.name
+            assert list(fields) == [repr(v) for v in column.tolist()], path.name
 
 
 def test_stray_tmp_file_is_neither_clobbered_nor_used(tmp_path):
@@ -505,17 +545,56 @@ def test_blowup_scan_rejects_other_instances(tmp_path):
 # -- determinism and entry point ---------------------------------------------------------
 
 def test_repeated_runs_byte_identical(tmp_path):
-    cfg = {
-        "instance": "ode.riccati",
-        "t_max": 2.0,
-        "output_dir": str(tmp_path / "a"),
-        "params": {"x0": 1.0},
-    }
-    run_solve(parse_config(cfg))
-    cfg["output_dir"] = str(tmp_path / "b")
-    run_solve(parse_config(cfg))
-    for name in ("report.json", "norms.csv", "windows.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # two solves in one process: nothing formatted by one run carries over to the next
+    riccati = {"instance": "ode.riccati", "t_max": 2.0, "params": {"x0": 1.0}}
+    decay = {"instance": "ode.decay", "t_max": 3.0, "params": {"x0": 0.7, "rate": 2.0},
+             "emit": {"trajectory": True}}
+    for name, cfg, files in (
+            ("riccati", riccati, ("report.json", "norms.csv", "windows.csv")),
+            ("decay", decay, ("report.json", "norms.csv", "windows.csv", "trajectory.csv"))):
+        for run in "ab":
+            run_solve(parse_config({**cfg, "output_dir": str(tmp_path / name / run)}))
+        for file in files:
+            a, b = (tmp_path / name / run / file for run in "ab")
+            assert a.read_bytes() == b.read_bytes(), (name, file)
+
+
+def _plain_csv(header, segments, columns) -> str:
+    """The CSV text of columns(seg) of every segment, each float formatted by its own repr."""
+    lines = [",".join(header)]
+    for si, seg in enumerate(segments):
+        rows = zip(*([repr(float(v)) for v in col] for col in columns(seg)))
+        lines.extend(",".join(row) for row in list(rows)[1 if si else 0:])
+    return "\n".join(lines) + "\n"
+
+
+def test_writers_give_the_text_of_plain_per_column_repr(tmp_path):
+    # a Riccati solve whose last window is cut at the blow-up threshold, so its
+    # weak and strong norms are two views, and a 2-component linear ODE written
+    # with one shared set of formatted arrays, as run_solve shares it
+    code, _, riccati = run_solve(parse_config({
+        "instance": "ode.riccati", "t_max": 2.0, "output_dir": str(tmp_path / "r"),
+        "params": {"x0": 1.0}, "solver": {"strong_norm_cap": 50.0},
+        "emit": {"trajectory": True}}))
+    last = riccati[-1]
+    assert code == EXIT_BLOWUP and last.weak is not last.strong
+    assert len(last.times) < 65  # cut inside the window
+    inst = make_linear_ode_instance(0.5, -1.0, forcing=0.25, dimension=2)
+    linear, _ = continuation_solve(inst, make_element(inst, np.array([1.0, -2.0])), 2.0,
+                                   SolverConfig(substeps_per_window=16))
+    assert len(linear) > 1
+    formatted = {}
+    (tmp_path / "l").mkdir()
+    cli.write_norms_csv(str(tmp_path / "l" / "norms.csv"), linear, formatted)
+    cli.write_trajectory(str(tmp_path / "l"), parse_config(_decay_config(tmp_path)), linear,
+                         formatted)
+    for out, segments, header in ((tmp_path / "r", riccati, ["t", "x0"]),
+                                  (tmp_path / "l", linear, ["t", "x0", "x1"])):
+        assert (out / "norms.csv").read_text() == _plain_csv(
+            ["t", "weak_norm", "strong_norm"], segments,
+            lambda seg: (seg.times, seg.weak, seg.strong))
+        assert (out / "trajectory.csv").read_text() == _plain_csv(
+            header, segments, lambda seg: (seg.times, *seg.values.T))
 
 
 def test_main_solve_and_errors(tmp_path, capsys):
@@ -712,6 +791,42 @@ def test_an_advect_length_over_two_substeps_of_the_shortest_window_still_runs(tm
             "params": {"n": 16, "length": length}}))
         assert (length, code, report.termination) == (
             length, EXIT_BUDGET, Termination.BUDGET_EXHAUSTED)
+
+
+@pytest.mark.parametrize("shrink,length", [(0.75, 3.14e-6), (0.3, 6.9e-6), (0.3, 1e-5)],
+                         ids=["shrink-0.75-3.14e-6", "shrink-0.3-6.9e-6", "shrink-0.3-1e-5"])
+def test_an_advect_run_tries_min_window_before_it_is_called_a_blowup(tmp_path, shrink, length):
+    # a round's retries shrink its proposal by window_shrink; they ended the
+    # run as a blow-up once the next would drop under min_window, without
+    # trying min_window, so these exited 2 at t_c 1.0e-4, 7.0e-4 and 3.3e-3
+    code, report, _ = run_solve(parse_config({
+        "instance": "transport.advect", "t_max": 1.0, "output_dir": str(tmp_path / "a"),
+        "params": {"n": 16, "length": length}, "solver": {"window_shrink": shrink}}))
+    assert (code, report.termination) == (EXIT_BUDGET, Termination.BUDGET_EXHAUSTED)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(16, 32), st.floats(0.05, 0.95), st.floats(1.0, 4.0))
+@example(n=16, shrink=0.1, factor=1.0)
+def test_no_advect_length_the_cli_admits_ends_as_a_blowup(n, shrink, factor):
+    # advection at unit speed never blows up; the length is factor times twice
+    # a substep of the shortest of t_max x shrink^k that is at least min_window
+    # (t_max = 1, 64 substeps), or the CLI refuses it. At factor 1 the substep
+    # is half the length: with shrink 0.1, rounding moved every foot past it
+    shortest = 1.0
+    while shortest * shrink >= 1e-4:
+        shortest *= shrink
+    config = parse_config({
+        "instance": "transport.advect", "t_max": 1.0, "output_dir": "unused",
+        "params": {"n": n, "length": factor * 2.0 * shortest / 64},
+        "solver": {"window_shrink": shrink, "max_windows": 8}})
+    try:
+        instance, x0 = cli._build_case(config)
+    except ConfigError as exc:
+        assert factor < 1.0 + 1e-8 and "field 'params.length'" in str(exc)
+        return
+    _, report = continuation_solve(instance, x0, config.t_max, config.solver)
+    assert report.termination is not Termination.BLOW_UP_DETECTED
 
 
 @pytest.mark.parametrize("x0,cap,amplitudes,message", [
