@@ -223,10 +223,8 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
     radius window planning samples) finite, and BLOWUP_FACTOR x r0 (the
     default blow-up threshold) too when no solver.strong_norm_cap is set.
     Advection must be able to move its feet less than half the domain in
-    one substep of its shortest attempt, or every attempt fails: the first
-    round tries t_max, then shrinks it by solver.window_shrink while the
-    attempt stays at least solver.min_window long. The min_window attempt
-    the retries end on is left out, so the check is stricter than it need be.
+    one substep of its shortest attempt, min(t_max, solver.min_window), the
+    attempt continuation_solve's retries end on, or every attempt fails.
     A substep within 1e-9 of half the length is refused too: the feet are
     traced in floats over grid times whose spacing carries rounding, and at
     exactly half the length (window_shrink 0.1, length 3.125000000000001e-06)
@@ -235,11 +233,7 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
     if config.instance == "transport.advect":
         solver, length = config.solver, config.params["length"]
         half = 0.5 * length * (1.0 - 1e-9)
-        shortest = config.t_max  # the same products as continuation_solve's retries
-        while (shortest / solver.substeps_per_window > half
-               and shortest * solver.window_shrink >= solver.min_window):
-            shortest *= solver.window_shrink
-        h = shortest / solver.substeps_per_window
+        h = min(config.t_max, solver.min_window) / solver.substeps_per_window
         if h > half:
             raise ConfigError(f"field 'params.length': unit-speed advection moves every foot "
                               f"{h:g} in one substep of the shortest attempt, more than half "

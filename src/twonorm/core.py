@@ -442,12 +442,14 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
     iteration stops at a fraction of it. The record's tol is the value
     the iteration stopped at. Every returned
     iterate is judged by reject_rows against plan.K (with _CAP_SLACK),
-    a cap the step operator also gets, to reject a doomed iterate early.
+    the one check its rows must pass; the step gets the cap only as a
+    hint to stop a doomed iterate early, as the transport step does.
 
-    Raises WindowFailure subclasses when the window has to shrink:
-    ContractionFailureError (ratio above 1 twice in a row), CapExceeded,
-    NonFiniteState (from reject_rows, here or in the step operator), or
-    IterBudgetExceeded.
+    Raises NoContractionWindow naming the window when its m + 1 grid
+    times are not distinct, and WindowFailure subclasses when the window
+    has to shrink: ContractionFailureError (ratio above 1 twice in a
+    row), CapExceeded, NonFiniteState (from reject_rows, here or in a
+    step that stops early), or IterBudgetExceeded.
     """
     if x0.strong_norm > plan.K / cfg.kappa * (1.0 + _CAP_SLACK):
         raise InvalidCap(
@@ -455,6 +457,9 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
             f"{plan.K / cfg.kappa}")
     m = cfg.substeps_per_window
     times = np.linspace(plan.t_start, plan.t_end, m + 1)
+    if not (times[1:] > times[:-1]).all():
+        raise NoContractionWindow(f"window [{plan.t_start}, {plan.t_end}] is too short for "
+                                  f"{m + 1} distinct grid times")
     analytic = instance.bounds is not None and not cfg.empirical_mode
     cap = plan.K * (1.0 + _CAP_SLACK)
 
@@ -603,8 +608,9 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     otherwise at cfg.window_shrink x the attempt, and never below
     cfg.min_window. An accepted attempt is glued on and the next round
     restarts from its exact end state. An analytic plan of length 0, or
-    an attempt too short for m + 1 distinct grid times, is a contraction
-    failure. Blow-up is declared once the strong norm passes the
+    an attempt too short for m + 1 distinct grid times (picard_window
+    raises NoContractionWindow), is a contraction failure. Blow-up is
+    declared once the strong norm passes the
     configured threshold (the window is cut at the first stored time over
     it) or an attempt at most cfg.min_window long fails: a failure of a
     longer attempt says nothing about blow-up, so the retries try
@@ -674,11 +680,10 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
             t_end = t_cur + window
         else:  # a window within float jitter of the remaining horizon ends on it
             window, t_end = remaining, t_max
-        times = np.linspace(t_cur, t_end, cfg.substeps_per_window + 1)
-        if not (times[1:] > times[:-1]).all():
-            return finish(Termination.CONTRACTION_FAILURE)
         try:
             seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)
+        except NoContractionWindow:  # too short for its grid
+            return finish(Termination.CONTRACTION_FAILURE)
         except WindowFailure as exc:
             if window <= cfg.min_window:  # collapse is blow-up evidence
                 return finish(Termination.BLOW_UP_DETECTED, t_cur)

@@ -70,10 +70,10 @@ class ProblemInstance:
     ignores the hint needs an explicit tol. At substep midpoints both steps
     read the frozen input as _means of two rows, except that the ODE step on
     4 or more substeps interpolates its rows (4-point cubic inside the window).
-    picard_window rejects a returned trajectory by core.reject_rows: its
+    picard_window rejects every returned trajectory by core.reject_rows: its
     earliest row whose weak norm is not finite (NonFiniteState) or whose
-    strong norm is not <= cap (CapExceeded). A step may call reject_rows
-    itself to stop early, as the bundled steps do. weak_dist(a, b) takes two stacked row
+    strong norm is not <= cap (CapExceeded). A step may use cap to stop
+    early by reject_rows, as the transport step does. weak_dist(a, b) takes two stacked row
     arrays of one shape and returns the weak distance, sup over every
     row; weak_norm and strong_norm take single states. bounds is None for
     instances without analytic growth/stability estimates; the engine
@@ -187,15 +187,15 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *,
     x = step(x) is fourth order in time like the coupled start (a window
     of fewer than 4 substeps reads _means of two rows, second order). A
     midpoint may exceed every row it reads, by at most a factor 139/64;
-    ode_bounds' A(t, r, M) stays a planning estimate, and core.reject_rows
-    on the output rows is what enforces the cap. With coupled, y_traj
+    ode_bounds' A(t, r, M) stays a planning estimate; picard_window's
+    core.reject_rows on the output rows enforces the cap. With coupled, y_traj
     only supplies the grid: each stage reads the frozen slot from its own
     stage state, so the step is classic RK4 of the full equation
     x' = f(t, x, x). For an f that ignores y both give the same bits.
     The states fill one (substeps+1, dimension) buffer whose row 0 is
     x0's; each row's max-abs norm serves as both its weak and strong norm.
-    The step finishes the window before it checks the rows, row 0
-    included, with core.reject_rows.
+    It finishes the window and leaves its rows to picard_window's check:
+    cap, kept for the shared step signature, changes no bit.
 
     The times are read once per call: f gets the Python floats t_k,
     t_k + 0.5 h and t_k + h with h = t_{k+1} - t_k, and the stage factors
@@ -232,7 +232,6 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *,
             x = np.add(x, sixth * (k1 + (k2 + k2) + (k3 + k3) + k4), row)
             y_k, t_k = y_e, t_e
         norms = np.abs(xs).max(axis=1)
-    reject_rows(times, norms, norms, cap)
     return TrajectorySegment(times, xs, norms, norms, x0)
 
 

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from twonorm.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
     EXIT_OK,
+    OUTPUT_ROOT_ENV,
     ConfigError,
     load_config,
     main,
@@ -607,6 +610,29 @@ def test_main_solve_and_errors(tmp_path, capsys):
     assert "instance" in err
 
 
+def test_the_module_run_as_a_process_exits_with_its_codes(tmp_path):
+    # python -m twonorm.cli in a child process: its real exit status and
+    # streams, with the bundled decay config's outputs under TWONORM_OUTPUT_ROOT
+    root = CONFIGS.parent
+    env = {**os.environ, OUTPUT_ROOT_ENV: str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "twonorm.cli", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    ok = run("solve", "configs/decay.json")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (EXIT_OK, "ode.decay: HorizonReached\n", "")
+    assert (tmp_path / "out" / "decay" / "report.json").is_file()
+    raw = json.loads((CONFIGS / "decay.json").read_text())
+    bad = _write(tmp_path, "bad.json", {**raw, "bogus": 1})
+    err = run("solve", bad)
+    assert (err.returncode, err.stdout, err.stderr) == (
+        EXIT_ERROR, "", f"error: {bad}: field 'bogus': unknown key, must be one of instance, "
+                        "t_max, output_dir, params, solver, emit\n")
+
+
 def test_a_solve_that_ends_in_contraction_failure_says_why_on_stderr(tmp_path, capsys):
     # the norm decays to about 7e-15, the cap sits on its floor, and no
     # contraction window of solver.min_window is left
@@ -754,22 +780,22 @@ def test_a_length_whose_initial_samples_are_not_finite_is_named(tmp_path, capsys
 
 
 @pytest.mark.parametrize("argv,t_max,length,solver,h", [
-    (["solve"], 1.0, 2e-6, {}, "1.90735e-06"),
-    (["sweep", "--levels", "1"], 1.0, 2e-6, {}, "1.90735e-06"),
+    (["solve"], 1.0, 2e-6, {}, "1.5625e-06"),
+    (["sweep", "--levels", "1"], 1.0, 2e-6, {}, "1.5625e-06"),
     (["solve"], 1e-5, 3e-7, {}, "1.5625e-07"),
-    (["solve"], 1.0, 3.13e-6, {}, "1.90735e-06"),
-    (["solve"], 1.0, 3.81e-6, {}, "1.90735e-06"),
-    (["solve"], 1.0, 6.8e-6, {"window_shrink": 0.3}, "3.41719e-06"),
+    (["solve"], 1.0, 3.13e-6, {"min_window": 2e-4}, "3.125e-06"),
+    (["solve"], 1.0, 3.81e-6, {"min_window": 2e-4}, "3.125e-06"),
+    (["solve"], 1.0, 6.8e-6, {"window_shrink": 0.3, "min_window": 2.2e-4}, "3.4375e-06"),
 ], ids=["solve", "sweep", "t_max-under-min_window", "3.13e-6", "3.81e-6", "shrink-0.3"])
 def test_an_advect_length_under_two_substeps_of_the_shortest_window_is_named(
         tmp_path, capsys, monkeypatch, argv, t_max, length, solver, h):
-    # the first round tries t_max, then t_max x s, t_max x s^2, ... (s the
-    # window_shrink) down to the last one at least min_window long, or t_max
-    # alone when it is under min_window; where unit speed moves every foot
-    # past half the domain in one substep of even the shortest of them, every
-    # attempt raised CharacteristicBlowup and the run exited 2 as a blow-up.
-    # At t_max = 1 that is 2**-13 (0.3**7 at s = 0.3) over 64 substeps, and
-    # lengths 3.13e-6 and 3.81e-6 passed a check against min_window / 64
+    # the retries end on the shortest attempt, min(t_max, min_window); where
+    # unit speed moves every foot past half the domain in one substep of it,
+    # every attempt raised CharacteristicBlowup and the run exited 2 as a
+    # blow-up. At t_max = 1 that substep is min_window / 64, 1e-4 / 64 by
+    # default; the lengths 3.13e-6, 3.81e-6 and 6.8e-6 that run at the default
+    # (see the test below) are refused once min_window is raised over them,
+    # whatever window_shrink is
     solves = []
     monkeypatch.setattr(cli, "continuation_solve", lambda *args: solves.append(args))
     path = _write(tmp_path, "a.json", {"instance": "transport.advect", "t_max": t_max,
@@ -783,12 +809,14 @@ def test_an_advect_length_under_two_substeps_of_the_shortest_window_is_named(
 
 
 def test_an_advect_length_over_two_substeps_of_the_shortest_window_still_runs(tmp_path):
-    # the shortest attempt moves the feet less than half the domain: the run
-    # gets going and ends on its window budget (3.82e-6 / 2 is just over 2**-13 / 64)
-    for length in (4e-6, 3.82e-6):
+    # the shortest attempt, min(t_max, min_window), moves the feet less than
+    # half the domain: the run gets going and ends on its window budget at any
+    # window_shrink (3.13e-6 / 2 is just over 1e-4 / 64)
+    for length, solver in [(4e-6, {}), (3.82e-6, {}), (3.81e-6, {}), (3.13e-6, {}),
+                           (6.8e-6, {"window_shrink": 0.3})]:
         code, report, _ = run_solve(parse_config({
             "instance": "transport.advect", "t_max": 1.0, "output_dir": str(tmp_path / "a"),
-            "params": {"n": 16, "length": length}}))
+            "params": {"n": 16, "length": length}, "solver": solver}))
         assert (length, code, report.termination) == (
             length, EXIT_BUDGET, Termination.BUDGET_EXHAUSTED)
 
@@ -810,12 +838,10 @@ def test_an_advect_run_tries_min_window_before_it_is_called_a_blowup(tmp_path, s
 @example(n=16, shrink=0.1, factor=1.0)
 def test_no_advect_length_the_cli_admits_ends_as_a_blowup(n, shrink, factor):
     # advection at unit speed never blows up; the length is factor times twice
-    # a substep of the shortest of t_max x shrink^k that is at least min_window
-    # (t_max = 1, 64 substeps), or the CLI refuses it. At factor 1 the substep
-    # is half the length: with shrink 0.1, rounding moved every foot past it
-    shortest = 1.0
-    while shortest * shrink >= 1e-4:
-        shortest *= shrink
+    # a substep of the shortest attempt, min(t_max, min_window) (t_max = 1,
+    # 64 substeps), or the CLI refuses it. At factor 1 the substep is half
+    # the length: with shrink 0.1, rounding moved every foot past it
+    shortest = min(1.0, 1e-4)
     config = parse_config({
         "instance": "transport.advect", "t_max": 1.0, "output_dir": "unused",
         "params": {"n": n, "length": factor * 2.0 * shortest / 64},

@@ -9,6 +9,7 @@ from twonorm.core import (
     NonFiniteState,
     NormedPairElement,
     TrajectorySegment,
+    reject_rows,
 )
 from twonorm.grids import GridFunction1D, from_callable, lip_norm, sup_norm
 from twonorm.instances import (
@@ -138,10 +139,13 @@ def test_coupled_burgers_step_is_second_order_in_time():
 
 
 def test_ode_step_raises_on_overflow():
+    # the step returns its overflowed rows, and the row check that
+    # picard_window applies to them raises
     spec = OdeSpec(dimension=1, f=lambda t, y, x: x * x * 1e3 + 1e3)
     y = _const_segment([0.0], 0.0, 10.0, 11)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-        ode_step(spec, y, _elem(np.array([1.0])), substeps=10)
+    seg = ode_step(spec, y, _elem(np.array([1.0])), substeps=10)
+    with pytest.raises(NonFiniteState):
+        reject_rows(seg.times, seg.weak, seg.strong, None)
 
 
 ON_GRID = np.linspace(0.0, 0.5, 9)  # the grid of 8 substeps over [0, 0.5]

@@ -11,6 +11,7 @@ from twonorm.core import (
     ContractionFailureError,
     InvalidCap,
     IterBudgetExceeded,
+    NoContractionWindow,
     NonFiniteState,
     NormedPairElement,
     SolverConfig,
@@ -18,6 +19,7 @@ from twonorm.core import (
     WindowPlan,
     estimate_theta_empirical,
     picard_window,
+    reject_rows,
 )
 from twonorm.grids import from_callable
 from twonorm.instances import (
@@ -90,6 +92,17 @@ def test_precondition_rejects_oversized_initial_norm():
     plan = WindowPlan(K=2.0, t_start=0.0, t_end=0.5)
     with pytest.raises(InvalidCap):
         picard_window(inst, _scalar_element(1.5), plan, SolverConfig())
+
+
+def test_a_window_too_short_for_its_grid_is_named():
+    # 64 substeps over one float step of 6e4 cannot give 65 distinct times,
+    # and picard_window, which builds the grid, names the window
+    t_end = math.nextafter(6e4, math.inf)
+    plan = WindowPlan(K=2.0, t_start=6e4, t_end=t_end)
+    with pytest.raises(NoContractionWindow) as err:
+        picard_window(make_decay_instance(), _scalar_element(1.0), plan,
+                      SolverConfig(substeps_per_window=64))
+    assert str(err.value) == f"window [60000.0, {t_end}] is too short for 65 distinct grid times"
 
 
 def _expander():
@@ -204,13 +217,15 @@ def test_default_tol_keeps_the_residual_bound_of_the_tol_each_window_used(kind, 
 
 
 def test_one_weak_distance_per_returned_step():
-    # Riccati in empirical mode: an iterate whose cap check fails raises
-    # inside the step, and every step that returns gets exactly one weak_dist
+    # Riccati in empirical mode: this step stops early, raising from its own
+    # reject_rows against the cap hint when an iterate fails it, and every
+    # step that returns gets exactly one weak_dist
     base = make_riccati_instance()
     counts = {"steps": 0, "weak_dist": 0}
 
     def step(*args, **kwargs):
         seg = base.step(*args, **kwargs)
+        reject_rows(seg.times, seg.weak, seg.strong, kwargs["cap"])
         counts["steps"] += 1
         return seg
 

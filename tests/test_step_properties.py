@@ -5,8 +5,9 @@ trace one substep's feet (from the frozen input, or from its own rows for
 the coupled start), interpolate, apply the source, check the row, then
 move on. The blocked step, in both modes, must reproduce it bitwise,
 values and both norms, including the exception and the substep at which
-it is raised. The ODE step must likewise reproduce _reference_ode_step,
-its loop with per-substep scalar times and float stage factors.
+it is raised. The ODE step, followed by the row check picard_window
+applies to it, must likewise reproduce _reference_ode_step, its loop with
+per-substep scalar times and float stage factors.
 """
 
 import contextlib
@@ -324,13 +325,21 @@ def _ode_rows_until_overflow(spec, y_rows, x0, times):
     return out
 
 
+def _judged_ode_step(spec, y_traj, x0, cap=None, **kwargs):
+    """ode_step, then the row check picard_window applies to every returned iterate."""
+    seg = ode_step(spec, y_traj, x0, cap=cap, **kwargs)
+    reject_rows(seg.times, seg.weak, seg.strong, cap)
+    return seg
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(ODE_SPECS)), st.integers(1, 80), st.floats(1e-3, 2.0),
        st.floats(0.0, 5.0), st.integers(0, 2**31 - 1), st.integers(0, 10**6),
        st.sampled_from([0.5, 0.99, 1.0, 1.01]))
 def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, window, t_start,
                                                               seed, j, factor):
-    # the step finishes the window, then raises for the earliest offending row
+    # the step finishes the window, then the row check that picard_window
+    # applies to its output raises for the earliest offending row
     spec = ODE_SPECS[name]
     rng = np.random.default_rng(seed)
     times = np.linspace(t_start, t_start + window, substeps + 1)
@@ -343,7 +352,7 @@ def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, wi
     # half the caps sit at the largest finite norm, so runs without a crossing are common
     cap = _cap_from(free_norms + [max(free_norms)] * len(free_norms), j, factor)
     capped, capped_err = _outcome(
-        lambda: ode_step(spec, y, x0, substeps=substeps, cap=cap))
+        lambda: _judged_ode_step(spec, y, x0, substeps=substeps, cap=cap))
     crossing = next((k for k, v in enumerate(free_norms) if v > cap), None)
     if crossing is not None:  # a finite state crosses the cap before any overflow
         assert capped_err[0] is CapExceeded
@@ -374,9 +383,32 @@ def test_ode_cap_failure_carries_the_crossing_row(name, substeps, window, t_star
     cap = _cap_from(free_norms, j, 0.99)
     crossing = next(k for k, v in enumerate(free_norms) if v > cap)
     with pytest.raises(CapExceeded) as err:
-        ode_step(spec, y, x0, substeps=substeps, cap=cap)
+        _judged_ode_step(spec, y, x0, substeps=substeps, cap=cap)
     exc = err.value
     assert (exc.t, exc.value, exc.limit) == (float(times[crossing]), free_norms[crossing], cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ODE_SPECS)), st.integers(1, 80), st.floats(1e-3, 2.0),
+       st.floats(0.0, 5.0), st.integers(0, 2**31 - 1), st.booleans())
+def test_an_ode_cap_below_row_0_changes_no_bit(name, substeps, window, t_start, seed, coupled):
+    # the ODE step leaves its rows to picard_window's check, so a cap under
+    # row 0 gives the rows of cap=None, which the check then rejects at row 0
+    spec = ODE_SPECS[name]
+    rng = np.random.default_rng(seed)
+    times = np.linspace(t_start, t_start + window, substeps + 1)
+    rows = rng.uniform(-2.0, 2.0, size=(substeps + 1, spec.dimension))
+    norms = np.max(np.abs(rows), axis=1)
+    x0 = NormedPairElement(rows[0], _sup(rows[0]), _sup(rows[0]))
+    y = TrajectorySegment(times, rows, norms, norms, x0)
+    cap = 0.5 * x0.strong_norm
+    capped = ode_step(spec, y, x0, substeps=substeps, cap=cap, coupled=coupled)
+    free = ode_step(spec, y, x0, substeps=substeps, coupled=coupled)
+    for field in ("times", "values", "weak", "strong"):
+        assert getattr(capped, field).tobytes() == getattr(free, field).tobytes()
+    with pytest.raises(CapExceeded) as err:
+        reject_rows(capped.times, capped.weak, capped.strong, cap)
+    assert (err.value.t, err.value.limit) == (float(times[0]), cap)
 
 
 def _reference_ode_step(spec, y_traj, x0, substeps, cap=None, coupled=False):
@@ -458,7 +490,7 @@ def test_ode_step_is_bitwise_the_per_substep_reference(kind, abc, w, dimension, 
     want_calls, got_calls = [], []
     want, want_err = _failure(lambda: _reference_ode_step(
         _recording(spec, want_calls), y, x0, substeps, cap=cap, coupled=coupled))
-    got, got_err = _failure(lambda: ode_step(
+    got, got_err = _failure(lambda: _judged_ode_step(
         _recording(spec, got_calls), y, x0, substeps=substeps, cap=cap, coupled=coupled))
     assert got_calls == want_calls
     assert repr(got_err) == repr(want_err)  # repr: a NaN value equals itself
