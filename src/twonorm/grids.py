@@ -157,9 +157,10 @@ def interp_stencil(x_wrapped: np.ndarray, length: float, n: int):
     jitter never leaks neighbour values into node queries. Positions must
     be wrapped exactly once, by wrap_periodic: it can return length for tiny
     negative x, and wrapping that again gives 0 and a different stencil.
-    idx is clamped to [0, n] when two reductions find an entry outside, so a
-    NaN or infinite position, whose frac is NaN, still gets a valid stencil
-    and a NaN result; wrapped finite positions skip the clamp.
+    idx is clamped to [0, n] when one reduction finds an entry outside (a
+    negative idx read as uint64 is at least 2**63), so a NaN or infinite
+    position, whose frac is NaN, still gets a valid stencil and a NaN
+    result; wrapped finite positions skip the clamp.
     """
     frac = x_wrapped * (n / length)
     floor = np.floor(frac)
@@ -167,7 +168,7 @@ def interp_stencil(x_wrapped: np.ndarray, length: float, n: int):
     frac -= floor
     snap_hi = frac > 1.0 - _NODE_SNAP
     idx += snap_hi
-    if idx.size and (idx.min() < 0 or idx.max() > n):
+    if idx.size and idx.view(np.uint64).max() > n:
         np.minimum(np.maximum(idx, 0, out=idx), n, out=idx)
     np.copyto(frac, 0.0, where=snap_hi | (frac < _NODE_SNAP))
     return idx, frac

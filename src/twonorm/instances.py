@@ -336,9 +336,11 @@ class TransportSpec:
             raise ValueError(f"interpolation {self.interpolation!r} not in {INTERP_SCHEMES}")
 
 
-# query points traced per batched pass: larger blocks raise memory use
-# without a clear gain in speed
-_BLOCK_POINTS = 4096
+# query points per batched pass of the sweep and per row block of _sup_dist:
+# at 8192 a block's float arrays are 64 KiB. In process on burgers-blowup
+# (best of 7 rounds, one CPU of a 2-vCPU Xeon host) 4096 / 8192 / 12288 /
+# 16384 took 0.565 / 0.523 / 0.537 / 0.524 s and 32768 0.600 s
+_BLOCK_POINTS = 8192
 
 
 def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPairElement, *,

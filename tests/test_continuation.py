@@ -20,12 +20,14 @@ from twonorm.grids import from_callable
 from twonorm.instances import (
     InstanceBounds,
     ProblemInstance,
+    TransportSpec,
     make_advect_instance,
     make_burgers_instance,
     make_decay_instance,
     make_element,
     make_linear_ode_instance,
     make_riccati_instance,
+    make_transport_instance,
 )
 from twonorm.oracles import sine_profile
 
@@ -291,6 +293,35 @@ def test_uniqueness_surrogate_transport_joint_refinement():
     d1 = float(np.max(np.abs(finals[0] - finals[1][::2])))
     d2 = float(np.max(np.abs(finals[1] - finals[2][::2])))
     assert d1 / d2 >= 3.5
+
+
+def _wave(x):
+    return np.sin(x) + 0.5 * np.cos(2.0 * x)
+
+
+@pytest.mark.parametrize("g,exact,bound", [
+    (lambda x, u: -u, lambda x, t: math.exp(-t) * _wave(x + t), 2e-4),
+    (lambda x, u: np.cos(x), lambda x, t: _wave(x + t) + np.sin(x + t) - np.sin(x), 1e-4),
+], ids=["minus-u", "cos-x"])
+def test_advect_with_a_source_term_is_second_order_in_the_substeps(g, exact, bound):
+    # du/dt = du/dx + g(x, u) from u0 = _wave: u = e^-t u0(x + t) for g = -u and
+    # u0(x + t) + sin(x + t) - sin x for g = cos x. At n = 512 the spatial error
+    # stays below the time error down to 32 substeps.
+    n, t_max = 512, 1.0
+    inst = make_transport_instance("transport.advect", TransportSpec(
+        n=n, length=TWO_PI, G=lambda x, v: np.ones_like(x), g=g))
+    nodes = np.arange(n) * (TWO_PI / n)
+    errors = []
+    for m in (4, 8, 16, 32):
+        x0 = make_element(inst, from_callable(_wave, n, TWO_PI))
+        segs, rep = continuation_solve(inst, x0, t_max,
+                                       SolverConfig(empirical_mode=True, substeps_per_window=m))
+        assert rep.termination is Termination.HORIZON_REACHED
+        end = segs[-1]
+        assert end.times[-1] == t_max
+        errors.append(float(np.max(np.abs(end.values[-1] - exact(nodes, t_max)))))
+    assert errors[-1] <= bound
+    assert math.log2(errors[0] / errors[-1]) / 3 >= 1.8
 
 
 def test_burgers_strong_norm_grows_through_final_windows():

@@ -337,6 +337,38 @@ def test_interp_stencil_is_bitwise_the_floor_and_clamp_formula(n, length, data, 
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def _two_reduction_stencil(x_wrapped, length, n):
+    """interp_stencil with its clamp check in two reductions, idx.min() and idx.max()."""
+    frac = x_wrapped * (n / length)
+    floor = np.floor(frac)
+    idx = floor.astype(np.int64)
+    frac -= floor
+    snap_hi = frac > 1.0 - 1e-12
+    idx += snap_hi
+    if idx.size and (idx.min() < 0 or idx.max() > n):
+        np.minimum(np.maximum(idx, 0, out=idx), n, out=idx)
+    np.copyto(frac, 0.0, where=snap_hi | (frac < 1e-12))
+    return idx, frac
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 70), st.sampled_from(LENGTHS), st.data(), st.booleans())
+def test_interp_stencil_one_reduction_clamp_is_bitwise_the_two_reduction_form(n, length, data,
+                                                                              stack):
+    # NaN and +-inf cast to an int64 far outside [0, n] (the most negative one
+    # on x86-64), and positions in cells -1 and n snap to idx -1 and n + 1
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, length]
+    drawn = data.draw(arrays(np.float64, st.integers(1, 64),
+                             elements=st.floats(0.0, length) | st.sampled_from(special)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (drawn, np.concatenate([drawn, _snap_edges([-1, n], n, length)])):
+            if stack:
+                x = np.stack([x, x[::-1]])
+            got = interp_stencil(x, length, n)
+            want = _two_reduction_stencil(x, length, n)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def _roll_and_divide(values, length):
     dx = length / values.shape[-1]
     sup = np.max(np.abs(values), axis=-1)

@@ -436,7 +436,7 @@ def test_transport_overflow_inside_a_block_names_the_first_non_finite_row():
     # finiteness is checked once per block; with n = 16 one block holds all
     # 256 substeps, and u' = 1e150 u^2 first overflows at row 90 of them
     substeps, window = 256, 3e-150
-    assert max(1, instances._BLOCK_POINTS // 16) == substeps
+    assert max(1, instances._BLOCK_POINTS // 16) >= substeps
     spec, v, x0 = _transport_case(16, substeps, window, 0.0, "cubic", "overflow", 0, 1.0)
     message = f"state overflowed at t={np.linspace(0.0, window, substeps + 1)[90]}"
     with pytest.raises(NonFiniteState) as want:

@@ -13,12 +13,14 @@ per-substep scalar times and float stage factors.
 import contextlib
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twonorm import instances
 from twonorm.core import (
     CapExceeded,
     NonFiniteState,
@@ -29,7 +31,6 @@ from twonorm.core import (
 )
 from twonorm.grids import GridFunction1D, interp_values
 from twonorm.instances import (
-    _BLOCK_POINTS,
     CharacteristicBlowup,
     OdeSpec,
     TransportSpec,
@@ -141,7 +142,7 @@ def _outcome(fn):
 
 def _transport_cases(kinds):
     return st.tuples(
-        st.integers(16, 300),                   # n: blocks of max(1, 4096 // n) rows
+        st.integers(16, 300),                   # n: blocks of max(1, _BLOCK_POINTS // n) rows
         st.integers(1, 80),                     # substeps
         st.floats(1e-3, 2.0),                   # window
         st.floats(0.0, 5.0),                    # t_start
@@ -186,9 +187,12 @@ def test_coupled_transport_step_matches_per_substep_sweep(case):
     _assert_step_matches_reference(case, coupled=True)
 
 
-@pytest.mark.parametrize("n,substeps", [(300, 80), (17, 1), (1024, 9), (4096, 3)])
+@pytest.mark.parametrize("n,substeps", [(300, 80), (600, 80), (17, 1), (1024, 9), (4096, 3),
+                                        (8192, 3)])
 def test_blocked_step_uneven_blocks(n, substeps):
-    # 4096 // 300 = 13 rows per block, 80 = 6 * 13 + 2; n = 4096 gives one row per block
+    # blocks of 8192 // n rows: 27 at n = 300 (80 = 2 * 27 + 26), 13 at n = 600
+    # (80 = 6 * 13 + 2), 8 at n = 1024 and 2 at n = 4096, each then ending in a
+    # one-row block; n = 8192 gives one row per block
     spec, v_traj, x0 = _transport_case(n, substeps, 0.3, 0.25, "cubic", "burgers+source", 3, 1.0)
     want = _reference_step(spec, v_traj, x0.state)
     got = transport_step(spec, v_traj, x0, substeps=substeps)
@@ -244,7 +248,7 @@ def test_transport_cap_crossing_inside_a_block_matches_the_row_by_row_reference(
     with contextlib.suppress(WindowFailure):  # the rows before a failure still count
         for *_, lip in _reference_sweep(spec, v_traj, x0.state, coupled):
             strong.append(lip)
-    block = max(1, _BLOCK_POINTS // n)
+    block = max(1, instances._BLOCK_POINTS // n)
     running = np.maximum.accumulate(strong)
     inside = [k for k in range(1, len(strong))
               if k % block and k < substeps and strong[k] > running[k - 1]]
@@ -292,6 +296,43 @@ def test_transport_cap_failure_carries_the_crossing_row_not_the_block_end():
     exc = err.value
     assert (exc.t, exc.value, exc.limit) == (
         float(free.times[crossing]), float(free.strong[crossing]), cap)
+
+
+# -- block size -------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(transport_cases, st.booleans(), st.data())
+def test_every_block_size_gives_the_per_substep_sweep_bitwise(case, coupled, data):
+    # _BLOCK_POINTS drawn for blocks of one row up to the whole window, and a cap
+    # (or none) first crossed at a drawn row, which is often inside a block
+    n, substeps = case[0], case[1]
+    spec, v_traj, x0 = _transport_case(*case)
+    points = data.draw(st.integers(0, substeps + 1).flatmap(
+        lambda rows: st.integers(rows * n, rows * n + n - 1)), label="_BLOCK_POINTS")
+    strong = [x0.strong_norm]
+    with contextlib.suppress(WindowFailure):  # the rows before a failure still count
+        for *_, lip in _reference_sweep(spec, v_traj, x0.state, coupled):
+            strong.append(lip)
+    running = np.maximum.accumulate(strong)
+    rises = [k for k in range(1, len(strong)) if strong[k] > running[k - 1]]
+    crossing = data.draw(st.sampled_from([None, *rises]), label="crossing row")
+    cap = None if crossing is None else float(running[crossing - 1])
+    a = v_traj.values.copy()
+    nan_at = data.draw(st.none() | st.tuples(st.integers(0, substeps), st.integers(0, n - 1)),
+                       label="NaN entry")
+    if nan_at is not None:
+        a[nan_at] = math.nan
+    want, want_err = _outcome(lambda: _reference_step(spec, v_traj, x0.state, coupled, cap))
+    with mock.patch.object(instances, "_BLOCK_POINTS", points):
+        got, got_err = _outcome(lambda: transport_step(spec, v_traj, x0, substeps=substeps,
+                                                       cap=cap, coupled=coupled))
+        assert repr(_sup_dist(a, v_traj.values[::-1])) == repr(
+            _sup_dist_of_blocks(a, v_traj.values[::-1]))
+    assert got_err == want_err
+    if want_err is None:
+        assert got.values[1:].tobytes() == np.array([u for _, u, _, _ in want]).tobytes()
+        assert got.weak[1:].tolist() == [sup for *_, sup, _ in want]
+        assert got.strong[1:].tolist() == [lip for *_, lip in want]
 
 
 ODE_SPECS = {
@@ -609,13 +650,13 @@ def test_midpoint_gains_are_attained():
 
 def _sup_dist_of_blocks(a, b):
     """_sup_dist as the max of its blocks' maxima, the builtin max's NaN handling included."""
-    block = max(1, _BLOCK_POINTS // a.shape[-1])
+    block = max(1, instances._BLOCK_POINTS // a.shape[-1])
     return max(float(np.max(np.abs(a[k:k + block] - b[k:k + block])))
                for k in range(0, len(a), block))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 12), st.sampled_from([1, 3, 1024, 2048, _BLOCK_POINTS]),
+@given(st.integers(1, 12), st.sampled_from([1, 3, 1024, 2048, instances._BLOCK_POINTS]),
        st.integers(0, 2**32 - 1), st.lists(st.integers(0, 11), max_size=3))
 def test_sup_dist_is_the_max_of_its_blocks(rows, n, seed, nan_rows):
     rng = np.random.default_rng(seed)
