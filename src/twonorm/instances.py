@@ -121,11 +121,15 @@ class OdeSpec:
             raise ValueError(f"{missing} is missing: declare both Lipschitz constants or neither")
 
 
-def _solve_grid(y_traj: TrajectorySegment, x0, substeps: int) -> np.ndarray:
-    """Check the step operators' shared entry contract; return the solve grid.
+def _solve_grid(y_traj: TrajectorySegment, x0,
+                substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check the step operators' shared entry contract; return the solve
+    grid and its substep lengths.
 
     The solve grid is the input's own times: substeps + 1 of them over a
-    finite positive span, each within 1e-9 * span of the uniform grid.
+    finite positive span, each within 1e-9 * span of the uniform grid. The
+    substep lengths are times[1:] - times[:-1], the only differences of
+    neighbouring times that the steps read.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -138,7 +142,7 @@ def _solve_grid(y_traj: TrajectorySegment, x0, substeps: int) -> np.ndarray:
             and (np.abs(times - np.linspace(t0, t1, substeps + 1)) <= 1e-9 * span).all()):
         raise ValueError(f"frozen input times must lie on a grid of {substeps} uniform "
                          f"substeps over a finite span, got {len(times)} over [{t0}, {t1}]")
-    return times
+    return times, times[1:] - times[:-1]
 
 
 def _means(values: np.ndarray) -> np.ndarray:
@@ -204,7 +208,7 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *,
     factor's. k2 + k2 is exactly 2 k2, so for an f that returns float64
     every substep keeps classic RK4's operation order and bits.
     """
-    times = _solve_grid(y_traj, x0, substeps)
+    times, steps = _solve_grid(y_traj, x0, substeps)
     if np.shape(x0.state) != (spec.dimension,):
         raise ValueError(f"x0 has shape {np.shape(x0.state)}, spec dimension is {spec.dimension}")
 
@@ -212,15 +216,13 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *,
     xs[0] = x0.state
     x = xs[0]
     f = spec.f
-    ts = times.tolist()
-    h = (times[1:] - times[:-1])[:, None]  # row k is bitwise ts[k + 1] - ts[k]
+    h = steps[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         y_ends = repeat(None) if coupled else iter(y_traj.values)
         y_mids = repeat(None) if coupled else _ode_midpoints(y_traj.values)
-        y_k, t_k = next(y_ends), ts[0]
-        for row, t_e, half, step, sixth, y_m, y_e in zip(xs[1:], ts[1:], 0.5 * h, h, h / 6.0,
-                                                         y_mids, y_ends):
-            h_k = t_e - t_k
+        y_k = next(y_ends)
+        for row, t_k, h_k, half, step, sixth, y_m, y_e in zip(
+                xs[1:], times.tolist(), steps.tolist(), 0.5 * h, h, h / 6.0, y_mids, y_ends):
             t_m = t_k + 0.5 * h_k
             k1 = f(t_k, x if coupled else y_k, x)
             x2 = x + half * k1
@@ -230,7 +232,7 @@ def ode_step(spec: OdeSpec, y_traj: TrajectorySegment, x0: NormedPairElement, *,
             x4 = x + step * k3
             k4 = f(t_k + h_k, x4 if coupled else y_e, x4)
             x = np.add(x, sixth * (k1 + (k2 + k2) + (k3 + k3) + k4), row)
-            y_k, t_k = y_e, t_e
+            y_k = y_e
         norms = np.abs(xs).max(axis=1)
     return TrajectorySegment(times, xs, norms, norms, x0)
 
@@ -336,7 +338,7 @@ class TransportSpec:
             raise ValueError(f"interpolation {self.interpolation!r} not in {INTERP_SCHEMES}")
 
 
-# query points per batched pass of the sweep and per row block of _sup_dist:
+# query points per batched pass of transport_step and per row block of _sup_dist:
 # at 8192 a block's float arrays are 64 KiB. In process on burgers-blowup
 # (best of 7 rounds, one CPU of a 2-vCPU Xeon host) 4096 / 8192 / 12288 /
 # 16384 took 0.565 / 0.523 / 0.537 / 0.524 s and 32768 0.600 s
@@ -362,74 +364,59 @@ def transport_step(spec: TransportSpec, v_traj: TrajectorySegment, u0: NormedPai
     (substeps+1, n) buffer whose row 0 is u0's, with the sup and
     Lipschitz norms of each row; a row reads as a state through
     GridFunction1D(spec.n, spec.length, row). Each block's rows are checked
-    by core.reject_rows once it is filled, before the block may raise
-    CharacteristicBlowup. With coupled, v_traj only supplies the grid: the
-    step solves du/dt = G(x, u) du/dx + g(x, u) in the same blocks, tracing
-    substep k inside its block from the rows already solved, with v = u_k
-    at its start and 2 u_k - u_{k-1} (u_0 at the first substep) at its end,
-    so 1.5 u_k - 0.5 u_{k-1} at its midpoint, which makes the solve second
+    by core.reject_rows once it is filled, from the block's first row on
+    (so row 0 with the first block), before the block may raise
+    CharacteristicBlowup: the failure raised is always the earliest. With
+    coupled, v_traj only supplies the grid: the step solves
+    du/dt = G(x, u) du/dx + g(x, u) in the same blocks, tracing substep k
+    inside its block from the rows already solved, with v = u_k at its
+    start and 2 u_k - u_{k-1} (u_0 at the first substep) at its end, so
+    1.5 u_k - 0.5 u_{k-1} at its midpoint, which makes the solve second
     order in time. For a G that ignores v both give the same bits.
     """
-    times = _solve_grid(v_traj, u0, substeps)
+    times, steps = _solve_grid(v_traj, u0, substeps)
     grid0 = u0.state
     if not (isinstance(grid0, GridFunction1D) and grid0.n == spec.n
             and grid0.length == spec.length):
         raise ValueError("initial grid does not match the transport spec")
 
+    n, length, scheme = spec.n, spec.length, spec.interpolation
+    block = max(1, _BLOCK_POINTS // n)
+    nodes = grid0.nodes()
+    rows = np.empty((substeps + 1, n))
+    sup = np.empty(substeps + 1)
+    lip = np.empty(substeps + 1)
+    rows[0], sup[0], lip[0] = grid0.values, u0.weak_norm, u0.strong_norm
+    traces, source = (_coupled_traces, rows) if coupled else (_frozen_traces, v_traj.values)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, sup, lip = _transport_sweep(spec, times, v_traj.values, u0, cap, coupled)
+        for k0 in range(0, substeps, block):
+            k1 = min(k0 + block, substeps)
+            k = k0
+            # the only sequential part: each substep interpolates the one before
+            for h, x_half, foot, stencil in traces(spec, nodes, steps, source, k0, k1):
+                u_foot = interp_values(rows[k], length, foot, scheme, stencil=stencil)
+                if spec.g is None:
+                    rows[k + 1] = u_foot
+                else:
+                    u_star = u_foot + 0.5 * h * spec.g(foot, u_foot)
+                    rows[k + 1] = u_foot + h * spec.g(x_half, u_star)
+                k += 1
+            filled = slice(k0 + 1, k + 1)
+            sup[filled], lip[filled] = sup_lip_norms(rows[filled], length)
+            reject_rows(times[k0:k + 1], sup[k0:k + 1], lip[k0:k + 1], cap)
+            if k < k1:
+                raise CharacteristicBlowup(
+                    "characteristic foot moved more than half the domain in one substep")
     # the segment makes rows read-only, so each GridFunction1D keeps its row uncopied
     return TrajectorySegment(times, rows, sup, lip, u0,
                              wrap=partial(GridFunction1D, spec.n, spec.length))
 
 
-def _transport_sweep(spec, times, v_values, u0, cap, coupled):
-    """All substeps of one step; returns the rows, u0's first, and their two norms.
-
-    One loop over blocks of max(1, _BLOCK_POINTS // n) substeps serves both
-    modes: _frozen_traces traces a block's feet at once from v_values,
-    _coupled_traces one substep at a time from the rows already solved.
-    Either yields each substep up to the first whose foot moved more than
-    half the domain, and each yielded substep updates u the same way. A
-    block's filled rows get one sup_lip_norms and one reject_rows, and only
-    then does a short block raise CharacteristicBlowup, so the failure is
-    always the earliest.
-    """
-    n, length, scheme = spec.n, spec.length, spec.interpolation
-    substeps = len(times) - 1
-    block = max(1, _BLOCK_POINTS // n)
-    nodes = u0.state.nodes()
-    rows = np.empty((substeps + 1, n))
-    sup = np.empty(substeps + 1)
-    lip = np.empty(substeps + 1)
-    rows[0], sup[0], lip[0] = u0.state.values, u0.weak_norm, u0.strong_norm
-    reject_rows(times[:1], sup[:1], lip[:1], cap)
-    traces, source = (_coupled_traces, rows) if coupled else (_frozen_traces, v_values)
-    for k0 in range(0, substeps, block):
-        k1 = min(k0 + block, substeps)
-        k = k0
-        # the only sequential part: each substep interpolates the one before
-        for h, x_half, foot, stencil in traces(spec, nodes, times, source, k0, k1):
-            u_foot = interp_values(rows[k], length, foot, scheme, stencil=stencil)
-            if spec.g is None:
-                rows[k + 1] = u_foot
-            else:
-                u_star = u_foot + 0.5 * h * spec.g(foot, u_foot)
-                rows[k + 1] = u_foot + h * spec.g(x_half, u_star)
-            k += 1
-        filled = slice(k0 + 1, k + 1)
-        sup[filled], lip[filled] = sup_lip_norms(rows[filled], length)
-        reject_rows(times[filled], sup[filled], lip[filled], cap)
-        if k < k1:
-            raise CharacteristicBlowup(
-                "characteristic foot moved more than half the domain in one substep")
-    return rows, sup, lip
-
-
-def _frozen_traces(spec, nodes, times, v_values, k0, k1):
-    """(h, x_half, foot, foot stencil) of substeps k0..k1-1, traced at once
-    from the frozen rows v_values[k0..k1], up to the first blown foot."""
-    h = (times[k0 + 1:k1 + 1] - times[k0:k1])[:, None]
+def _frozen_traces(spec, nodes, steps, v_values, k0, k1):
+    """(h, x_half, foot, foot stencil) of substeps k0..k1-1, of lengths
+    steps[k0..k1-1], traced at once from the frozen rows v_values[k0..k1],
+    up to the first blown foot."""
+    h = steps[k0:k1, None]
     v_rows = v_values[k0:k1 + 1]
     x_half, foot = _trace(spec, np.broadcast_to(nodes, (k1 - k0, spec.n)), h,
                           _means(v_rows), v_rows[1:])
@@ -438,16 +425,17 @@ def _frozen_traces(spec, nodes, times, v_values, k0, k1):
     return zip(h[:, 0], x_half, foot, zip(*interp_stencil(foot, spec.length, spec.n)))
 
 
-def _coupled_traces(spec, nodes, times, rows, k0, k1):
-    """(h, x_half, foot, foot stencil) of substeps k0..k1-1, each traced from
-    rows[k] and rows[k - 1] when its turn comes, up to the first blown foot.
+def _coupled_traces(spec, nodes, steps, rows, k0, k1):
+    """(h, x_half, foot, foot stencil) of substeps k0..k1-1, of lengths
+    steps[k0..k1-1], each traced from rows[k] and rows[k - 1] when its turn
+    comes, up to the first blown foot.
 
-    A generator: the sweep fills rows[k] before it asks for substep k.
+    A generator: transport_step fills rows[k] before it asks for substep k.
     """
     for k in range(k0, k1):
         u = rows[k]
         w = 2.0 * u - rows[k - 1] if k else u
-        h = float(times[k + 1] - times[k])
+        h = float(steps[k])
         x_half, foot = _trace(spec, nodes, h, 0.5 * u + 0.5 * w, w)
         if np.max(np.abs(foot - nodes)) > 0.5 * spec.length:
             return
