@@ -84,6 +84,10 @@ def _one_of(names) -> tuple:
     return lambda v: isinstance(v, str) and v in names, "one of " + ", ".join(names)
 
 
+def _transport(make):
+    return lambda p: make(int(p["n"]), length=float(p["length"]), interpolation=p["interpolation"])
+
+
 _NUMBER = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite positive number")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
@@ -104,14 +108,19 @@ _TRANSPORT_PARAMS = {
     "profile": ("sine", *_one_of(oracles.PROFILES)),
     "amplitude": (1.0, *_NUMBER),
 }
-_PARAMS = {  # keyed by instance name: these are the instances a config can name
-    "ode.decay": {"x0": (1.0, *_NUMBER), "rate": (1.0, *_POSITIVE)},
-    "ode.riccati": {"x0": (1.0, *_NUMBER)},
-    "transport.advect": _TRANSPORT_PARAMS,
-    "transport.burgers": _TRANSPORT_PARAMS,
+# each instance a config can name: (params table, maker of the checked params, and
+# the oracle T* of the checked params for the instances a blow-up scan accepts, else None)
+_INSTANCES = {
+    "ode.decay": ({"x0": (1.0, *_NUMBER), "rate": (1.0, *_POSITIVE)},
+                  lambda p: make_decay_instance(rate=float(p["rate"])), None),
+    "ode.riccati": ({"x0": (1.0, *_NUMBER)}, lambda p: make_riccati_instance(),
+                    lambda p: 1.0 / p["x0"] if p["x0"] > 0 else math.inf),
+    "transport.advect": (_TRANSPORT_PARAMS, _transport(make_advect_instance), None),
+    "transport.burgers": (_TRANSPORT_PARAMS, _transport(make_burgers_instance),
+                          lambda p: oracles.blowup_time(_profile(p))),
 }
 _CONFIG = {
-    "instance": (None, *_one_of(_PARAMS)),
+    "instance": (None, *_one_of(_INSTANCES)),
     "t_max": (None, *_POSITIVE),
     "output_dir": (None, lambda v: isinstance(v, str) and v != "", "a non-empty string"),
     "params": ({}, *_OBJECT),
@@ -146,7 +155,7 @@ def _check_iterate_size(config: RunConfig, name: str) -> None:
 
     The state size is 1 for the CLI's ODEs and n for transport.
     """
-    size = 1 if config.instance.startswith("ode.") else config.params["n"]
+    size = config.params.get("n", 1)
     substeps = config.solver.substeps_per_window
     if (substeps + 1) * size > _MAX_ITERATE_FLOATS:
         raise ConfigError(f"{name}: (substeps_per_window + 1) x state size must be at most "
@@ -172,7 +181,7 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
     top = _check_section(source, "", raw, _CONFIG)
-    params = _check_section(source, "params", top["params"], _PARAMS[top["instance"]])
+    params = _check_section(source, "params", top["params"], _INSTANCES[top["instance"]][0])
     solver = _check_section(source, "solver", top["solver"], _SOLVER)
     try:
         solver = SolverConfig(**solver)
@@ -189,34 +198,30 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
 # -- problem assembly ---------------------------------------------------------
 
 def build_instance(config: RunConfig) -> ProblemInstance:
-    p = config.params
-    if config.instance == "ode.decay":
-        return make_decay_instance(rate=float(p["rate"]))
-    if config.instance == "ode.riccati":
-        return make_riccati_instance()
-    make = make_advect_instance if config.instance == "transport.advect" else make_burgers_instance
-    return make(int(p["n"]), length=float(p["length"]), interpolation=p["interpolation"])
+    return _INSTANCES[config.instance][1](config.params)
 
 
-def _transport_profile(config: RunConfig, amplitude: float | None = None) -> oracles.SmoothProfile:
-    p = config.params
-    amp = p["amplitude"] if amplitude is None else amplitude
-    return oracles.PROFILES[p["profile"]](float(p["length"])).scaled(float(amp))
+def _profile(p: dict) -> oracles.SmoothProfile:
+    return oracles.PROFILES[p["profile"]](float(p["length"])).scaled(float(p["amplitude"]))
+
+
+def _data_key(config: RunConfig) -> str:  # the param a blow-up scan's amplitude replaces
+    return "x0" if config.instance.startswith("ode.") else "amplitude"
 
 
 def build_initial_state(config: RunConfig, instance: ProblemInstance,
                         amplitude_override: float | None = None) -> NormedPairElement:
+    if amplitude_override is not None:  # a scan case, as the benchmark's set-up probe builds it
+        config = replace(config, params={**config.params, _data_key(config): amplitude_override})
     p = config.params
     if config.instance.startswith("ode."):
-        x0 = amplitude_override if amplitude_override is not None else p["x0"]
-        state = np.array([float(x0)])
+        state = np.array([float(p["x0"])])
     else:
-        profile = _transport_profile(config, amplitude_override)
-        state = grids.from_callable(profile.value, instance.spec.n, instance.spec.length)
+        state = grids.from_callable(_profile(p).value, instance.spec.n, instance.spec.length)
     return make_element(instance, state)
 
 
-def _build_case(config: RunConfig, amplitude_override: float | None = None):
+def _build_case(config: RunConfig, name: str | None = None):
     """Build the configured instance and an initial state with headroom.
 
     The initial strong norm r0 must leave 2 x kappa x r0 (the largest
@@ -243,18 +248,15 @@ def _build_case(config: RunConfig, amplitude_override: float | None = None):
     # infinite wavenumber, whose samples the grid rejects with a ValueError
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            x0 = build_initial_state(config, instance, amplitude_override=amplitude_override)
+            x0 = build_initial_state(config, instance)
         except ValueError as exc:
             length = config.params["length"]
             raise ConfigError(f"field 'params.length': the initial state is not finite at "
                               f"length {length:g}; use a larger length") from exc
     r0 = x0.strong_norm
     if not math.isfinite(r0 if config.solver.strong_norm_cap is not None else BLOWUP_FACTOR * r0):
-        if amplitude_override is not None:
-            name, key, amp = "--amplitudes", "amplitude", amplitude_override
-        else:
-            key = "x0" if config.instance.startswith("ode.") else "amplitude"
-            name, amp = f"field 'params.{key}'", config.params[key]
+        key = _data_key(config)
+        name, amp = name or f"field 'params.{key}'", config.params[key]
         raise ConfigError(f"{name}: the initial strong norm overflows at {key} {amp:g} (the "
                           f"default blow-up threshold is {BLOWUP_FACTOR:g} times it); "
                           f"use a smaller {key}")
@@ -383,7 +385,7 @@ def _oracle_final_error(config: RunConfig, instance, segments) -> float:
         _, ref = oracles.dense_reference(instance.spec, np.atleast_1d(config.params["x0"]),
                                          t_final, h_fine=1e-4 * t_final)
         return float(np.max(np.abs(final - ref[-1])))
-    profile = _transport_profile(config)
+    profile = _profile(config.params)
     xs = final.nodes()
     if config.instance == "transport.advect":
         exact = profile.value(np.mod(xs + t_final, final.length))
@@ -446,46 +448,43 @@ def run_sweep(config: RunConfig, levels: int):
     return EXIT_OK, errors
 
 
-# each instance a blow-up scan accepts, with its oracle critical time at an amplitude
-_ORACLE_T_STAR = {
-    "transport.burgers": lambda config, amp: oracles.blowup_time(_transport_profile(config, amp)),
-    "ode.riccati": lambda config, amp: 1.0 / amp if amp > 0 else math.inf,
-}
-
-
 def run_blowup_scan(config: RunConfig, amplitudes):
     """Solve once per amplitude and record the critical-time estimates.
 
+    Each case is the config with the amplitude in place of its data param.
     A configured strong_norm_cap is interpreted relative to the config's
-    base amplitude and rescaled per case, so the threshold tracks the
-    data size (the auto cap already does).
+    base amplitude and rescaled per case by their ratio of magnitudes, so
+    the threshold tracks the data size (the auto cap already does).
     """
-    if config.instance not in _ORACLE_T_STAR:
-        raise ConfigError(f"blow-up scans need instance {' or '.join(_ORACLE_T_STAR)}")
+    scanned = [name for name, (_, _, t_star) in _INSTANCES.items() if t_star is not None]
+    if config.instance not in scanned:
+        raise ConfigError(f"blow-up scans need instance {' or '.join(scanned)}")
     if not amplitudes:
         raise ConfigError("--amplitudes: must list at least one number")
-    base_amp = float(config.params.get("amplitude", config.params.get("x0", 1.0)))
+    key = _data_key(config)
+    base_amp = float(config.params[key])
     cases = []
     for amp in amplitudes:  # every case is built, and so checked, before the first solve
         solver = config.solver
         cap = solver.strong_norm_cap
-        if cap is not None and amp > 0 and base_amp > 0:
-            cap *= amp / base_amp
+        if cap is not None and amp != 0 and base_amp != 0:
+            cap *= abs(amp / base_amp)
             if not 0 < cap < math.inf:
                 raise ConfigError(f"--amplitudes: at amplitude {amp:g} the rescaled "
                                   f"solver.strong_norm_cap is {cap:g}, not finite and positive")
             solver = replace(solver, strong_norm_cap=cap)
-        cases.append((amp, solver, *_build_case(config, amplitude_override=amp)))
+        case = replace(config, params={**config.params, key: amp}, solver=solver)
+        cases.append((amp, case, *_build_case(case, name="--amplitudes")))
     out_dir = resolve_output_dir(config)
     rows = []
     results = []
-    for amp, solver, instance, x0 in cases:
-        _, report = continuation_solve(instance, x0, config.t_max, solver)
+    for amp, case, instance, x0 in cases:
+        _, report = continuation_solve(instance, x0, case.t_max, case.solver)
         if report.termination is Termination.BLOW_UP_DETECTED:
             t_c = report.t_c_estimate
         else:
             t_c = math.inf
-        oracle = _ORACLE_T_STAR[config.instance](config, amp)
+        oracle = _INSTANCES[config.instance][2](case.params)
         rows.append([repr(float(amp)), repr(t_c), repr(oracle)])
         results.append((amp, t_c, oracle, report.termination))
     _write_atomic(os.path.join(out_dir, "blowup.csv"),

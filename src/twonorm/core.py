@@ -469,7 +469,6 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
     d_prev = None
     tol = _TOL_FLOOR if cfg.tol is None else cfg.tol
     ratios: list[float] = []
-    consecutive_bad = 0
     for iteration in range(1, cfg.max_picard_iters + 1):
         cur = instance.step(prev, x0, substeps=m, cap=cap, coupled=iteration == 1)
         if cur.start is not x0:
@@ -481,13 +480,9 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
         if d_prev is not None and d_prev > 0.0:
             ratio = d / d_prev
             ratios.append(ratio)
-            if ratio > 1.0:
-                consecutive_bad += 1
-                if consecutive_bad >= 2:
-                    raise ContractionFailureError(
-                        f"ratios exceeded 1 twice in a row (last {ratio:.3g})")
-            else:
-                consecutive_bad = 0
+            if ratio > 1.0 and len(ratios) > 1 and ratios[-2] > 1.0:
+                raise ContractionFailureError(
+                    f"ratios exceeded 1 twice in a row (last {ratio:.3g})")
         prev, d_prev = cur, d
         if d == 0.0:
             break

@@ -230,6 +230,31 @@ def test_solve_decay_artifacts_and_exit_code(tmp_path):
     assert traj[0] == "t,x0"
 
 
+@pytest.mark.parametrize("instance", list(cli._INSTANCES))
+def test_every_instance_builds_and_an_amplitude_override_is_its_data_param(tmp_path, instance):
+    # the benchmark's set-up probe builds a scan's first case through
+    # build_initial_state's amplitude_override; it must give, bitwise, the state
+    # of the config whose x0 (ODEs) or amplitude (transport) is that amplitude
+    params = {} if instance.startswith("ode.") else {"n": 64}
+    key = "x0" if instance.startswith("ode.") else "amplitude"
+
+    def config(**extra):
+        return parse_config({"instance": instance, "t_max": 1.0,
+                             "output_dir": str(tmp_path / "o"), "params": {**params, **extra}})
+
+    base = config()
+    inst = cli.build_instance(base)
+    assert inst.name == instance
+    for amp in (0.5, -2.0, 0.0, 3):
+        got = cli.build_initial_state(base, inst, amplitude_override=amp)
+        case = config(**{key: amp})
+        want = cli.build_initial_state(case, cli.build_instance(case))
+        got_values, want_values = (np.asarray(getattr(e.state, "values", e.state))
+                                   for e in (got, want))
+        assert got_values.tobytes() == want_values.tobytes()
+        assert (got.weak_norm, got.strong_norm) == (want.weak_norm, want.strong_norm)
+
+
 def test_solve_report_round_trips_through_file(tmp_path):
     config = parse_config(_decay_config(tmp_path))
     _, report, _ = run_solve(config)
@@ -541,8 +566,24 @@ def test_blowup_scan_zero_amplitude_records_inf(tmp_path):
 
 
 def test_blowup_scan_rejects_other_instances(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="need instance ode.riccati or transport.burgers$"):
         run_blowup_scan(parse_config(_decay_config(tmp_path)), [1.0])
+
+
+def test_a_negative_amplitude_blows_up_when_its_magnitude_does(tmp_path):
+    # u -> -u, x -> -x maps Burgers from -a sin x onto Burgers from a sin x, so
+    # both blow up at 1/a; the configured cap was rescaled only for a positive
+    # amplitude, and -2 ended at t_c 0.180 where 2 ended at 0.395
+    n = 64
+    raw = json.loads((CONFIGS / "burgers_scan.json").read_text())
+    raw.update(output_dir=str(tmp_path / "o"), params={**raw["params"], "n": n},
+               solver={"strong_norm_cap": 0.5 * n / (2 * math.pi)})
+    _, results = run_blowup_scan(parse_config(raw), [0.5, -0.5, 2.0, -2.0])
+    by_amp = {amp: (t_c, oracle) for amp, t_c, oracle, _ in results}
+    for a in (0.5, 2.0):
+        (t_c, oracle), (t_c_neg, oracle_neg) = by_amp[a], by_amp[-a]
+        assert math.isfinite(t_c) and oracle_neg == oracle == pytest.approx(1.0 / a)
+        assert t_c_neg == pytest.approx(t_c, rel=1e-9, abs=0.0)
 
 
 # -- determinism and entry point ---------------------------------------------------------
