@@ -567,27 +567,27 @@ def _cap_crossing_time(times, strong, kappa: float) -> float | None:
     return -tail * math.expm1(-beta * math.log(kappa))
 
 
-def _plan_window(bounds, cfg: SolverConfig, r0: float, k_cap: float,
-                 remaining: float) -> float | None:
+def _plan_window(bounds, cfg: SolverConfig, r0: float, k_cap: float, remaining: float) -> float:
     """A round's first analytic attempt from the instance's bounds.
 
-    None when the a-priori window is 0 or there is no contraction window.
+    Raises NoContractionWindow when the a-priori window is 0 (here) or
+    there is no contraction window (select_contraction_window).
     """
     apriori, stability = bounds
     t1 = select_window(apriori, r0, k_cap, remaining)
     if not t1 > 0:
-        return None
-    try:
-        return select_contraction_window(stability, k_cap, t1, cfg.theta_target,
-                                         cfg.swap_roles, min_t=cfg.min_window)
-    except NoContractionWindow:
-        return None
+        raise NoContractionWindow(f"the a-priori bound leaves no window from strong norm {r0} "
+                                  f"under cap {k_cap}")
+    return select_contraction_window(stability, k_cap, t1, cfg.theta_target, cfg.swap_roles,
+                                     min_t=cfg.min_window)
 
 
 def continuation_solve(instance, x0: NormedPairElement, t_max: float,
                        cfg: SolverConfig) -> tuple[list[TrajectorySegment], SolveReport]:
     """Advance to t_max by planning, solving and gluing windows.
 
+    The outer loop makes one pass per round, which ends in one accepted
+    window, and the inner loop one pass per attempt of that round.
     Each round caps the strong norm at kappa times its current value and
     plans a first attempt from the instance's analytic bounds or, when
     there are none or cfg.empirical_mode is set, as min(remaining,
@@ -597,18 +597,20 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     norm to reach kappa times its end value, just short of the next cap
     crossing, but never below cfg.min_window; where the fit gives none, it
     is 2 x the window, or 1 x after a round that needed a retry. In both
-    modes a failed attempt is retried shorter: when its failure names a
-    time t past the window's start t0, at max(cfg.window_shrink x the
-    attempt, _RETRY_MARGIN x (t - t0)), just short of the crossing;
-    otherwise at cfg.window_shrink x the attempt, and never below
+    modes a failed attempt a is retried at max(cfg.window_shrink x a,
+    _RETRY_MARGIN x (t - t0), cfg.min_window), where t - t0 is how far
+    past the window's start t0 its failure names a time t (0 where it
+    names none): just short of the crossing, and never below
     cfg.min_window. An accepted attempt is glued on and the next round
-    restarts from its exact end state. An analytic plan of length 0, or
-    an attempt too short for m + 1 distinct grid times (picard_window
-    raises NoContractionWindow), is a contraction failure. Blow-up is
-    declared once the strong norm passes the
+    restarts from its exact end state. NoContractionWindow from a round's
+    planning or attempts is a contraction failure, the one exit with that
+    verdict: an analytic plan of length 0 or with no contraction window,
+    or an attempt too short for m + 1 distinct grid times (picard_window)
+    or to end after its start. Blow-up is declared once the strong norm passes the
     configured threshold (the window is cut at the first stored time over
-    it) or an attempt at most cfg.min_window long fails: a failure of a
-    longer attempt says nothing about blow-up, so the retries try
+    it) or an attempt planned at most cfg.min_window long fails (planned:
+    one within float jitter of the remaining horizon ends on it, a little
+    longer): a failure of a longer attempt says nothing about blow-up, so the retries try
     cfg.min_window once before they give up. The fit only proposes: a D
     below cfg.min_window ends the run only once the min_window attempt it
     yields fails. t_c is the end of the last
@@ -652,43 +654,37 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     x_cur = x0
     t_cur = 0.0
     proposal = math.inf  # the next empirical round's first attempt, before the horizon cut
-    retried = False  # whether this round has failed an attempt
-    window = None  # None: the next attempt opens a round
     while True:
+        if t_cur >= t_max - horizon_slack:
+            return finish(Termination.HORIZON_REACHED)
+        if x_cur.strong_norm > blowup_cap:
+            return finish(Termination.BLOW_UP_DETECTED, t_cur)
+        if len(records) >= cfg.max_windows:
+            return finish(Termination.BUDGET_EXHAUSTED)
         remaining = t_max - t_cur
-        if window is None:
-            if t_cur >= t_max - horizon_slack:
-                return finish(Termination.HORIZON_REACHED)
-            if x_cur.strong_norm > blowup_cap:
-                return finish(Termination.BLOW_UP_DETECTED, t_cur)
-            if len(records) >= cfg.max_windows:
-                return finish(Termination.BUDGET_EXHAUSTED)
-            k_cap = cfg.kappa * max(x_cur.strong_norm, _R0_FLOOR)
-            if empirical:
-                window = min(remaining, proposal)
-            else:
-                window = _plan_window(instance.bounds, cfg, x_cur.strong_norm, k_cap, remaining)
-            if window is None:
-                return finish(Termination.CONTRACTION_FAILURE)
-
-        if window < remaining * (1.0 - 1e-9):
-            t_end = t_cur + window
-        else:  # a window within float jitter of the remaining horizon ends on it
-            window, t_end = remaining, t_max
+        k_cap = cfg.kappa * max(x_cur.strong_norm, _R0_FLOOR)
+        retried = False  # whether this round has failed an attempt
         try:
-            seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)
-        except NoContractionWindow:  # too short for its grid
+            window = min(remaining, proposal) if empirical else _plan_window(
+                instance.bounds, cfg, x_cur.strong_norm, k_cap, remaining)
+            while True:
+                if window < remaining * (1.0 - 1e-9):
+                    a, t_end = window, t_cur + window
+                else:  # a window within float jitter of the remaining horizon ends on it
+                    a, t_end = remaining, t_max
+                if not t_end > t_cur:
+                    raise NoContractionWindow(f"window {window} ends where it starts, at {t_cur}")
+                try:
+                    seg, rec = picard_window(instance, x_cur, WindowPlan(k_cap, t_cur, t_end), cfg)
+                    break
+                except WindowFailure as exc:
+                    if window <= cfg.min_window:  # collapse, judged on the window as planned
+                        return finish(Termination.BLOW_UP_DETECTED, t_cur)
+                    since = 0.0 if exc.t is None else exc.t - t_cur
+                    window = max(cfg.window_shrink * a, _RETRY_MARGIN * since, cfg.min_window)
+                    retried = True
+        except NoContractionWindow:
             return finish(Termination.CONTRACTION_FAILURE)
-        except WindowFailure as exc:
-            if window <= cfg.min_window:  # collapse is blow-up evidence
-                return finish(Termination.BLOW_UP_DETECTED, t_cur)
-            retried = True
-            if exc.t is not None and exc.t > t_cur:
-                window = max(window * cfg.window_shrink, _RETRY_MARGIN * (exc.t - t_cur))
-            else:
-                window *= cfg.window_shrink
-            window = max(window, cfg.min_window)  # the shortest admissible attempt, tried once
-            continue
 
         # substep-resolution blow-up detection: cut the window at the first
         # stored time over the threshold (row 0 passed this round's check)
@@ -712,5 +708,3 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
             proposal = (1.0 if retried else 2.0) * length
         else:  # never below min_window: a real blow-up fails it, and that failure collapses
             proposal = max(cfg.min_window, min(2.0 * length, _RETRY_MARGIN * reach))
-        retried = False
-        window = None

@@ -88,6 +88,22 @@ def test_select_window_detects_decreasing_bound():
         select_window(a, 1.0, 20.0, 10.0)
 
 
+def test_select_window_forgives_a_dip_under_its_tolerance():
+    # flat at r0 = 1 but 1e-13 lower for 0 < t < 5, under the 1e-12 x max(1, |a|)
+    # a probe may fall below the one before it, then linear growth from t = 5
+    a = lambda t, r, m: r - 1e-13 if 0.0 < t < 5.0 else r + max(t - 5.0, 0.0) * m
+    t1 = select_window(a, 1.0, 2.0, 10.0)
+    assert t1 == pytest.approx(5.5, abs=1e-9)
+
+
+def test_select_window_detects_a_bump_between_its_coarse_probes():
+    # up by 10 on (t_max/32, 3 t_max/32), back to slow growth after: only the
+    # probe at t_max/16 of the 17 lands on the bump, none of 5 would
+    a = lambda t, r, m: r + (10.0 if 10.0 / 32 < t < 30.0 / 32 else 1e-3 * t)
+    with pytest.raises(NonMonotone):
+        select_window(a, 1.0, 20.0, 10.0)
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda: select_window(lambda t, r, m: r + t * m, 1.0, 2.0, 0.0),
      "t_max must be positive"),

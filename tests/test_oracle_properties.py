@@ -9,7 +9,7 @@ oracles.burgers_profile_at, and the forced linear ODE's exponential.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twonorm.core import SolverConfig, Termination, continuation_solve
@@ -56,9 +56,14 @@ def test_burgers_matches_the_characteristic_solution_before_the_shock(amplitude)
 
 
 def _forced_linear_exact(a, b, c, x0, t):
-    """x(t) of x' = (a + b) x + c from x0: (x0 + c/lam) e^(lam t) - c/lam, lam = a + b."""
+    """x(t) of x' = (a + b) x + c from x0: (x0 + c/lam) e^(lam t) - c/lam, lam = a + b.
+
+    Below |lam| = 1e-15 it is x0 + c t: c expm1(lam t) / lam loses its
+    digits at a subnormal lam, and the terms dropped stay under 6e-15
+    for |x0| <= 2, |c| <= 1 and t <= 2.
+    """
     lam = a + b
-    if lam == 0.0:
+    if abs(lam) < 1e-15:
         return x0 + c * t
     return x0 * np.exp(lam * t) + c * np.expm1(lam * t) / lam
 
@@ -66,6 +71,10 @@ def _forced_linear_exact(a, b, c, x0, t):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
        st.sampled_from([-1.0, 1.0]), st.floats(0.5, 2.0), st.booleans())
+# a subnormal a + b, where the closed form's expm1(lam t) / lam read 0.5
+# (empirical) and 0.167 (analytic) relative error against an exact solve
+@example(0.0, 5e-324, 1.0, -1.0, 1.0, True)
+@example(5e-324, 0.0, 1.0, 1.0, 1.0, False)
 def test_forced_linear_ode_matches_its_closed_form(a, b, c, sign, size, empirical):
     # the fixed point of x' = a y + b x + c is x' = (a + b) x + c
     x0, t_max = sign * size, 2.0
