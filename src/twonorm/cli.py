@@ -382,9 +382,9 @@ def _oracle_final_error(config: RunConfig, instance, segments) -> float:
     final = segments[-1].end.state
     t_final = segments[-1].t_end
     if config.instance.startswith("ode."):
-        _, ref = oracles.dense_reference(instance.spec, np.atleast_1d(config.params["x0"]),
-                                         t_final, h_fine=1e-4 * t_final)
-        return float(np.max(np.abs(final - ref[-1])))
+        ref = oracles.dense_reference(instance.spec, np.atleast_1d(config.params["x0"]),
+                                      t_final, h_fine=1e-4 * t_final)
+        return float(np.max(np.abs(final - ref.values[-1])))
     profile = _profile(config.params)
     xs = final.nodes()
     if config.instance == "transport.advect":

@@ -131,6 +131,13 @@ class TrajectorySegment:
         if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
 
+    @classmethod
+    def constant(cls, times: np.ndarray, start: NormedPairElement) -> "TrajectorySegment":
+        """The path that stays at start on times, its raw state broadcast to every row."""
+        row, n = np.asarray(start.state, dtype=np.float64), len(times)
+        return cls(times, np.broadcast_to(row, (n,) + row.shape), np.full(n, start.weak_norm),
+                   np.full(n, start.strong_norm), start)
+
     @property
     def t_start(self) -> float:
         return float(self.times[0])
@@ -463,9 +470,7 @@ def picard_window(instance, x0: NormedPairElement, plan: WindowPlan,
     analytic = instance.bounds is not None and not cfg.empirical_mode
     cap = plan.K * (1.0 + _CAP_SLACK)
 
-    row = np.asarray(x0.state, dtype=np.float64)
-    prev = TrajectorySegment(times, np.broadcast_to(row, (m + 1,) + row.shape),
-                             np.full(m + 1, x0.weak_norm), np.full(m + 1, x0.strong_norm), x0)
+    prev = TrajectorySegment.constant(times, x0)
     d_prev = None
     tol = _TOL_FLOOR if cfg.tol is None else cfg.tol
     ratios: list[float] = []

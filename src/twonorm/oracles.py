@@ -2,8 +2,9 @@
 
 Nothing here goes through the windowed engine: the inviscid-transport
 values come from the classical implicit characteristic equation, blow-up
-times from dense derivative sampling, and ODE references from a tiny-step
-one-step integrator applied to the unfrozen equation.
+times from dense derivative sampling, and ODE references from the engine's
+coupled RK4 step (instances.ode_step) on a fine uniform grid, with no
+windows, caps or Picard iteration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .instances import OdeSpec
+from .core import NormedPairElement, TrajectorySegment
+from .grids import sup_norm_values
+from .instances import OdeSpec, ode_step
 
 
 class OracleError(Exception):
@@ -139,13 +142,13 @@ def blowup_time(u0: SmoothProfile, samples: int = 4096) -> float:
     return 1.0 / worst
 
 
-def dense_reference(spec: OdeSpec, x0, t_final: float, h_fine: float):
+def dense_reference(spec: OdeSpec, x0, t_final: float, h_fine: float) -> TrajectorySegment:
     """Tiny-step 4-stage reference solve of the self-coupled equation.
 
-    Integrates x' = f(t, x, x) (no freezing) with fixed step <= h_fine and
-    returns (times, states) with states of shape (steps+1, dimension).
-    A state that leaves the finite range raises OracleError, without
-    numpy's overflow warnings first.
+    One coupled ode_step, the RK4 of x' = f(t, x, x), on a uniform grid of
+    steps <= h_fine, with no windows, caps or Picard iteration. Returns its
+    TrajectorySegment; a row that leaves the finite range raises
+    OracleError, without numpy's overflow warnings first.
     """
     if not t_final > 0:
         raise ValueError("t_final must be positive")
@@ -153,23 +156,12 @@ def dense_reference(spec: OdeSpec, x0, t_final: float, h_fine: float):
         raise ValueError("h_fine must be at most 1e-4 * t_final")
     steps = int(math.ceil(t_final / h_fine))
     times = np.linspace(0.0, t_final, steps + 1)
-    x = np.atleast_1d(np.asarray(x0, dtype=np.float64)).copy()
-    out = np.empty((steps + 1, len(x)))
-    out[0] = x
-    f = spec.f
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            t_k = float(times[k])
-            h = float(times[k + 1] - times[k])
-            k1 = f(t_k, x, x)
-            x2 = x + 0.5 * h * k1
-            k2 = f(t_k + 0.5 * h, x2, x2)
-            x3 = x + 0.5 * h * k2
-            k3 = f(t_k + 0.5 * h, x3, x3)
-            x4 = x + h * k3
-            k4 = f(t_k + h, x4, x4)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise OracleError(f"reference solve overflowed at t={times[k + 1]}")
-            out[k + 1] = x
-    return times, out
+    x = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    norm = sup_norm_values(x)
+    start = NormedPairElement(x, norm, norm)
+    ref = ode_step(spec, TrajectorySegment.constant(times, start), start, substeps=steps,
+                   coupled=True)
+    bad = np.flatnonzero(~np.isfinite(ref.weak))
+    if bad.size:
+        raise OracleError(f"reference solve overflowed at t={times[bad[0]]}")
+    return ref

@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, event, example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from twonorm import core
@@ -237,10 +237,7 @@ def _solve(script, tail, plan, cfg, t_max, r0=1.0, threshold=None):
     return _check_controller(fake, x0, t_max, cfg)
 
 
-# without the explain phase, which took about 50 s to vary the 7 arguments
-# of a failing draw, a failure reports within a few seconds
-@settings(max_examples=150, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@settings(max_examples=150, deadline=None)
 @given(st.lists(actions, max_size=30), st.one_of(st.just(ACCEPT_FLAT), failures), plans,
        configs, st.floats(0.05, 3.0), st.floats(0.5, 2.0),
        st.one_of(st.none(), st.floats(2.0, 30.0)))

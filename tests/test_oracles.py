@@ -85,8 +85,12 @@ def test_characteristics_post_shock_raises():
     (lambda: dense_reference(OdeSpec(dimension=1, f=lambda t, y, x: 1e200 * y * x), [1.0],
                              1.0, 1e-4),
      OracleError, "reference solve overflowed at t=0.0001"),
+    # sqrt(-1) is NaN: the first row leaves the finite range without overflowing
+    (lambda: dense_reference(OdeSpec(dimension=1, f=lambda t, y, x: np.sqrt(-x)), [1.0],
+                             1.0, 1e-4),
+     OracleError, "reference solve overflowed at t=0.0001"),
 ], ids=["bracket-misses-root", "iteration-budget", "no-iterations", "dense-t_final-0",
-        "dense-overflow"])
+        "dense-overflow", "dense-nan"])
 def test_oracles_raise_when_they_have_no_answer(call, error, match):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
         call()
@@ -132,21 +136,21 @@ def test_blowup_time_rejects_sparse_sampling():
 
 def test_dense_reference_decay():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: -x)
-    _, traj = dense_reference(spec, [1.0], 1.0, h_fine=1e-4)
-    assert traj[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-10)
+    traj = dense_reference(spec, [1.0], 1.0, h_fine=1e-4)
+    assert traj.values[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-10)
 
 
 def test_dense_reference_riccati():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x)
-    _, traj = dense_reference(spec, [1.0], 0.9, h_fine=0.9e-4)
-    assert traj[-1, 0] == pytest.approx(10.0, rel=1e-6)
+    traj = dense_reference(spec, [1.0], 0.9, h_fine=0.9e-4)
+    assert traj.values[-1, 0] == pytest.approx(10.0, rel=1e-6)
 
 
 def test_dense_reference_step_halving_consistency():
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x - x)
-    _, a = dense_reference(spec, [2.0], 0.5, h_fine=0.5e-4)
-    _, b = dense_reference(spec, [2.0], 0.5, h_fine=0.25e-4)
-    assert abs(a[-1, 0] - b[-1, 0]) < 1e-8
+    a = dense_reference(spec, [2.0], 0.5, h_fine=0.5e-4)
+    b = dense_reference(spec, [2.0], 0.5, h_fine=0.25e-4)
+    assert abs(a.values[-1, 0] - b.values[-1, 0]) < 1e-8
 
 
 def test_dense_reference_step_halving_order():
@@ -154,11 +158,11 @@ def test_dense_reference_step_halving_order():
     # admissible step; the finest level stands in for the exact value
     spec = OdeSpec(dimension=1, f=lambda t, y, x: y * x)
     t_final = 0.99
-    _, a = dense_reference(spec, [1.0], t_final, h_fine=1e-4 * t_final)
-    _, b = dense_reference(spec, [1.0], t_final, h_fine=0.5e-4 * t_final)
-    _, c = dense_reference(spec, [1.0], t_final, h_fine=0.25e-4 * t_final)
-    e1 = abs(a[-1, 0] - c[-1, 0])
-    e2 = abs(b[-1, 0] - c[-1, 0])
+    a = dense_reference(spec, [1.0], t_final, h_fine=1e-4 * t_final)
+    b = dense_reference(spec, [1.0], t_final, h_fine=0.5e-4 * t_final)
+    c = dense_reference(spec, [1.0], t_final, h_fine=0.25e-4 * t_final)
+    e1 = abs(a.values[-1, 0] - c.values[-1, 0])
+    e2 = abs(b.values[-1, 0] - c.values[-1, 0])
     assert e1 / e2 >= 12.0
 
 
