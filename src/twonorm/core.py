@@ -605,7 +605,7 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
     modes a failed attempt a is retried at max(cfg.window_shrink x a,
     _RETRY_MARGIN x (t - t0), cfg.min_window), where t - t0 is how far
     past the window's start t0 its failure names a time t (0 where it
-    names none): just short of the crossing, and never below
+    names none, and at most a): just short of the crossing, and never below
     cfg.min_window. An accepted attempt is glued on and the next round
     restarts from its exact end state. NoContractionWindow from a round's
     planning or attempts is a contraction failure, the one exit with that
@@ -685,7 +685,9 @@ def continuation_solve(instance, x0: NormedPairElement, t_max: float,
                 except WindowFailure as exc:
                     if window <= cfg.min_window:  # collapse, judged on the window as planned
                         return finish(Termination.BLOW_UP_DETECTED, t_cur)
-                    since = 0.0 if exc.t is None else exc.t - t_cur
+                    # at most a: t_end - t_cur can round past a, and a retry of
+                    # 0.9 x that past-a length need not be shorter than a
+                    since = 0.0 if exc.t is None else min(exc.t - t_cur, a)
                     window = max(cfg.window_shrink * a, _RETRY_MARGIN * since, cfg.min_window)
                     retried = True
         except NoContractionWindow:

@@ -254,6 +254,12 @@ def _solve(script, tail, plan, cfg, t_max, r0=1.0, threshold=None):
 @example([("fail", CapExceeded, None, 0.5), ACCEPT_FLAT], ("fail", CapExceeded, "start", 0.5),
          None, SolverConfig(substeps_per_window=2, window_shrink=0.125, min_window=1e-17,
                             empirical_mode=True), 2.0, 1.0, None)
+# failures at the window's end, at t = 2.25 where a float spacing is
+# 4.4e-16: t_end - t_start rounds past an attempt of about 1e-15, and a
+# retry at 0.9 x that length would not be shorter than the attempt
+@example([("fail", CapExceeded, None, 0.5), ACCEPT_FLAT], ("fail", CapExceeded, "end", 0.5),
+         None, SolverConfig(kappa=2.0, substeps_per_window=2, max_windows=2,
+                            window_shrink=0.75, min_window=1e-15), 3.0, 1.0, None)
 def test_controller_keeps_its_retry_and_verdict_rules(script, tail, plan, cfg, t_max, r0,
                                                       threshold):
     attempts, report = _solve(script, tail, plan, cfg, t_max, r0, threshold)
