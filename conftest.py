@@ -1,46 +1,47 @@
-"""A per-test time bound for the benchmark harness's tests under perfbench/.
+"""A per-test time bound and the Hypothesis profile for tests/ and perfbench/.
 
-tests/conftest.py ends a test under tests/ that runs past its bound with
-SIGALRM. That cannot bound a perfbench test: SpeedProbe
-(perfbench/calibrate.py) arms ITIMER_REAL, the timer signal.alarm uses,
-and zeroes it when it stops. Here a faulthandler watchdog thread bounds
-each perfbench test instead: a test still running after
-PERFBENCH_TIME_BOUND_S seconds dumps every thread's traceback to the
-run's stderr and ends the process, so a hang stops the test run with its
-stack instead of stalling it.
+A test still running after TEST_TIME_BOUND_S (the slowest takes a few
+seconds) is a hang: it fails naming the bound, and the session goes on.
+A timer thread sends the main thread SIGUSR1, leaving SIGALRM and
+ITIMER_REAL to SpeedProbe (perfbench/calibrate.py). The handler raises a
+BaseException, which Hypothesis does not take for a failing example to
+re-run into the same hang. A hang inside one C call is not ended.
+
+Hypothesis has no per-example deadline, since the bound ends a hang, and
+runs every default phase except explain, which on a property with many
+arguments can alone outlast the bound (about 50 s for one with seven).
+The bound can still end a long shrink phase before its report.
 """
 
-import faulthandler
-import os
-import sys
-from pathlib import Path
+import signal
+import threading
 
 import pytest
+from hypothesis import Phase, settings
 
-PERFBENCH_TIME_BOUND_S = 60
-PERFBENCH = Path(__file__).resolve().parent / "perfbench"
+TEST_TIME_BOUND_S = 60
 
-# the stderr the run started with: while a test runs, fd 2 may be pytest's
-# capture file, whose contents a process ended by the watchdog never prints
-_STDERR = pytest.StashKey[int]()
-
-
-def pytest_configure(config):
-    config.stash[_STDERR] = os.dup(sys.stderr.fileno())
+settings.register_profile(
+    "tier1", deadline=None,
+    phases=[p for p in settings.default.phases if p is not Phase.explain])
+settings.load_profile("tier1")
 
 
-def pytest_unconfigure(config):
-    os.close(config.stash[_STDERR])
+class TimeBoundExceeded(BaseException):
+    """A test ran past TEST_TIME_BOUND_S."""
+
+
+def _on_bound(signum, frame):
+    raise TimeBoundExceeded(f"test ran past the {TEST_TIME_BOUND_S} s per-test bound")
 
 
 @pytest.fixture(autouse=True)
-def _perfbench_time_bound(request):
-    if PERFBENCH not in request.node.path.parents:
-        yield
-        return
-    faulthandler.dump_traceback_later(PERFBENCH_TIME_BOUND_S, exit=True,
-                                      file=request.config.stash[_STDERR])
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
+def _time_bound():
+    signal.signal(signal.SIGUSR1, _on_bound)
+    timer = threading.Timer(TEST_TIME_BOUND_S, signal.pthread_kill,
+                            (threading.main_thread().ident, signal.SIGUSR1))
+    timer.daemon = True
+    timer.start()
+    yield
+    timer.cancel()
+    timer.join()  # a signal sent as the test ends is raised here, in its teardown

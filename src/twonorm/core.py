@@ -192,7 +192,9 @@ class WindowPlan:
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver settings. tol None (the default) gives each window its own
-    stopping tolerance in picard_window; a positive tol is used as given."""
+    stopping tolerance in picard_window; a positive tol is used as given.
+    window_shrink lies in (0, 0.9], so each retry is at most 0.9 x the
+    attempt that failed."""
 
     kappa: float = 2.0              # cap margin: K = kappa * current strong norm
     theta_target: float = 0.5       # contraction factor aimed for by planning
@@ -209,10 +211,11 @@ class SolverConfig:
     def __post_init__(self):
         if not self.kappa > 1.0:
             raise ValueError("kappa must exceed 1")
-        for name in ("theta_target", "window_shrink"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie in (0,1), got {v}")
+        if not 0.0 < self.theta_target < 1.0:
+            raise ValueError(f"theta_target must lie in (0,1), got {self.theta_target}")
+        if not 0.0 < self.window_shrink <= _RETRY_MARGIN:
+            raise ValueError(f"window_shrink must lie in (0,{_RETRY_MARGIN}], "
+                             f"got {self.window_shrink}")
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive")
         if not self.min_window > 0:

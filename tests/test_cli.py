@@ -134,6 +134,17 @@ def test_zero_tol_exits_1_naming_it(tmp_path, capsys):
     assert "field 'solver': tol must be positive" in capsys.readouterr().err
 
 
+def test_window_shrink_past_the_retry_margin_exits_1_naming_it(tmp_path, capsys):
+    # each retry is at most 0.9 x the attempt that failed: a larger shrink
+    # snapped a retry back onto an attempt that ended on the horizon, and
+    # riccati.json with 0.9999999999 ran past 20 s
+    raw = json.loads((CONFIGS / "riccati.json").read_text())
+    raw.update(output_dir=str(tmp_path / "out"), solver={"window_shrink": 0.9999999999})
+    assert main(["solve", _write(tmp_path, "cfg.json", raw)]) == EXIT_ERROR
+    assert "field 'solver': window_shrink must lie in (0,0.9]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_solver_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="solver"):
         parse_config(_decay_config(tmp_path, solver={"bogus": 1}))
@@ -874,8 +885,8 @@ def test_an_advect_run_tries_min_window_before_it_is_called_a_blowup(tmp_path, s
     assert (code, report.termination) == (EXIT_BUDGET, Termination.BUDGET_EXHAUSTED)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(16, 32), st.floats(0.05, 0.95), st.floats(1.0, 4.0))
+@settings(max_examples=50)
+@given(st.integers(16, 32), st.floats(0.05, 0.9), st.floats(1.0, 4.0))
 @example(n=16, shrink=0.1, factor=1.0)
 def test_no_advect_length_the_cli_admits_ends_as_a_blowup(n, shrink, factor):
     # advection at unit speed never blows up; the length is factor times twice

@@ -51,13 +51,12 @@ ACCEPT_FLAT = ("accept", 0.0, 1.0)
 def _attempt_bound(first: float, cfg: SolverConfig) -> int:
     """Most attempts a round whose first attempt is first long may make.
 
-    A retry is at most max(window_shrink, 0.9) times the failed attempt (0.9
-    where the failure names the window's end), so after
-    ceil(log(first / min_window) / log(1 / q)) attempts the next one is the
-    min_window attempt; one more allows for float jitter.
+    A retry is at most 0.9 times the failed attempt (SolverConfig admits no
+    window_shrink above 0.9), so after ceil(log(first / min_window) /
+    log(1 / 0.9)) attempts the next one is the min_window attempt; one more
+    allows for float jitter.
     """
-    q = max(cfg.window_shrink, 0.9)
-    return max(0, math.ceil(math.log(first / cfg.min_window) / math.log(1.0 / q))) + 2
+    return max(0, math.ceil(math.log(first / cfg.min_window) / math.log(1.0 / 0.9))) + 2
 
 
 class ScriptedInstance:
@@ -237,7 +236,7 @@ def _solve(script, tail, plan, cfg, t_max, r0=1.0, threshold=None):
     return _check_controller(fake, x0, t_max, cfg)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(actions, max_size=30), st.one_of(st.just(ACCEPT_FLAT), failures), plans,
        configs, st.floats(0.05, 3.0), st.floats(0.5, 2.0),
        st.one_of(st.none(), st.floats(2.0, 30.0)))

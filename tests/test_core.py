@@ -96,6 +96,22 @@ def test_select_window_forgives_a_dip_under_its_tolerance():
     assert t1 == pytest.approx(5.5, abs=1e-9)
 
 
+def test_select_window_forgives_a_dip_of_one_probe_under_its_tolerance():
+    # r0 = 1000 except 1e-13 r0 lower on (0.3, 0.35), where only the probe
+    # at 5/16 lands: under the slack, which scales with the bound, so the
+    # bound never binds
+    a = lambda t, r, m: r * (1.0 - 1e-13) if 0.3 < t < 0.35 else r
+    assert select_window(a, 1e3, 1e4, 1.0) == 1.0
+
+
+def test_select_window_detects_a_drop_that_only_its_fine_probes_see():
+    # r0 + t, but 0.1 lower on (0.1, 0.15): the probe at 2/16 lands on the
+    # drop, none of 5 probes (every 1/4) would
+    a = lambda t, r, m: r + t - (0.1 if 0.1 < t < 0.15 else 0.0)
+    with pytest.raises(NonMonotone):
+        select_window(a, 1.0, 10.0, 1.0)
+
+
 def test_select_window_detects_a_bump_between_its_coarse_probes():
     # up by 10 on (t_max/32, 3 t_max/32), back to slow growth after: only the
     # probe at t_max/16 of the 17 lands on the bump, none of 5 would
@@ -255,7 +271,7 @@ def power_law_bounds(draw):
     return g
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(b=power_law_bounds(), c=power_law_bounds(), k_cap=st.floats(1e-3, 1e3),
        t1=st.floats(1e-3, 50.0), theta_target=st.floats(0.05, 0.95),
        swap_roles=st.booleans(), min_t=st.sampled_from([0.0, 1e-4]))
@@ -489,8 +505,10 @@ def test_solver_config_validation():
         SolverConfig(kappa=1.0)
     with pytest.raises(ValueError):
         SolverConfig(theta_target=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(window_shrink=1.0)
+    SolverConfig(window_shrink=0.9)
+    for shrink in (0.95, 0.9999999999, 1.0):
+        with pytest.raises(ValueError, match="window_shrink must lie in"):
+            SolverConfig(window_shrink=shrink)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):

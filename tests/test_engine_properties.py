@@ -79,7 +79,7 @@ thresholds = st.one_of(st.none(), st.floats(2.0, 20.0))  # times the initial str
 # long horizons put the window ends where floats are far apart and make the
 # analytic a-priori bound overflow to +inf, which must not warn
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
        st.integers(1, 3), st.integers(0, 2**31 - 1),
        st.one_of(st.floats(0.05, 3.0), st.floats(1e3, 1e6)), solver_configs, thresholds)
@@ -94,7 +94,7 @@ def test_linear_ode_solves_keep_engine_invariants(a, b, forcing, dimension, seed
     _check_invariants(inst, x0, t_max, cfg, threshold)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from([make_advect_instance, make_burgers_instance]), st.integers(16, 48),
        st.sampled_from(["linear", "cubic"]), st.floats(-1.5, 1.5), st.floats(0.05, 3.0),
        solver_configs, thresholds)
@@ -124,7 +124,7 @@ def _attempts(inst, x0, t_max, cfg):
     return attempts, report
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.one_of(
            st.tuples(st.just("linear"), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
                      st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(0.05, 3.0)),

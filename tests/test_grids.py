@@ -88,14 +88,14 @@ def test_lip_norm_smooth_sine():
     assert lip_norm(u) == pytest.approx(2.0, abs=1e-3)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(arrays(np.float64, 32, elements=st.floats(-10, 10)))
 def test_embedding_sup_below_lip(vals):
     u = grid(vals)
     assert sup_norm(u) <= lip_norm(u)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(arrays(np.float64, 24, elements=st.floats(-10, 10)),
        arrays(np.float64, 24, elements=st.floats(-10, 10)))
 def test_norm_triangle_inequality(a, b):
@@ -104,7 +104,7 @@ def test_norm_triangle_inequality(a, b):
     assert lip_norm(uab) <= lip_norm(ua) + lip_norm(ub) + 1e-9
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(arrays(np.float64, 24, elements=st.floats(-10, 10)),
        st.floats(-4, 4))
 def test_norm_homogeneity(a, alpha):
@@ -113,7 +113,7 @@ def test_norm_homogeneity(a, alpha):
     assert lip_norm(su) == pytest.approx(abs(alpha) * lip_norm(u), rel=1e-12, abs=1e-9)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(arrays(np.float64, 32, elements=st.floats(-5, 5)),
        arrays(np.float64, 32, elements=st.floats(-5, 5)))
 def test_lip_is_lipschitz_in_sup_distance(a, b):
@@ -219,7 +219,7 @@ def _interp_four_mods(values, length, x, scheme):
     )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(2, 70), st.sampled_from(["linear", "cubic"]), st.integers(0, 2**31 - 1),
        st.sampled_from([1.0, 2.7, TWO_PI]))
 def test_ghost_padded_interpolation_is_bitwise_the_wrapped_index_formula(n, scheme, seed, length):
@@ -255,7 +255,7 @@ SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-30
                     1.8e308, -1.8e308, 1e-17, -1e-17])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(arrays(np.float64, st.integers(0, 64), elements=st.floats(width=64)),
        st.sampled_from(LENGTHS))
 def test_wrap_periodic_is_bitwise_np_mod(x, length):
@@ -265,7 +265,7 @@ def test_wrap_periodic_is_bitwise_np_mod(x, length):
         assert wrap_periodic(x, length).tobytes() == np.mod(x, length).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from(LENGTHS), st.data())
 def test_wrap_periodic_around_its_shift_range_is_bitwise_np_mod(length, data):
     # [-length, 2 length) is where wrap_periodic shifts instead of taking fmod
@@ -283,7 +283,7 @@ def test_wrap_periodic_around_its_shift_range_is_bitwise_np_mod(length, data):
         assert wrap_periodic(x, length).tobytes() == np.mod(x, length).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from(LENGTHS), st.integers(2, 300), st.data())
 def test_wrap_by_shift_is_bitwise_np_mod_on_feet_within_half_the_domain(length, n, data):
     # the transport step's feet after its guard: nodes + d with |d| <= length / 2
@@ -318,7 +318,7 @@ def _snap_edges(cells, n, length):
     return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(2, 70), st.sampled_from(LENGTHS), st.data(), st.booleans())
 def test_interp_stencil_is_bitwise_the_floor_and_clamp_formula(n, length, data, stack):
     wrapped = data.draw(arrays(np.float64, st.integers(0, 64), elements=st.floats(0.0, length)))
@@ -351,7 +351,7 @@ def _two_reduction_stencil(x_wrapped, length, n):
     return idx, frac
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(2, 70), st.sampled_from(LENGTHS), st.data(), st.booleans())
 def test_interp_stencil_one_reduction_clamp_is_bitwise_the_two_reduction_form(n, length, data,
                                                                               stack):
@@ -379,7 +379,7 @@ finite_or_huge = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allo
                            st.sampled_from([1.7e308, -1.7e308, 8e307, -8e307]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 5), st.integers(2, 40), st.data(), st.sampled_from(LENGTHS),
        st.booleans())
 def test_sup_lip_norms_is_bitwise_the_roll_and_divide_formula(rows, n, data, length, stack):

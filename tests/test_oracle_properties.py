@@ -25,7 +25,7 @@ from twonorm.oracles import burgers_profile_at, sine_profile
 TWO_PI = 2.0 * math.pi
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.floats(0.25, 8.0))
 def test_riccati_blow_up_is_detected_just_before_one_over_x0(x0):
     # x' = x^2 from x0 blows up at 1/x0; detection stops at the last
@@ -38,7 +38,7 @@ def test_riccati_blow_up_is_detected_just_before_one_over_x0(x0):
     assert (1.0 / x0) * (1.0 - 2e-3) <= report.t_c_estimate <= 1.0 / x0
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.floats(0.5, 2.0))
 def test_burgers_matches_the_characteristic_solution_before_the_shock(amplitude):
     # the sine of this amplitude steepens into a shock at t = 1/amplitude;
@@ -68,7 +68,7 @@ def _forced_linear_exact(a, b, c, x0, t):
     return x0 * np.exp(lam * t) + c * np.expm1(lam * t) / lam
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
        st.sampled_from([-1.0, 1.0]), st.floats(0.5, 2.0), st.booleans())
 # a subnormal a + b, where the closed form's expm1(lam t) / lam read 0.5

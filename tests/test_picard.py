@@ -192,7 +192,7 @@ def _burgers_element(inst, n):
     return make_element(inst, from_callable(sine_profile().value, n, TWO_PI))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(["riccati", "linear", "linear-empirical", "burgers"]),
        st.floats(0.02, 0.45), st.sampled_from([4, 8, 16, 32, 64]), st.sampled_from([64, 256]))
 def test_default_tol_keeps_the_residual_bound_of_the_tol_each_window_used(kind, t_end,

@@ -1,11 +1,13 @@
 """The pytest configuration: every warning is an error, except one import
-warning that would otherwise end the session when a property test fails.
+warning that would otherwise end the session when a property test fails,
+and a test that runs past the per-test time bound fails.
 
 Each test runs pytest in a subprocess on a temporary test file, under
 the repository's own pyproject.toml.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,36 @@ def test_overflow_warning_from_src_fails():
     lip_norm_values(np.array([1e308, -1e308]), 1.0)
 '''
 
+# each of the first three runs 10 s unless the bound ends it; the third
+# first arms and zeroes ITIMER_REAL, as SpeedProbe (perfbench/calibrate.py) does
+HANGS_THEN_PASSING = '''
+import signal
+import time
+
+
+def test_a_sleeps():
+    time.sleep(10)
+
+
+def test_b_spins():
+    end = time.monotonic() + 10
+    while time.monotonic() < end:
+        pass
+
+
+def test_c_zeroes_the_interval_timer_then_sleeps():
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+    signal.setitimer(signal.ITIMER_REAL, 0.01)
+    time.sleep(0.05)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+    time.sleep(10)
+
+
+def test_d_runs_after_them():
+    assert True
+'''
+
 
 def _pytest_on(tmp_path, source):
     (tmp_path / "test_case.py").write_text(source)
@@ -60,3 +92,16 @@ def test_runtime_warning_from_src_still_fails_its_test(tmp_path):
     out = _pytest_on(tmp_path, OVERFLOW_IN_SRC)
     assert "1 failed" in out
     assert "RuntimeWarning" in out and "overflow" in out
+
+
+def test_a_test_past_the_time_bound_fails_and_the_session_goes_on(tmp_path):
+    conftest = (REPO / "conftest.py").read_text()
+    assert conftest.count("TEST_TIME_BOUND_S = 60") == 1
+    (tmp_path / "conftest.py").write_text(
+        conftest.replace("TEST_TIME_BOUND_S = 60", "TEST_TIME_BOUND_S = 1"))
+    out = _pytest_on(tmp_path, HANGS_THEN_PASSING)
+    assert "3 failed, 1 passed" in out
+    # one traceback line each; the summary lines may be cut to the terminal's width
+    raised = re.findall(r"^E .*TimeBoundExceeded: test ran past the 1 s per-test bound$",
+                        out, re.MULTILINE)
+    assert len(raised) == 3

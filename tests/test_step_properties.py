@@ -173,13 +173,13 @@ def _assert_step_matches_reference(case, coupled):
         assert (state.weak_norm, state.strong_norm) == (sup, lip)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(transport_cases)
 def test_blocked_transport_step_matches_per_substep_sweep(case):
     _assert_step_matches_reference(case, coupled=False)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(transport_cases)
 def test_coupled_transport_step_matches_per_substep_sweep(case):
     # the coupled step traces each substep inside a block from its own rows
@@ -216,7 +216,7 @@ def _cap_from(strong, j, factor):
     return float(strong[j % len(strong)]) * factor
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(transport_cases, st.integers(0, 10**6), st.sampled_from([0.5, 0.99, 1.0, 1.01]))
 def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, factor):
     substeps = case[1]
@@ -235,7 +235,7 @@ def test_transport_cap_raises_exactly_when_uncapped_norm_exceeds_it(case, j, fac
         assert [s.strong_norm for s in capped.states] == [s.strong_norm for s in free.states]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_transport_cases(["burgers", "burgers+source", "growth", "source"]),  # norms mostly grow
        st.booleans(), st.integers(0, 10**6))
 def test_transport_cap_crossing_inside_a_block_matches_the_row_by_row_reference(case, coupled,
@@ -300,7 +300,7 @@ def test_transport_cap_failure_carries_the_crossing_row_not_the_block_end():
 
 # -- block size -------------------------------------------------------------------
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(transport_cases, st.booleans(), st.data())
 def test_every_block_size_gives_the_per_substep_sweep_bitwise(case, coupled, data):
     # _BLOCK_POINTS drawn for blocks of one row up to the whole window, and a cap
@@ -375,7 +375,7 @@ def _judged_ode_step(spec, y_traj, x0, cap=None, **kwargs):
     return seg
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.sampled_from(sorted(ODE_SPECS)), st.integers(1, 80), st.floats(1e-3, 2.0),
        st.floats(0.0, 5.0), st.integers(0, 2**31 - 1), st.integers(0, 10**6),
        st.sampled_from([0.5, 0.99, 1.0, 1.01]))
@@ -410,7 +410,7 @@ def test_ode_cap_raises_exactly_when_uncapped_norm_exceeds_it(name, substeps, wi
         assert capped.strong.tolist() == free_norms
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.sampled_from(sorted(ODE_SPECS)), st.integers(1, 80), st.floats(1e-3, 2.0),
        st.floats(0.0, 5.0), st.integers(0, 2**31 - 1), st.integers(0, 10**6))
 def test_ode_cap_failure_carries_the_crossing_row(name, substeps, window, t_start, seed, j):
@@ -431,7 +431,7 @@ def test_ode_cap_failure_carries_the_crossing_row(name, substeps, window, t_star
     assert (exc.t, exc.value, exc.limit) == (float(times[crossing]), free_norms[crossing], cap)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(sorted(ODE_SPECS)), st.integers(1, 80), st.floats(1e-3, 2.0),
        st.floats(0.0, 5.0), st.integers(0, 2**31 - 1), st.booleans())
 def test_an_ode_cap_below_row_0_changes_no_bit(name, substeps, window, t_start, seed, coupled):
@@ -504,7 +504,7 @@ def _recording(spec, calls):
     return replace(spec, f=f)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from(sorted(ODE_RHS)), st.tuples(*[st.floats(-3.0, 3.0)] * 3),
        st.floats(-20.0, 20.0), st.integers(1, 3),
        st.one_of(st.integers(1, 3), st.integers(4, 80)),
@@ -542,7 +542,7 @@ def test_ode_step_is_bitwise_the_per_substep_reference(kind, abc, w, dimension, 
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.integers(1, 3), st.integers(1, 80),
        st.floats(1e-3, 2.0), st.floats(0.0, 5.0), st.integers(0, 2**31 - 1))
 def test_coupled_ode_step_is_the_frozen_step_when_f_ignores_y(b, forcing, dimension, substeps,
@@ -562,7 +562,7 @@ def test_coupled_ode_step_is_the_frozen_step_when_f_ignores_y(b, forcing, dimens
         assert getattr(coupled, name).tobytes() == getattr(frozen, name).tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(2, 300), st.integers(1, 40), st.floats(1e-3, 3.0), st.floats(0.0, 5.0),
        st.sampled_from(["linear", "cubic"]), st.integers(0, 2**31 - 1))
 def test_coupled_advect_step_is_the_frozen_step(n, substeps, window, t_start, scheme, seed):
@@ -597,7 +597,7 @@ def _rows_with_cancellation(draw):
     return np.array(rows)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_rows_with_cancellation())
 def test_means_are_the_plain_mean_bitwise_and_finite_for_finite_rows(rows):
     means = _means(rows)  # an overflow warning would fail the test
@@ -620,7 +620,7 @@ def _gains(substeps):
     return np.array([FIRST_GAIN] + [GAIN] * (substeps - 1))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.tuples(st.integers(1, 3), st.integers(2, 41)).flatmap(lambda shape: st.tuples(
     st.just(shape[0]),
     st.lists(st.sampled_from([-1.0, 1.0]), min_size=shape[0] * shape[1],
@@ -657,7 +657,7 @@ def _sup_dist_of_blocks(a, b):
                for k in range(0, len(a), block))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(1, 12), st.sampled_from([1, 3, 1024, 2048, instances._BLOCK_POINTS]),
        st.integers(0, 2**32 - 1), st.lists(st.integers(0, 11), max_size=3))
 def test_sup_dist_is_the_max_of_its_blocks(rows, n, seed, nan_rows):
@@ -717,7 +717,7 @@ def test_converged_frozen_solve_is_fourth_order(a, b):
 _unit = st.floats(-1.0, 1.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_unit, _unit, _unit, st.floats(-2.0, 2.0), st.floats(0.01, 1.0), st.integers(4, 64))
 def test_converged_frozen_solve_matches_the_closed_form(a, b, c, x0, window, substeps):
     # x' = a y + b x + c has the fixed point x' = lam x + c, lam = a + b; its
